@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .field import Field, embed
-from .linalg import as_matrix, nullspace, rref, solve
+from .linalg import as_matrix, nullspace, reduce_against, rref, solve
 
 
 class UndecidedError(RuntimeError):
@@ -167,14 +167,7 @@ def _berlekamp_split(g, f):
         for j, c in enumerate(cur):
             mat[j, i] = c
         cur = udivmod(umul(cur, tq, f), g, f)[1]
-    eye = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        eye[i, i] = 1
-    diff = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            diff[i, j] = f.sub(int(mat[i, j]), int(eye[i, j]))
-    kernel = nullspace(diff, f)
+    kernel = nullspace(f.vsub(mat, np.eye(n, dtype=np.int64)), f)
     r = kernel.shape[0]
     if r <= 1:
         return [g]
@@ -234,9 +227,9 @@ class FiniteAlgebra:
     def __init__(self, field: Field, table, unit):
         self.field = field
         self.dim = len(table)
-        # table[i][j] = coordinates of b_i * b_j
-        self.table = [[np.array(table[i][j], dtype=np.int64)
-                       for j in range(self.dim)] for i in range(self.dim)]
+        # table[i, j] = coordinates of b_i * b_j
+        self.table = np.array(table, dtype=np.int64).reshape(
+            (self.dim,) * 3)
         self.unit = np.array(unit, dtype=np.int64)
 
     # -- element arithmetic on coordinate vectors --------------------------------
@@ -245,37 +238,18 @@ class FiniteAlgebra:
         return np.zeros(self.dim, dtype=np.int64)
 
     def add(self, a, b):
-        f = self.field
-        return np.array([f.add(int(x), int(y)) for x, y in zip(a, b)],
-                        dtype=np.int64)
+        return self.field.vadd(a, b)
 
     def sub(self, a, b):
-        f = self.field
-        return np.array([f.sub(int(x), int(y)) for x, y in zip(a, b)],
-                        dtype=np.int64)
+        return self.field.vsub(a, b)
 
     def scale(self, a, c):
-        f = self.field
-        return np.array([f.mul(int(x), c) for x in a], dtype=np.int64)
+        return self.field.vmul(a, c)
 
     def mul(self, a, b):
-        f = self.field
-        out = [0] * self.dim
-        for i, ai in enumerate(a):
-            ai = int(ai)
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                bj = int(bj)
-                if not bj:
-                    continue
-                coef = f.mul(ai, bj)
-                row = self.table[i][j]
-                for k in range(self.dim):
-                    t = int(row[k])
-                    if t:
-                        out[k] = f.add(out[k], f.mul(coef, t))
-        return np.array(out, dtype=np.int64)
+        n = self.dim
+        coefs = self.field.vmul(a[:, None], b[None, :]).reshape(1, n * n)
+        return self.field.matmul(coefs, self.table.reshape(n * n, n))[0]
 
     def power(self, a, e):
         result = self.unit.copy()
@@ -292,12 +266,9 @@ class FiniteAlgebra:
 
     def left_regular(self, a):
         """Matrix of left multiplication by a on the coordinate basis."""
-        cols = []
-        for j in range(self.dim):
-            e = np.zeros(self.dim, dtype=np.int64)
-            e[j] = 1
-            cols.append(self.mul(a, e))
-        return np.stack(cols, axis=1)
+        n = self.dim
+        prods = self.field.matmul(a[None, :], self.table.reshape(n, n * n))
+        return prods.reshape(n, n).T
 
     def charpoly(self, mat):
         """Characteristic polynomial of a square matrix, division-free.
@@ -309,20 +280,6 @@ class FiniteAlgebra:
         if n == 0:
             return [1]
 
-        def matmul(A, B):
-            rows, inner, cols = A.shape[0], A.shape[1], B.shape[1]
-            out = np.zeros((rows, cols), dtype=np.int64)
-            for i in range(rows):
-                for k in range(inner):
-                    a = int(A[i, k])
-                    if not a:
-                        continue
-                    for j in range(cols):
-                        b = int(B[k, j])
-                        if b:
-                            out[i, j] = f.add(int(out[i, j]), f.mul(a, b))
-            return out
-
         # coefficient vectors are kept highest-degree first
         poly = np.array([[1], [f.neg(int(mat[0, 0]))]], dtype=np.int64)
         for r in range(1, n):
@@ -331,17 +288,16 @@ class FiniteAlgebra:
             col = mat[:r, r].reshape(r, 1)
             block = mat[:r, :r]
             # Toeplitz column: [1, -a, -row@col, -row@block@col, ...]
-            entries = [1, f.neg(a)]
-            vec = col
-            for _ in range(r):
-                rv = matmul(row, vec)
-                entries.append(f.neg(int(rv[0, 0])))
-                vec = matmul(block, vec)
+            krylov = [col]
+            for _ in range(r - 1):
+                krylov.append(f.matmul(block, krylov[-1]))
+            products = f.matmul(row, np.concatenate(krylov, axis=1))[0]
+            entries = [1, f.neg(a)] + [int(c) for c in f.vneg(products)]
             toep = np.zeros((r + 2, r + 1), dtype=np.int64)
             for j in range(r + 1):
                 for i in range(j, r + 2):
                     toep[i, j] = entries[i - j]
-            poly = matmul(toep, poly)
+            poly = f.matmul(toep, poly)
         coeffs = [int(c) for c in poly[:, 0]]
         return list(reversed(coeffs))
 
@@ -357,7 +313,7 @@ class FiniteAlgebra:
             if red.shape[0] < len(rows) + 1:
                 # dependence: solve power = combo of previous rows
                 coeffs = solve(np.stack(rows, axis=0).T.copy(), power, f)
-                poly = [f.neg(int(c)) for c in coeffs] + [1]
+                poly = [int(c) for c in f.vneg(coeffs)] + [1]
                 return ustrip(poly)
             rows.append(power)
 
@@ -412,16 +368,7 @@ class FiniteAlgebra:
             # solve sum_j x_j * cond[b][j] = 0 for all b
             mat = as_matrix(cond, len(basis))
             ker = nullspace(mat, f)
-            new = []
-            for kv in ker:
-                vec = self.zero()
-                for c, b in zip(kv, basis):
-                    if int(c):
-                        vec = self.add(vec, self.scale(b, int(c)))
-                new.append(vec)
-            current = (np.stack(new, axis=0) if new
-                       else np.zeros((0, n), dtype=np.int64))
-            current, _ = rref(current, f)
+            current, _ = rref(f.matmul(ker, current), f)
             level += 1
             qexp *= f.p
         rad = current
@@ -430,28 +377,11 @@ class FiniteAlgebra:
             m = self.left_regular(rad[i])
             power = m
             for _ in range(n + 1):
-                power = self._matmul(power, m)
+                power = f.matmul(power, m)
             if power.any():
                 raise ArithmeticError("radical verification failed: "
                                       "non-nilpotent element")
         return rad
-
-    def _matmul(self, A, B):
-        f = self.field
-        n = A.shape[0]
-        out = np.zeros((n, n), dtype=np.int64)
-        if f.k == 1:
-            return (A @ B) % f.p
-        for i in range(n):
-            for k in range(n):
-                a = int(A[i, k])
-                if not a:
-                    continue
-                for j in range(n):
-                    b = int(B[k, j])
-                    if b:
-                        out[i, j] = f.add(int(out[i, j]), f.mul(a, b))
-        return out
 
     # -- quotient by the radical ---------------------------------------------------
 
@@ -462,21 +392,11 @@ class FiniteAlgebra:
         red, pivots = rref(rad.copy(), f) if rad.shape[0] else (rad, [])
         free = [c for c in range(n) if c not in pivots]
         # section: basis vectors of the complement (unit coordinate rows)
-        section_rows = []
-        for c in free:
-            e = np.zeros(n, dtype=np.int64)
-            e[c] = 1
-            section_rows.append(e)
+        section_rows = np.eye(n, dtype=np.int64)[free]
 
         def project(vec):
             """Coordinates in the quotient basis (reduce by rad, take free)."""
-            v = vec.copy()
-            for r, pc in enumerate(pivots):
-                c = int(v[pc])
-                if c:
-                    v = np.array([f.sub(int(x), f.mul(c, int(y)))
-                                  for x, y in zip(v, red[r])], dtype=np.int64)
-            return np.array([v[c] for c in free], dtype=np.int64)
+            return reduce_against(red, pivots, vec, f)[free]
 
         m = len(free)
         table = []
@@ -508,11 +428,10 @@ class FiniteAlgebra:
 
     def extend_scalars(self, target: Field):
         """The same structure constants over a larger field."""
-        emb = lambda code: embed(self.field.from_code(code), target).code
-        table = [[[emb(int(c)) for c in self.table[i][j]]
-                  for j in range(self.dim)] for i in range(self.dim)]
-        unit = [emb(int(c)) for c in self.unit]
-        return FiniteAlgebra(target, table, unit), emb
+        emb = lambda code: embed(self.field.from_code(int(code)), target).code
+        to_target = np.vectorize(emb, otypes=[np.int64])
+        return (FiniteAlgebra(target, to_target(self.table),
+                              to_target(self.unit)), emb)
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +475,7 @@ class _Corner:
         return FiniteAlgebra(f, table, unit)
 
     def to_parent(self, coords):
-        f = self.parent.field
-        out = self.parent.zero()
-        for c, row in zip(coords, self.rows):
-            if int(c):
-                out = self.parent.add(out, self.parent.scale(row, int(c)))
-        return out
+        return self.parent.field.matmul(coords[None, :], self.rows)[0]
 
 
 def _split_by_element(B: FiniteAlgebra, z):
@@ -671,10 +585,7 @@ def _idempotent_from_nilpotent(B: FiniteAlgebra, nu):
     sol = solve(mat, b, f)
     if sol is None:
         return None
-    e = B.zero()
-    for c, row in zip(sol, ideal):
-        if int(c):
-            e = B.add(e, B.scale(row, int(c)))
+    e = f.matmul(sol[None, :], ideal)[0]
     if not B.is_idempotent(e) or not e.any():
         return None
     if np.array_equal(e, B.unit):
@@ -786,10 +697,7 @@ def semisimple_primitive_idempotents(B: FiniteAlgebra, ext_bound: int = 4):
                 idems, _ = _split_by_element(ZA, z)
                 if idems:
                     for ie in idems:
-                        back = CB.zero()
-                        for c, row in zip(ie, zc):
-                            if int(c):
-                                back = CB.add(back, CB.scale(row, int(c)))
+                        back = f.matmul(ie[None, :], zc)[0]
                         work.append(corner.to_parent(back))
                     split_done = True
         if split_done:
@@ -823,11 +731,7 @@ def lift_idempotents(A: FiniteAlgebra, rad, quotient_idems, project, section_row
     f = A.field
 
     def section(qcoords):
-        out = A.zero()
-        for c, row in zip(qcoords, section_rows):
-            if int(c):
-                out = A.add(out, A.scale(row, int(c)))
-        return out
+        return f.matmul(qcoords[None, :], section_rows)[0]
 
     c2, c3 = f.elem(2).code, f.elem(3).code
 

@@ -92,12 +92,10 @@ class EndAlgebra:
     """Degree-zero endomorphism algebra of a syzygy bundle.
 
     Carries the basis of endomorphisms as generator-image maps, the
-    structure constants over the base field, a basis of the radical, and
-    (after idempotent computation) the splitting field actually used.
+    structure constants over the base field and a basis of the radical.
     """
 
-    __slots__ = ("bundle", "homs", "algebra", "radical_rows",
-                 "splitting_field", "_coord_rows")
+    __slots__ = ("bundle", "homs", "algebra", "radical_rows", "_coord_rows")
 
     def __init__(self, bundle: SyzygyBundle, homs, algebra: FiniteAlgebra,
                  radical_rows, coord_rows):
@@ -105,7 +103,6 @@ class EndAlgebra:
         self.homs = homs
         self.algebra = algebra
         self.radical_rows = radical_rows
-        self.splitting_field = bundle.field
         self._coord_rows = coord_rows
 
     @property
@@ -481,12 +478,11 @@ def _embed_code_fn(source: Field, target: Field):
 def primitive_idempotents(A: EndAlgebra, ext_bound: int = 4):
     """Complete orthogonal primitive idempotent system of the End algebra.
 
-    Returns the idempotents as endomorphisms (over the splitting field) by
-    delegating to the decomposition driver; A.splitting_field records the
-    field used.
+    Returns the idempotents as endomorphisms by delegating to the
+    decomposition driver; they are defined over the splitting field, which
+    is the field of the returned projections.  A is not modified.
     """
     dec = decompose_bundle(A.bundle, ext_bound=ext_bound)
-    A.splitting_field = dec.field
     return [s.projection for s in dec.summands]
 
 

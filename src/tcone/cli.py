@@ -126,6 +126,9 @@ def parse_problem(text: str) -> ProblemFile:
     generator_texts = want("generators", list, required=True)
     candidate_text = want("candidate", str)
     e_max = want("e_max", int)
+    if e_max is not None and e_max < 0:
+        raise ProblemError(E_SYNTAX, f"line {values['e_max'][1]}: "
+                           f"e_max must be nonnegative, got {e_max}")
 
     try:
         field = make_field(char, ext_degree)
@@ -175,6 +178,9 @@ def _bool(b):
 def run_check(problem: ProblemFile, e_max_flag=None, as_json=False):
     if problem.candidate is None:
         raise ProblemError(E_CANDIDATE, "`check` needs a candidate")
+    if e_max_flag is not None and e_max_flag < 0:
+        raise ProblemError(
+            E_SYNTAX, f"--emax must be nonnegative, got {e_max_flag}")
     cert = tight_closure_member(problem.ideal, problem.candidate)
     supersingular = problem.curve.supersingular
     frob = None

@@ -23,7 +23,7 @@ class FieldError(ValueError):
 
 
 # fields with at most this many elements get full add/mul lookup tables,
-# which the numpy linear algebra uses for vectorised arithmetic
+# which the array ops of Field use for vectorised arithmetic
 _TABLE_LIMIT = 1024
 
 
@@ -263,27 +263,97 @@ class Field:
         return range(self.q)
 
     def _build_tables(self):
-        q = self.q
+        """Add and neg tables from base-p digits; mul and inv tables from
+        the exp/log tables of the smallest primitive element."""
+        p, q = self.p, self.q
+        place = p ** np.arange(self.k, dtype=np.int64)
+        digits = np.arange(q, dtype=np.int64)[:, None] // place % p
+        add = np.empty((q, q), dtype=np.int64)
+        for a in range(q):
+            add[a] = (digits[a] + digits) % p @ place
+        factors = _prime_factors(q - 1)
+        g = next(g for g in range(2, q)
+                 if all(self.pow(g, (q - 1) // ell) != 1 for ell in factors))
+        exp = np.empty(2 * (q - 1), dtype=np.int64)  # doubled: no mod q - 1
+        x = 1
+        for i in range(q - 1):
+            exp[i] = exp[i + q - 1] = x
+            x = self.mul(x, g)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp[:q - 1]] = np.arange(q - 1)
         mul = np.zeros((q, q), dtype=np.int64)
-        add = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            da = tuple(self._decode(a))
-            for b in range(a, q):
-                m = _pmod(_pmul(da, tuple(self._decode(b)), self.p),
-                          self.modulus, self.p)
-                mc = self._encode(list(m) + [0] * (self.k - len(m)))
-                mul[a, b] = mul[b, a] = mc
-                db = self._decode(b)
-                ac = self._encode([(x + y) % self.p for x, y in zip(self._decode(a), db)])
-                add[a, b] = add[b, a] = ac
-        self._mul_table = mul
-        self._add_table = add
-        self._neg_table = np.zeros(q, dtype=np.int64)
-        self._inv_table = np.zeros(q, dtype=np.int64)
-        for a in range(q):
-            self._neg_table[a] = self._encode([(-x) % self.p for x in self._decode(a)])
-            if a:
-                self._inv_table[a] = self.pow(a, self.q - 2)
+        for a in range(1, q):
+            mul[a, 1:] = exp[log[a] + log[1:]]
+        inv = np.zeros(q, dtype=np.int64)
+        inv[1:] = exp[q - 1 - log[1:]]
+        self._neg_table = -digits % p @ place
+        self._add_table, self._mul_table, self._inv_table = add, mul, inv
+
+    # -- array arithmetic -------------------------------------------------------
+    # Elementwise (numpy-broadcasting) ops on int64 arrays of codes, the one
+    # place that knows how elements are stored: mod-p numpy for prime fields,
+    # lookup tables up to _TABLE_LIMIT elements, and the scalar ops above
+    # mapped over the entries beyond that.
+
+    def _map(self, op, *arrays):
+        return np.vectorize(op, otypes=[np.int64])(*arrays)
+
+    def vadd(self, a, b):
+        if self.k == 1:
+            return (a + b) % self.p
+        if self._add_table is not None:
+            return self._add_table[a, b]
+        return self._map(self.add, a, b)
+
+    def vneg(self, a):
+        if self.k == 1:
+            return -a % self.p
+        if self._neg_table is not None:
+            return self._neg_table[a]
+        return self._map(self.neg, a)
+
+    def vsub(self, a, b):
+        if self.k == 1:
+            return (a - b) % self.p
+        if self._add_table is not None:
+            return self._add_table[a, self._neg_table[b]]
+        return self._map(self.sub, a, b)
+
+    def vmul(self, a, b):
+        if self.k == 1:
+            return a * b % self.p
+        if self._mul_table is not None:
+            return self._mul_table[a, b]
+        return self._map(self.mul, a, b)
+
+    def axpy(self, y, c, x):
+        """y - c*x elementwise, where c*x has the shape of the result.
+
+        On prime fields this is one fused reduction, computed in the buffer
+        of c*x so that elimination holds no third matrix-sized temporary.
+        """
+        if self.k == 1:
+            out = c * x
+            np.subtract(y, out, out=out)
+            out %= self.p
+            return out
+        return self.vsub(y, self.vmul(c, x))
+
+    def matmul(self, A, B):
+        """Product of code matrices A (r x n) and B (n x c)."""
+        if self.k == 1:
+            return A @ B % self.p
+        terms = self.vmul(A[:, :, None], B[None, :, :])
+        if terms.shape[1] == 0:
+            return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+        # sum over the inner index by pairwise folding: log2(n) array ops
+        while terms.shape[1] > 1:
+            half = terms.shape[1] // 2
+            folded = self.vadd(terms[:, :half], terms[:, half:2 * half])
+            if terms.shape[1] % 2:
+                folded[:, 0] = self.vadd(folded[:, 0], terms[:, -1])
+            terms = folded
+        return terms[:, 0]
 
     # -- element construction --------------------------------------------------
 

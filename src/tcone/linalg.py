@@ -1,10 +1,9 @@
-"""Exact linear algebra over the small finite fields of :mod:`tcone.field`.
+"""Exact linear algebra over the finite fields of :mod:`tcone.field`.
 
-Matrices are numpy int64 arrays of element codes.  Prime fields use direct
-mod-p arithmetic, table-backed extension fields use lookup tables, and large
-extension fields fall back to scalar code arithmetic.  All routines are
-deterministic: reduced row echelon form is canonical, and nullspace bases
-are ordered by free column.
+Matrices are numpy int64 arrays of element codes.  Elimination is written
+once, on the array ops of :class:`tcone.field.Field`, which alone know how
+an element is stored.  All routines are deterministic: reduced row echelon
+form is canonical, and nullspace bases are ordered by free column.
 """
 
 from __future__ import annotations
@@ -20,33 +19,10 @@ def as_matrix(rows, ncols: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
 
 
-def _rref_prime(mat: np.ndarray, p: int):
-    m = mat % p
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
-        other = np.nonzero(m[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            m[other] = (m[other] - np.outer(m[other, c], m[r])) % p
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
-
-
-def _rref_table(mat: np.ndarray, field: Field):
-    MUL, ADD, NEG, INV = (field._mul_table, field._add_table,
-                          field._neg_table, field._inv_table)
+def rref(mat: np.ndarray, field: Field):
+    """Canonical reduced row echelon form; returns (rows, pivot columns)."""
+    if mat.shape[0] == 0:
+        return mat, []
     m = mat.copy()
     rows, cols = m.shape
     pivots = []
@@ -60,57 +36,14 @@ def _rref_table(mat: np.ndarray, field: Field):
         piv = r + int(nz[0])
         if piv != r:
             m[[r, piv]] = m[[piv, r]]
-        m[r] = MUL[m[r], int(INV[m[r, c]])]
+        m[r] = field.vmul(m[r], field.inv(int(m[r, c])))
         other = np.nonzero(m[:, c])[0]
         other = other[other != r]
         if other.size:
-            prod = MUL[m[other, c][:, None], m[r][None, :]]
-            m[other] = ADD[m[other], NEG[prod]]
+            m[other] = field.axpy(m[other], m[other, c][:, None], m[r])
         pivots.append(c)
         r += 1
     return m[:r], pivots
-
-
-def _rref_generic(mat: np.ndarray, field: Field):
-    m = [list(map(int, row)) for row in mat]
-    rows, cols = len(m), (len(m[0]) if m else 0)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        piv = None
-        for i in range(r, rows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return as_matrix(m[:r], cols), pivots
-
-
-def rref(mat: np.ndarray, field: Field):
-    """Canonical reduced row echelon form; returns (rows, pivot columns)."""
-    if mat.shape[0] == 0:
-        return mat, []
-    if field.k == 1:
-        return _rref_prime(mat, field.p)
-    if field._mul_table is not None:
-        return _rref_table(mat, field)
-    return _rref_generic(mat, field)
-
-
-def rank(mat: np.ndarray, field: Field) -> int:
-    return rref(mat, field)[0].shape[0]
 
 
 def nullspace(mat: np.ndarray, field: Field) -> np.ndarray:
@@ -119,10 +52,8 @@ def nullspace(mat: np.ndarray, field: Field) -> np.ndarray:
     red, pivots = rref(mat, field)
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = field.neg(int(red[r, fc]))
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = field.vneg(red[:, free].T)
     return basis
 
 
@@ -141,31 +72,12 @@ def solve(mat: np.ndarray, rhs: np.ndarray, field: Field):
     return x
 
 
-def solve_left(rows_mat: np.ndarray, vec: np.ndarray, field: Field):
-    """Coefficients c with c @ rows_mat = vec, or None."""
-    return solve(rows_mat.T.copy(), vec, field)
-
-
 def reduce_against(red: np.ndarray, pivots, vec: np.ndarray, field: Field):
     """Remainder of vec against reduced echelon rows."""
-    f = field
     v = vec.copy()
-    if f.k == 1:
-        v %= f.p
-        for r, pc in enumerate(pivots):
-            if v[pc]:
-                v = (v - int(v[pc]) * red[r]) % f.p
-    elif f._mul_table is not None:
-        MUL, ADD, NEG = f._mul_table, f._add_table, f._neg_table
-        for r, pc in enumerate(pivots):
-            if v[pc]:
-                v = ADD[v, NEG[MUL[red[r], int(v[pc])]]]
-    else:
-        for r, pc in enumerate(pivots):
-            c = int(v[pc])
-            if c:
-                v = np.array([f.sub(int(a), f.mul(c, int(b)))
-                              for a, b in zip(v, red[r])], dtype=np.int64)
+    for r, pc in enumerate(pivots):
+        if v[pc]:
+            v = field.axpy(v, int(v[pc]), red[r])
     return v
 
 
@@ -194,27 +106,7 @@ class SpanBasis:
         return len(self.pivots)
 
     def _reduce(self, vec: np.ndarray) -> np.ndarray:
-        f = self.field
-        v = vec.copy()
-        if f.k == 1:
-            p = f.p
-            v %= p
-            for r, pc in enumerate(self.pivots):
-                if v[pc]:
-                    v = (v - v[pc] * self.rows[r]) % p
-        elif f._mul_table is not None:
-            MUL, ADD, NEG = f._mul_table, f._add_table, f._neg_table
-            for r, pc in enumerate(self.pivots):
-                if v[pc]:
-                    v = ADD[v, NEG[MUL[self.rows[r], int(v[pc])]]]
-        else:
-            for r, pc in enumerate(self.pivots):
-                c = int(v[pc])
-                if c:
-                    row = self.rows[r]
-                    v = np.array([f.sub(int(a), f.mul(c, int(b)))
-                                  for a, b in zip(v, row)], dtype=np.int64)
-        return v
+        return reduce_against(self.rows, self.pivots, vec, self.field)
 
     def contains(self, vec: np.ndarray) -> bool:
         return not self._reduce(vec).any()
@@ -227,26 +119,11 @@ class SpanBasis:
         if nz.size == 0:
             return False
         pc = int(nz[0])
-        inv = f.inv(int(v[pc]))
-        if f.k == 1:
-            v = (v * inv) % f.p
-        elif f._mul_table is not None:
-            v = f._mul_table[v, inv]
-        else:
-            v = np.array([f.mul(inv, int(a)) for a in v], dtype=np.int64)
+        v = f.vmul(v, f.inv(int(v[pc])))
         # eliminate the new pivot column from existing rows
-        for r in range(len(self.pivots)):
-            c = int(self.rows[r, pc])
-            if c:
-                if f.k == 1:
-                    self.rows[r] = (self.rows[r] - c * v) % f.p
-                elif f._mul_table is not None:
-                    self.rows[r] = f._add_table[self.rows[r],
-                                                f._neg_table[f._mul_table[v, c]]]
-                else:
-                    self.rows[r] = np.array(
-                        [f.sub(int(a), f.mul(c, int(b)))
-                         for a, b in zip(self.rows[r], v)], dtype=np.int64)
+        hit = np.nonzero(self.rows[:, pc])[0]
+        if hit.size:
+            self.rows[hit] = f.axpy(self.rows[hit], self.rows[hit, pc][:, None], v)
         at = 0
         while at < len(self.pivots) and self.pivots[at] < pc:
             at += 1

@@ -69,6 +69,21 @@ def test_e_max_from_problem_file():
     assert json.loads(out)["frobenius"]["e_max"] == 2
 
 
+def test_negative_e_max_is_an_input_error(tmp_path, capsys):
+    with pytest.raises(ProblemError) as info:
+        parse_problem(FERMAT_CHECK + "e_max = -1\n")
+    assert info.value.code == E_SYNTAX
+    assert "line 6" in str(info.value)
+    f = tmp_path / "problem.tc"
+    f.write_text(FERMAT_CHECK + "e_max = -1\n")
+    assert main(["check", str(f)]) == 2
+    f.write_text(FERMAT_CHECK)
+    assert main(["check", str(f), "--emax", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "e_max must be nonnegative" in err
+    assert "--emax must be nonnegative" in err
+
+
 def test_check_member_exit_zero():
     out, code = run_check(parse_problem(FERMAT_CHECK))
     assert code == 0

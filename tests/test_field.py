@@ -125,6 +125,37 @@ def test_frobenius_fixed_points_are_prime_field(p, k):
     assert fixed == list(range(p))  # prime-field codes are 0..p-1
 
 
+def _naive_rem(f, m, p):
+    """Remainder of f modulo the monic m, as a list of len(m) - 1 digits."""
+    f = list(f) + [0] * max(0, len(m) - 1 - len(f))
+    for off in range(len(f) - len(m), -1, -1):
+        c = f[off + len(m) - 1]
+        for i, mi in enumerate(m):
+            f[off + i] = (f[off + i] - c * mi) % p
+    return f[:len(m) - 1]
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 5), (5, 2),
+                                 (7, 2), (3, 4), (5, 3)])
+def test_tables_match_scalar_reference(p, k):
+    """Every entry of the add, neg, mul and inv tables, against digit
+    arithmetic and polynomial products reduced by the modulus."""
+    F = make_field(p, k)
+    q = F.q
+    digits = [[(a // p ** i) % p for i in range(k)] for a in range(q)]
+    code = lambda ds: sum(d * p ** i for i, d in enumerate(ds))
+    for a in range(q):
+        assert F._neg_table[a] == code([-d % p for d in digits[a]])
+        for b in range(q):
+            assert F._add_table[a, b] == code(
+                [(x + y) % p for x, y in zip(digits[a], digits[b])])
+            prod = _naive_mul(digits[a], digits[b], p)
+            assert F._mul_table[a, b] == code(_naive_rem(prod, F.modulus, p))
+        if a:
+            assert F._mul_table[a, F._inv_table[a]] == 1
+    assert F._inv_table[0] == 0
+
+
 def test_elem_coeffs_roundtrip():
     F8 = make_field(2, 3)
     for code in range(8):

@@ -1,0 +1,261 @@
+"""The array ops of Field and the elimination built on them, against a
+plain scalar Gauss-Jordan on Python lists, over a prime field, two
+table-backed extension fields and one field past the table limit."""
+
+import random
+
+import numpy as np
+import pytest
+
+from tcone.algebra import FiniteAlgebra
+from tcone.field import _TABLE_LIMIT, make_field
+from tcone.linalg import SpanBasis, nullspace, row_space_contains, rref, solve
+
+FIELDS = [(5, 1), (2, 2), (5, 2), (7, 4)]
+SHAPES = [(0, 3), (3, 0), (1, 1), (4, 4), (3, 6), (6, 3), (5, 5)]
+
+
+@pytest.fixture(params=FIELDS, ids=lambda pk: f"F{pk[0]}^{pk[1]}")
+def field(request):
+    return make_field(*request.param)
+
+
+def test_fields_cover_every_representation():
+    reps = {("prime" if F.k == 1 else
+             "table" if F.q <= _TABLE_LIMIT else "scalar")
+            for F in (make_field(*pk) for pk in FIELDS)}
+    assert reps == {"prime", "table", "scalar"}
+
+
+# ---------------------------------------------------------------------------
+# scalar references
+# ---------------------------------------------------------------------------
+
+def ref_rref(rows, ncols, F):
+    """Gauss-Jordan on lists with the scalar ops; (rows, pivots, det)."""
+    m = [list(map(int, row)) for row in rows]
+    pivots, det, r = [], 1, 0
+    for c in range(ncols):
+        if r >= len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            det = 0
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = F.neg(det)
+        det = F.mul(det, m[r][c])
+        inv = F.inv(m[r][c])
+        m[r] = [F.mul(inv, x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    if r < ncols:
+        det = 0
+    return m[:r], pivots, det
+
+
+def ref_matmul(A, B, F):
+    """Product of two code matrices (numpy arrays) as a list of lists."""
+    out = [[0] * B.shape[1] for _ in range(A.shape[0])]
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            for k in range(A.shape[1]):
+                out[i][j] = F.add(out[i][j], F.mul(int(A[i, k]), int(B[k, j])))
+    return out
+
+
+def random_matrix(rng, shape, F, rank=None):
+    rows, cols = shape
+    if rank is None:
+        return np.array([[rng.randrange(F.q) for _ in range(cols)]
+                         for _ in range(rows)], dtype=np.int64).reshape(shape)
+    left = random_matrix(rng, (rows, rank), F)
+    right = random_matrix(rng, (rank, cols), F)
+    return np.array(ref_matmul(left, right, F),
+                    dtype=np.int64).reshape(shape)
+
+
+def matrices(F, seed):
+    rng = random.Random(f"{F.p}^{F.k}:{seed}")
+    out = [np.zeros(shape, dtype=np.int64) for shape in SHAPES]
+    out += [random_matrix(rng, shape, F) for shape in SHAPES]
+    out += [random_matrix(rng, (5, 6), F, rank=2),
+            random_matrix(rng, (6, 4), F, rank=3)]
+    full = np.eye(4, dtype=np.int64)
+    full[0] = [rng.randrange(1, F.q) for _ in range(4)]
+    out.append(full)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the array ops
+# ---------------------------------------------------------------------------
+
+def test_array_ops_match_scalar_ops(field):
+    F = field
+    rng = random.Random(F.q)
+    a = np.array([rng.randrange(F.q) for _ in range(30)], dtype=np.int64)
+    b = np.array([rng.randrange(F.q) for _ in range(30)], dtype=np.int64)
+    c = rng.randrange(F.q)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert F.vadd(a, b).tolist() == [F.add(x, y) for x, y in pairs]
+    assert F.vsub(a, b).tolist() == [F.sub(x, y) for x, y in pairs]
+    assert F.vmul(a, b).tolist() == [F.mul(x, y) for x, y in pairs]
+    assert F.vneg(a).tolist() == [F.neg(x) for x in a.tolist()]
+    assert F.axpy(a, c, b).tolist() == \
+        [F.sub(x, F.mul(c, y)) for x, y in pairs]
+    for shape_a, shape_b in [((0, 3), (3, 2)), ((2, 0), (0, 3)),
+                             ((1, 1), (1, 1)), ((3, 5), (5, 4)),
+                             ((2, 7), (7, 1))]:
+        A = random_matrix(rng, shape_a, F)
+        B = random_matrix(rng, shape_b, F)
+        got = F.matmul(A, B)
+        assert got.shape == (shape_a[0], shape_b[1])
+        assert got.tolist() == ref_matmul(A, B, F)
+
+
+# ---------------------------------------------------------------------------
+# elimination
+# ---------------------------------------------------------------------------
+
+def test_rref_matches_reference(field):
+    for mat in matrices(field, 0):
+        before = mat.copy()
+        red, pivots = rref(mat, field)
+        ref, ref_piv, _ = ref_rref(mat.tolist(), mat.shape[1], field)
+        assert pivots == ref_piv
+        assert red.shape == (len(ref), mat.shape[1])
+        assert red.tolist() == ref
+        assert np.array_equal(mat, before)  # input left untouched
+
+
+def test_nullspace_matches_reference(field):
+    for mat in matrices(field, 1):
+        rows, cols = mat.shape
+        basis = nullspace(mat, field)
+        _, ref_piv, _ = ref_rref(mat.tolist(), cols, field)
+        assert basis.shape == (cols - len(ref_piv), cols)
+        if rows and basis.shape[0]:
+            prod = ref_matmul(mat, basis.T, field)
+            assert not np.array(prod).any()
+        # canonical: row i is 1 at its free column, 0 at the other free ones
+        free = [c for c in range(cols) if c not in ref_piv]
+        assert basis[:, free].tolist() == np.eye(len(free),
+                                                  dtype=np.int64).tolist()
+
+
+def test_solve_and_row_space_contains(field):
+    rng = random.Random(f"solve:{field.q}")
+    for mat in matrices(field, 2):
+        rows, cols = mat.shape
+        if rows == 0:
+            continue
+        x = random_matrix(rng, (cols, 1), field)
+        rhs = np.array(ref_matmul(mat, x, field), dtype=np.int64)[:, 0]
+        sol = solve(mat, rhs, field)
+        assert sol is not None
+        assert ref_matmul(mat, sol[:, None], field) == rhs[:, None].tolist()
+        # canonical: free variables are zero
+        _, ref_piv, _ = ref_rref(mat.tolist(), cols, field)
+        assert all(sol[c] == 0 for c in range(cols) if c not in ref_piv)
+        # a right-hand side outside the column space has no solution
+        aug = np.concatenate([mat, rhs[:, None]], axis=1)
+        for trial in range(3):
+            bad = np.array([rng.randrange(field.q) for _ in range(rows)],
+                           dtype=np.int64)
+            aug[:, -1] = bad
+            consistent = len(ref_rref(aug.tolist(), cols + 1, field)[1]) \
+                == len(ref_piv)
+            assert (solve(mat, bad, field) is not None) == consistent
+        # row space membership of a combination and of a random vector
+        if cols:
+            comb = ref_matmul(random_matrix(rng, (1, rows), field), mat,
+                              field)[0]
+            assert row_space_contains(mat, np.array(comb, dtype=np.int64),
+                                      field)
+            vec = [rng.randrange(field.q) for _ in range(cols)]
+            inside = len(ref_rref(mat.tolist() + [vec], cols, field)[1]) \
+                == len(ref_piv)
+            assert row_space_contains(mat, np.array(vec, dtype=np.int64),
+                                      field) == inside
+
+
+def test_span_basis_matches_reference(field):
+    for mat in matrices(field, 3):
+        rows, cols = mat.shape
+        span = SpanBasis(cols, field)
+        prev = 0
+        for i in range(rows):
+            grew = span.add(mat[i])
+            prefix_rank = len(ref_rref(mat[:i + 1].tolist(), cols, field)[1])
+            assert grew == (prefix_rank > prev)
+            assert span.dim == prefix_rank
+            assert span.contains(mat[i])
+            prev = prefix_rank
+        ref, ref_piv, _ = ref_rref(mat.tolist(), cols, field)
+        assert span.pivots == ref_piv
+        assert span.matrix().tolist() == ref
+
+
+# ---------------------------------------------------------------------------
+# FiniteAlgebra arithmetic
+# ---------------------------------------------------------------------------
+
+def random_algebra(field, n, rng):
+    table = [[[rng.randrange(field.q) for _ in range(n)] for _ in range(n)]
+             for _ in range(n)]
+    unit = [1] + [0] * (n - 1) if n else []
+    return FiniteAlgebra(field, table, unit), table
+
+
+def test_algebra_mul_matches_reference(field):
+    rng = random.Random(f"mul:{field.q}")
+    for n in (1, 2, 3, 5):
+        A, table = random_algebra(field, n, rng)
+        for _ in range(4):
+            a = [rng.randrange(field.q) for _ in range(n)]
+            b = [rng.randrange(field.q) for _ in range(n)]
+            ref = [0] * n
+            for i in range(n):
+                for j in range(n):
+                    coef = field.mul(a[i], b[j])
+                    for k in range(n):
+                        ref[k] = field.add(ref[k],
+                                           field.mul(coef, table[i][j][k]))
+            got = A.mul(np.array(a, dtype=np.int64),
+                        np.array(b, dtype=np.int64))
+            assert got.tolist() == ref
+            # column j of the left regular matrix is a * b_j
+            L = A.left_regular(np.array(a, dtype=np.int64))
+            for j in range(n):
+                e = np.zeros(n, dtype=np.int64)
+                e[j] = 1
+                assert L[:, j].tolist() == \
+                    A.mul(np.array(a, dtype=np.int64), e).tolist()
+
+
+def test_charpoly_matches_reference_determinant(field):
+    """charpoly(M)(t) = det(t - M) at n or more points determines the
+    monic degree-n polynomial."""
+    rng = random.Random(f"charpoly:{field.q}")
+    A, _ = random_algebra(field, 1, rng)
+    assert A.charpoly(np.zeros((0, 0), dtype=np.int64)) == [1]
+    for n in (1, 2, 3, 4):
+        mat = random_matrix(rng, (n, n), field)
+        cp = A.charpoly(mat)
+        assert len(cp) == n + 1 and cp[-1] == 1
+        points = range(min(field.q, 2 * n + 1))
+        assert len(points) >= n
+        for t in points:
+            shifted = [[field.sub(t if i == j else 0, int(mat[i, j]))
+                        for j in range(n)] for i in range(n)]
+            det = ref_rref(shifted, n, field)[2]
+            value = 0
+            for c in reversed(cp):
+                value = field.add(field.mul(value, t), c)
+            assert value == det
