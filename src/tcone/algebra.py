@@ -389,7 +389,7 @@ class FiniteAlgebra:
         """(quotient algebra, projection, section) modulo a radical basis."""
         f = self.field
         n = self.dim
-        red, pivots = rref(rad.copy(), f) if rad.shape[0] else (rad, [])
+        red, pivots = rref(rad, f)
         free = [c for c in range(n) if c not in pivots]
         # section: basis vectors of the complement (unit coordinate rows)
         section_rows = np.eye(n, dtype=np.int64)[free]
@@ -537,7 +537,7 @@ def _commutative_splitter(B: FiniteAlgebra):
     unit_row = B.unit.reshape(1, -1)
     for i in range(fixed.shape[0]):
         cand = np.concatenate([unit_row, fixed[i].reshape(1, -1)], axis=0)
-        if rref(cand.copy(), f)[0].shape[0] == 2:
+        if rref(cand, f)[0].shape[0] == 2:
             return fixed[i]
     return None
 

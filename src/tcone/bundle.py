@@ -83,8 +83,8 @@ def _hom_coords(M: PresentedModule, images) -> np.ndarray:
     gdegs = M.gen_degrees()
     parts = []
     for img, d in zip(images, gdegs):
-        offsets, monos, total = M.piece_coords(d)
-        parts.append(M._vector_coords(img, d, offsets, monos, total))
+        offsets, _, total = M.piece_coords(d)
+        parts.append(M._vector_coords(img, d, offsets, total))
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
@@ -424,7 +424,7 @@ def component_class_vanishes(forcing: ForcingData, summand: Summand) -> bool:
 
     def add_condition(coeffs, target_degree, rhs_vec):
         """Condition sum_u coeffs[u] * w_u = rhs at the given degree."""
-        coff, cmonos, ctotal = Mj.piece_coords(target_degree)
+        coff, _, ctotal = Mj.piece_coords(target_degree)
         if ctotal == 0:
             return
         block_cols = [np.zeros(ctotal, dtype=np.int64) for _ in range(total)]
@@ -434,13 +434,13 @@ def component_class_vanishes(forcing: ForcingData, summand: Summand) -> bool:
             for b, img in enumerate(blocks[u]):
                 w = tuple(Mj.curve.nf(h * p) for p in img)
                 block_cols[offsets[u] + b] = Mj._vector_coords(
-                    w, target_degree, coff, cmonos, ctotal)
+                    w, target_degree, coff, ctotal)
         rows.append(np.stack(block_cols, axis=1))
         if rhs_vec is None:
             rhs_parts.append(np.zeros(ctotal, dtype=np.int64))
         else:
             rhs_parts.append(Mj._vector_coords(rhs_vec, target_degree, coff,
-                                               cmonos, ctotal))
+                                               ctotal))
 
     # homomorphism conditions from the generating syzygies of syz_prime
     for rel in Mp.relations():

@@ -207,6 +207,9 @@ def run_check(problem: ProblemFile, e_max_flag=None, as_json=False):
     if frob is not None:
         doc["frobenius"] = {"found": frob.found, "e": frob.e,
                             "e_max": frob.e_max}
+        if frob.inconclusive_at is not None:
+            e, D = frob.inconclusive_at
+            doc["frobenius"]["inconclusive_at"] = {"e": e, "D": D}
     if as_json:
         text = json.dumps(doc, indent=2)
     else:

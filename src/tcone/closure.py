@@ -28,7 +28,7 @@ import numpy as np
 from .algebra import UndecidedError
 from .bundle import (component_class_vanishes, decompose_bundle,
                      forcing_data, syzygy_bundle)
-from .linalg import SpanBasis, as_matrix, row_space_contains, rref
+from .linalg import SpanBasis, row_space_contains
 from .polyring import (CubicCurve, IdealData, Polynomial,
                        format_polynomial, grevlex_key, ideal_membership)
 
@@ -74,10 +74,16 @@ class FrobeniusResult:
     found: bool
     e: int | None
     e_max: int
+    inconclusive_at: tuple | None = None   # (e, D) whose matrix is too big
 
     def __str__(self):
         if self.found:
             return f"found at e = {self.e}"
+        if self.inconclusive_at is not None:
+            e, D = self.inconclusive_at
+            return (f"inconclusive: stopped at e = {e}, D = {D}, where the "
+                    f"membership matrix would exceed "
+                    f"{_ORACLE_MATRIX_BYTES >> 20} MiB")
         return f"not found for e <= {self.e_max}"
 
 
@@ -142,38 +148,38 @@ def tight_closure_member(ideal: IdealData, f0: Polynomial,
 # Frobenius oracle
 # ---------------------------------------------------------------------------
 
+# The oracle refuses a degree whose dense membership matrix (int64 codes)
+# would take more than this; it is allocated once and eliminated in place.
+_ORACLE_MATRIX_BYTES = 512 << 20
+
+
 def _ideal_piece_rows(curve: CubicCurve, gens, D: int) -> np.ndarray:
     """Spanning rows of the degree-D piece of the R-ideal of gens."""
-    monos = curve.piece_monomials(D)
-    index = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for g in gens:
-        d = g.degree()
-        if d < 0 or D - d < 0:
-            continue
-        for mu in curve.piece_monomials(D - d):
-            prod = curve.nf(g.term_mul(mu, 1))
-            row = np.zeros(len(monos), dtype=np.int64)
-            for mo, c in prod.terms.items():
-                row[index[mo]] = c
-            rows.append(row)
-    return as_matrix(rows, len(monos))
+    index = curve.piece_index(D)
+    shifts = [(g, curve.piece_monomials(D - g.degree()))
+              for g in gens if g.degree() >= 0]
+    rows = np.zeros((sum(len(mus) for _, mus in shifts), len(index)),
+                    dtype=np.int64)
+    r = 0
+    for g, mus in shifts:
+        for mu in mus:
+            for mo, c in curve.nf(g.term_mul(mu, 1)).terms.items():
+                rows[r, index[mo]] = c
+            r += 1
+    return rows
 
 
 def _ideal_piece_span(curve: CubicCurve, gens, D: int) -> SpanBasis:
     """Span of the degree-D piece of the R-ideal generated by gens."""
-    field = curve.field
-    monos = curve.piece_monomials(D)
-    span = SpanBasis(len(monos), field)
+    span = SpanBasis(curve.piece_dim(D), curve.field)
     for row in _ideal_piece_rows(curve, gens, D):
         span.add(row)
     return span
 
 
 def _piece_coords(curve: CubicCurve, poly: Polynomial, D: int):
-    monos = curve.piece_monomials(D)
-    index = {m: i for i, m in enumerate(monos)}
-    row = np.zeros(len(monos), dtype=np.int64)
+    index = curve.piece_index(D)
+    row = np.zeros(len(index), dtype=np.int64)
     for mo, c in poly.terms.items():
         row[index[mo]] = c
     return row
@@ -186,6 +192,12 @@ def frobenius_member(ideal: IdealData, f0: Polynomial,
     Membership is tested inside the cone ring degree by degree with exact
     linear algebra; Frobenius powers are exact single-term expansions in
     characteristic p, so no Groebner computation at large degree is needed.
+    At D = p^e deg(f0) the rows are the monomial multiples of each distinct
+    monic generator's p^e-th power in the basis of R_D (3D monomials,
+    generated directly), and the target is reduced against their forward
+    echelon form.  Before each degree the size of that matrix is predicted;
+    past 512 MiB the search stops, inconclusive, and the result names that
+    e and D ("inconclusive: stopped at e = ..., D = ...").
     """
     if e_max < 0:
         raise ValueError("e_max must be nonnegative")
@@ -197,14 +209,19 @@ def frobenius_member(ideal: IdealData, f0: Polynomial,
         raise ValueError("candidate must be nonzero in the cone")
     p = curve.field.p
     m = f0.degree()
+    # generators equal up to a scalar span the same rows
+    gens = list(dict.fromkeys(g.monic() for g in ideal.gens))
     for e in range(e_max + 1):
         q = p ** e
         D = q * m
+        n_rows = sum(curve.piece_dim(D - q * g.degree()) for g in gens)
+        if n_rows * curve.piece_dim(D) * 8 > _ORACLE_MATRIX_BYTES:
+            return FrobeniusResult(False, None, e_max, inconclusive_at=(e, D))
         target = curve.nf(f0.frobenius_power(e))
-        powered = [curve.nf(g.frobenius_power(e)) for g in ideal.gens]
-        rows = _ideal_piece_rows(curve, powered, D)
-        if row_space_contains(rows, _piece_coords(curve, target, D),
-                              curve.field):
+        powered = [curve.nf(g.frobenius_power(e)) for g in gens]
+        # the rows are built here, so they are eliminated in place
+        if row_space_contains(_ideal_piece_rows(curve, powered, D),
+                              _piece_coords(curve, target, D), curve.field):
             return FrobeniusResult(True, e, e_max)
     return FrobeniusResult(False, None, e_max)
 
@@ -247,7 +264,6 @@ def _criterion_piece(ideal: IdealData, m: int, ext_bound: int):
     curve = ideal.curve
     field = curve.field
     monos = curve.piece_monomials(m)
-    index = {mo: i for i, mo in enumerate(monos)}
     width = len(monos)
     ideal_span = _ideal_piece_span(curve, list(ideal.gens), m)
     free_cols = [c for c in range(width) if c not in ideal_span.pivots]
@@ -281,9 +297,7 @@ def _criterion_piece(ideal: IdealData, m: int, ext_bound: int):
                 if ci:
                     terms[monos[col]] = ci
             cand = Polynomial(field, terms)
-            vec = np.zeros(width, dtype=np.int64)
-            for mo, cc in terms.items():
-                vec[index[mo]] = cc
+            vec = _piece_coords(curve, cand, m)
             if closure_span.contains(vec):
                 # already known to be in the closure piece
                 members.append(cand)
@@ -335,7 +349,6 @@ def tight_closure_ideal(ideal: IdealData, ext_bound: int = 4) -> ClosureIdeal:
     prev_rows = None
     for m in range(1, bound + 1):
         monos = curve.piece_monomials(m)
-        index = {mo: i for i, mo in enumerate(monos)}
         width = len(monos)
         grown = SpanBasis(width, field)
         if prev_rows is not None:
@@ -345,10 +358,7 @@ def tight_closure_ideal(ideal: IdealData, ext_bound: int = 4) -> ClosureIdeal:
                 poly = Polynomial(field, terms)
                 for var in ("x", "y", "z"):
                     prod = curve.nf(poly * Polynomial.variable(field, var))
-                    vec = np.zeros(width, dtype=np.int64)
-                    for mo, c in prod.terms.items():
-                        vec[index[mo]] = c
-                    grown.add(vec)
+                    grown.add(_piece_coords(curve, prod, m))
         for row in piece_rows[m]:
             if grown.add(row.copy()):
                 terms = {mo: int(c) for mo, c in zip(monos, row) if int(c)}

@@ -318,7 +318,7 @@ def _minimal_generators(curve, ambient, vectors):
         for ms in monos:
             offsets.append(total)
             total += len(ms)
-        index = [{m: k for k, m in enumerate(ms)} for ms in monos]
+        index = [curve.piece_index(d + a) for a in ambient.twists]
 
         def coords(v):
             row = np.zeros(total, dtype=np.int64)
@@ -495,12 +495,12 @@ class PresentedModule:
             total += len(ms)
         return offsets, monos, total
 
-    def _vector_coords(self, polys, t, offsets, monos, total):
+    def _vector_coords(self, polys, t, offsets, total):
         row = np.zeros(total, dtype=np.int64)
         for pos, poly in enumerate(polys):
             if not poly:
                 continue
-            index = {m: i for i, m in enumerate(monos[pos])}
+            index = self.curve.piece_index(t + self.ambient.twists[pos])
             for m, c in poly.terms.items():
                 row[offsets[pos] + index[m]] = c
         return row
@@ -520,7 +520,7 @@ class PresentedModule:
                     continue
                 for m in self.curve.piece_monomials(d):
                     w = tuple(self.curve.nf(p.term_mul(m, 1)) for p in v)
-                    rows.append(self._vector_coords(w, t, offsets, monos, total))
+                    rows.append(self._vector_coords(w, t, offsets, total))
             mat, _ = rref(as_matrix(rows, total), self.field)
         else:
             # cokernel: ambient piece modulo the span of relation multiples
@@ -532,8 +532,7 @@ class PresentedModule:
                     continue
                 for m in self.curve.piece_monomials(d):
                     w = tuple(self.curve.nf(p.term_mul(m, 1)) for p in v)
-                    rel_rows.append(self._vector_coords(w, t, offsets, monos,
-                                                        total))
+                    rel_rows.append(self._vector_coords(w, t, offsets, total))
             mat = (as_matrix(rel_rows, total), total)
         self._piece_cache[t] = (mat, offsets, monos, total)
         return self._piece_cache[t]
@@ -722,7 +721,7 @@ def hom_space(M: PresentedModule, N: PresentedModule, degree: int = 0):
                 break
         if rel_deg is None:
             continue
-        coff, cmonos, ctotal = N.piece_coords(rel_deg + degree)[0:3]
+        coff, _, ctotal = N.piece_coords(rel_deg + degree)
         row_block = [np.zeros(ctotal, dtype=np.int64) for _ in range(total)]
         for l, h in enumerate(rel):
             if not h:
@@ -730,7 +729,7 @@ def hom_space(M: PresentedModule, N: PresentedModule, degree: int = 0):
             for b, img in enumerate(blocks[l]):
                 w = tuple(N.curve.nf(h * p) for p in img)
                 row_block[offsets[l] + b] = N._vector_coords(
-                    w, rel_deg + degree, coff, cmonos, ctotal)
+                    w, rel_deg + degree, coff, ctotal)
         # conditions: sum over unknowns of coeff * row_block = 0
         rows.append(np.stack(row_block, axis=1) if ctotal else None)
     if rows:

@@ -19,11 +19,16 @@ def as_matrix(rows, ncols: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
 
 
-def rref(mat: np.ndarray, field: Field):
-    """Canonical reduced row echelon form; returns (rows, pivot columns)."""
-    if mat.shape[0] == 0:
-        return mat, []
-    m = mat.copy()
+def _eliminate(m: np.ndarray, field: Field, reduced: bool):
+    """Row-reduce m in place and return its pivot columns.
+
+    Rows below the current pivot row are zero left of the current column
+    c, so the pivot row is too, and each step scales and subtracts only
+    live columns: those of m[:, c:] where the pivot row is nonzero.  With
+    reduced=True the pivot column is cleared in every other row (reduced
+    echelon form); with reduced=False only in the rows below (echelon form,
+    pivots 1).  The nonzero rows come first.
+    """
     rows, cols = m.shape
     pivots = []
     r = 0
@@ -35,15 +40,28 @@ def rref(mat: np.ndarray, field: Field):
             continue
         piv = r + int(nz[0])
         if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        m[r] = field.vmul(m[r], field.inv(int(m[r, c])))
-        other = np.nonzero(m[:, c])[0]
-        other = other[other != r]
+            m[[r, piv], c:] = m[[piv, r], c:]
+        # the pivot row changes nothing where it is zero
+        live = c + np.nonzero(m[r, c:])[0]
+        m[r, live] = field.vmul(m[r, live], field.inv(int(m[r, c])))
+        if reduced:
+            other = np.nonzero(m[:, c])[0]
+            other = other[other != r]
+        else:
+            other = r + 1 + np.nonzero(m[r + 1:, c])[0]
         if other.size:
-            m[other] = field.axpy(m[other], m[other, c][:, None], m[r])
+            block = np.ix_(other, live)
+            m[block] = field.axpy(m[block], m[other, c][:, None], m[r, live])
         pivots.append(c)
         r += 1
-    return m[:r], pivots
+    return pivots
+
+
+def rref(mat: np.ndarray, field: Field):
+    """Canonical reduced row echelon form; returns (rows, pivot columns)."""
+    m = mat.copy()
+    pivots = _eliminate(m, field, reduced=True)
+    return m[:len(pivots)], pivots
 
 
 def nullspace(mat: np.ndarray, field: Field) -> np.ndarray:
@@ -73,18 +91,23 @@ def solve(mat: np.ndarray, rhs: np.ndarray, field: Field):
 
 
 def reduce_against(red: np.ndarray, pivots, vec: np.ndarray, field: Field):
-    """Remainder of vec against reduced echelon rows."""
+    """Remainder of vec against echelon rows (pivots 1, in pivot order)."""
     v = vec.copy()
     for r, pc in enumerate(pivots):
         if v[pc]:
-            v = field.axpy(v, int(v[pc]), red[r])
+            v[pc:] = field.axpy(v[pc:], int(v[pc]), red[r, pc:])
     return v
 
 
 def row_space_contains(rows: np.ndarray, vec: np.ndarray, field: Field) -> bool:
-    """Membership of vec in the row space, via one batch elimination."""
-    red, pivots = rref(rows, field)
-    return not reduce_against(red, pivots, vec, field).any()
+    """Membership of vec in the row space of rows, eliminating rows in place.
+
+    Forward elimination suffices: echelon rows taken in pivot order clear
+    the vector one pivot at a time.  rows is left in echelon form; pass a
+    copy to keep it.
+    """
+    pivots = _eliminate(rows, field, reduced=False)
+    return not reduce_against(rows, pivots, vec, field).any()
 
 
 class SpanBasis:

@@ -13,6 +13,7 @@ cone, and the Hasse invariant (supersingularity) of the curve.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .field import Field, FieldElem, FieldError
 
@@ -548,7 +549,7 @@ class CubicCurve:
     the monomial bases of the graded pieces of R.
     """
 
-    __slots__ = ("F", "field", "gb", "_hasse", "_piece_cache")
+    __slots__ = ("F", "field", "gb", "_hasse", "_piece_cache", "_index_cache")
 
     def __init__(self, F: Polynomial, field: Field, check_smooth: bool = True):
         if F.field != field:
@@ -562,6 +563,7 @@ class CubicCurve:
         self.gb = (self.F,)
         self._hasse = None
         self._piece_cache = {}
+        self._index_cache = {}
 
     @property
     def hasse(self) -> FieldElem:
@@ -629,19 +631,44 @@ class CubicCurve:
         return Polynomial(field, out)
 
     def piece_monomials(self, d: int):
-        """Monomial basis of R_d: degree-d monomials outside the leading ideal."""
+        """Monomial basis of R_d: degree-d monomials outside the leading ideal.
+
+        With lt(F) = x^a y^b z^c these are the (x, y, z) of degree d with
+        x < a, y < b or z < c, 3d of them for d >= 1.  They are generated in
+        descending degrevlex order (z ascending, then y ascending) one
+        y-range at a time, without enumerating all of S_d.
+        """
         if d < 0:
             return ()
         cached = self._piece_cache.get(d)
         if cached is None:
-            lt = self.F.leading_monomial()
-            cached = tuple(m for m in monomials_of_degree(d)
-                           if not mono_divides(lt, m))
+            a, b, c = self.F.leading_monomial()
+            out = []
+            for z in range(d + 1):
+                top = d - z                       # x = top - y
+                if z < c:
+                    ys = range(top + 1)
+                else:                             # y < b, or x < a
+                    ys = chain(range(min(b, top + 1)),
+                               range(max(b, top - a + 1), top + 1))
+                out.extend((top - y, y, z) for y in ys)
+            cached = tuple(out)
             self._piece_cache[d] = cached
         return cached
 
+    def piece_index(self, d: int):
+        """{monomial: column} for the basis piece_monomials(d)."""
+        cached = self._index_cache.get(d)
+        if cached is None:
+            cached = {m: i for i, m in enumerate(self.piece_monomials(d))}
+            self._index_cache[d] = cached
+        return cached
+
     def piece_dim(self, d: int) -> int:
-        return len(self.piece_monomials(d))
+        """dim R_d = dim S_d - dim S_(d-3): 1 at d = 0, 3d beyond."""
+        if d < 0:
+            return 0
+        return max(3 * d, 1)
 
     def embedded(self, target_field: Field, embed_fn) -> "CubicCurve":
         F2 = self.F.map_coefficients(target_field, embed_fn)

@@ -83,6 +83,13 @@ def test_negative_e_max_is_an_input_error(tmp_path, capsys):
     assert "e_max must be nonnegative" in err
     assert "--emax must be nonnegative" in err
 
+F11_CHECK = """\
+char = 11
+cubic = "x^3 + y^3 + z^3"
+generators = ["x^2", "y^2"]
+candidate = "x*y*z"
+"""
+
 
 def test_check_member_exit_zero():
     out, code = run_check(parse_problem(FERMAT_CHECK))
@@ -96,6 +103,20 @@ def test_check_nonmember_exit_one():
     out, code = run_check(parse_problem(DUP_CHECK))
     assert code == 1
     assert "verdict: non-member" in out
+
+
+def test_check_reports_oracle_refusal():
+    # supersingular over F_11: at e = 3 the oracle's matrix would take
+    # 7986 x 11979 int64 codes, past the cap, so the search stops there
+    problem = parse_problem(F11_CHECK)
+    out, code = run_check(problem)
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "frobenius oracle (supersingular curve): inconclusive: stopped at "
+        "e = 3, D = 3993, where the membership matrix would exceed 512 MiB")
+    doc = json.loads(run_check(problem, as_json=True)[0])
+    assert doc["frobenius"] == {"found": False, "e": None, "e_max": 4,
+                                "inconclusive_at": {"e": 3, "D": 3993}}
 
 
 def test_check_requires_candidate():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tcone import closure
 from tcone.closure import (FrobeniusResult, frobenius_member,
                            slope_and_threshold, tight_closure_ideal,
                            tight_closure_member, _ideal_piece_rows)
@@ -83,6 +84,32 @@ def test_frobenius_examples(fermat5, fermat2, F5, F2):
     assert frobenius_member(I2d, pp("x*y*z", F2), 4) == \
         FrobeniusResult(False, None, 4)
     assert frobenius_member(I5, pp("x*y*z", F5), 3) == FrobeniusResult(True, 1, 3)
+
+
+def test_frobenius_duplicate_generator_is_the_same_ideal(fermat5, F5):
+    dup = ideal_of(fermat5, "x^2", "y^2", "x^2")
+    two = ideal_of(fermat5, "x^2", "y^2")
+    for text in ("x*y*z", "x*y", "z^2", "x^2*y", "x*z^2", "x*y*z^2"):
+        f0 = pp(text, F5)
+        for e_max in range(3):
+            assert frobenius_member(dup, f0, e_max) == \
+                frobenius_member(two, f0, e_max)
+
+
+def test_frobenius_refuses_past_the_matrix_cap(monkeypatch):
+    # p = 11, e_max = 4 on a non-member would reach D = 3 * 11^4; the size
+    # is predicted before the rows are built, so D = 3993 is never built
+    F11 = make_field(11)
+    curve = CubicCurve(pp("x^3 + y^3 + z^3", F11), F11)
+    built = []
+    real = closure._ideal_piece_rows
+    monkeypatch.setattr(closure, "_ideal_piece_rows",
+                        lambda c, gens, D: built.append(D) or real(c, gens, D))
+    ideal = ideal_of(curve, "x^2", "y^2")
+    result = frobenius_member(ideal, pp("x*y*z", F11), 4)
+    assert result == FrobeniusResult(False, None, 4, inconclusive_at=(3, 3993))
+    assert built == [3, 33, 363]
+    assert str(result).startswith("inconclusive: stopped at e = 3, D = 3993")
 
 
 def test_slope_examples(fermat5):

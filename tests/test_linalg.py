@@ -9,7 +9,8 @@ import pytest
 
 from tcone.algebra import FiniteAlgebra
 from tcone.field import _TABLE_LIMIT, make_field
-from tcone.linalg import SpanBasis, nullspace, row_space_contains, rref, solve
+from tcone.linalg import (SpanBasis, _eliminate, nullspace,
+                          row_space_contains, rref, solve)
 
 FIELDS = [(5, 1), (2, 2), (5, 2), (7, 4)]
 SHAPES = [(0, 3), (3, 0), (1, 1), (4, 4), (3, 6), (6, 3), (5, 5)]
@@ -89,6 +90,12 @@ def matrices(F, seed):
     full = np.eye(4, dtype=np.int64)
     full[0] = [rng.randrange(1, F.q) for _ in range(4)]
     out.append(full)
+    # sparse rows, whose updates touch only the pivot row's nonzero columns
+    for shape in [(8, 24), (12, 16)]:
+        sparse = random_matrix(rng, shape, F)
+        sparse[[[rng.random() < 0.8 for _ in range(shape[1])]
+                for _ in range(shape[0])]] = 0
+        out.append(sparse)
     return out
 
 
@@ -134,6 +141,21 @@ def test_rref_matches_reference(field):
         assert np.array_equal(mat, before)  # input left untouched
 
 
+def test_forward_elimination_matches_reference(field):
+    for mat in matrices(field, 4):
+        m = mat.copy()
+        pivots = _eliminate(m, field, reduced=False)
+        ref, ref_piv, _ = ref_rref(mat.tolist(), mat.shape[1], field)
+        assert pivots == ref_piv
+        assert not m[len(pivots):].any()
+        for r, pc in enumerate(pivots):
+            # echelon: zero left of and below each pivot, pivot 1
+            assert not m[r, :pc].any() and m[r, pc] == 1
+            assert not m[r + 1:, pc].any()
+        # same row space as the reduced form
+        assert rref(m[:len(pivots)], field)[0].tolist() == ref
+
+
 def test_nullspace_matches_reference(field):
     for mat in matrices(field, 1):
         rows, cols = mat.shape
@@ -176,12 +198,13 @@ def test_solve_and_row_space_contains(field):
         if cols:
             comb = ref_matmul(random_matrix(rng, (1, rows), field), mat,
                               field)[0]
-            assert row_space_contains(mat, np.array(comb, dtype=np.int64),
-                                      field)
+            assert row_space_contains(mat.copy(),
+                                      np.array(comb, dtype=np.int64), field)
             vec = [rng.randrange(field.q) for _ in range(cols)]
             inside = len(ref_rref(mat.tolist() + [vec], cols, field)[1]) \
                 == len(ref_piv)
-            assert row_space_contains(mat, np.array(vec, dtype=np.int64),
+            assert row_space_contains(mat.copy(),
+                                      np.array(vec, dtype=np.int64),
                                       field) == inside
 
 

@@ -7,7 +7,7 @@ from tcone.polyring import (CubicCurve, IdealData, Polynomial, buchberger,
                             format_polynomial, grevlex_key,
                             hasse_invariant_of, ideal_membership,
                             is_irrelevant_primary, is_smooth_cubic,
-                            monomials_of_degree, normal_form,
+                            mono_divides, monomials_of_degree, normal_form,
                             parse_polynomial)
 
 from .conftest import ideal_of, pp, random_homogeneous, seeded
@@ -205,6 +205,20 @@ def test_hasse_fermat(p, expected):
     assert curve.hasse.code == expected
     assert curve.hasse.code == _fermat_hasse_oracle(p)
     assert curve.supersingular == (expected == 0)
+
+
+@pytest.mark.parametrize("lt", monomials_of_degree(3))
+def test_piece_monomials_match_filtered_enumeration(F5, lt):
+    # only lt(F) matters to the basis, so F may be the bare monomial here
+    curve = CubicCurve(Polynomial(F5, {lt: 1}), F5, check_smooth=False)
+    for d in range(41):
+        expected = tuple(m for m in monomials_of_degree(d)
+                         if not mono_divides(lt, m))
+        assert curve.piece_monomials(d) == expected
+        assert curve.piece_dim(d) == len(expected) == (3 * d if d else 1)
+        assert curve.piece_index(d) == {m: i for i, m in enumerate(expected)}
+    assert curve.piece_monomials(-1) == ()
+    assert curve.piece_dim(-1) == 0
 
 
 def test_hasse_non_fermat():
