@@ -374,6 +374,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        print(f"error [{E_SYNTAX}]: {args.file}: not UTF-8 text "
+              f"({exc.reason}: byte 0x{bad:02x})", file=sys.stderr)
+        return 2
     try:
         problem = parse_problem(text)
         if args.command == "check":

@@ -14,6 +14,8 @@ the generators, and the full syzygy module of the generators.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from .linalg import as_matrix, rref
@@ -124,36 +126,55 @@ def vec_degree(vec, twists):
     return degs.pop()
 
 
-def vec_nf(vec, basis, field):
-    """Full reduction of a module vector by a list of vectors."""
-    reducers = [(vec_lt(g), g) for g in basis if g]
+def vec_reducer(g, field):
+    """A nonzero vector compiled for reduction: (pos, lm, inv_lc, tail).
+
+    (pos, lm) is the leading term, inv_lc the inverse of its coefficient
+    and tail the remaining terms as (pos, mono, coeff) in g's own order.
+    """
+    pos, lm = vec_lt(g)
+    tail = tuple((p, m, c) for (p, m), c in g.items() if p != pos or m != lm)
+    return pos, lm, field.inv(g[(pos, lm)]), tail
+
+
+def vec_nf(vec, reducers, field):
+    """Full reduction of a module vector by a list of reducers (vec_reducer).
+
+    Terms are popped from a heap in descending vkey order; each is reduced
+    by the first reducer in list order with the same position whose leading
+    monomial divides it, or else moved to the remainder.  Contributions
+    land only on smaller terms, so each term is handled once and the
+    remainder's keys come out in descending order.
+    """
     work = dict(vec)
+    heap = [(pos, -mono_deg(m), m[2], m[1], m) for pos, m in work]
+    heapq.heapify(heap)
     remainder = {}
-    while work:
-        t = max(work, key=vkey)
-        c = work.pop(t)
-        pos, m = t
-        hit = None
-        for (lpos, lm), g in reducers:
-            if lpos == pos and mono_divides(lm, m):
-                hit = ((lpos, lm), g)
-                break
-        if hit is None:
-            remainder[t] = c
+    while heap:
+        pos, _, _, _, m = heapq.heappop(heap)
+        c = work.pop((pos, m), 0)
+        if not c:
             continue
-        (lpos, lm), g = hit
-        lc = g[(lpos, lm)]
-        factor = field.mul(c, field.inv(lc))
+        for rpos, lm, inv_lc, tail in reducers:
+            if rpos == pos and mono_divides(lm, m):
+                break
+        else:
+            remainder[(pos, m)] = c
+            continue
+        factor = field.mul(c, inv_lc)
         shift = mono_div(m, lm)
-        for (gpos, gm), gc in g.items():
-            tt = (gpos, mono_mul(gm, shift))
-            if tt == t:
-                continue
-            s = field.sub(work.get(tt, 0), field.mul(factor, gc))
+        for gpos, gm, gc in tail:
+            mm = mono_mul(gm, shift)
+            tt = (gpos, mm)
+            prev = work.get(tt, 0)
+            s = field.sub(prev, field.mul(factor, gc))
             if s:
+                if not prev:
+                    heapq.heappush(heap,
+                                   (gpos, -mono_deg(mm), mm[2], mm[1], mm))
                 work[tt] = s
-            else:
-                work.pop(tt, None)
+            elif prev:
+                del work[tt]
     return remainder
 
 
@@ -170,6 +191,9 @@ def vec_monic(vec, field):
 def buchberger_module(vectors, field):
     """Reduced module Groebner basis, position-over-term degrevlex.
 
+    The result is monic, inter-reduced and sorted by ascending vkey of the
+    leading term.  Each basis vector is compiled into a reducer once, when
+    it joins the basis; `reducers` stays index-aligned with `basis`.
     No pair-skipping criteria beyond equal leading position: the product
     criterion is not valid for modules.
     """
@@ -184,47 +208,48 @@ def buchberger_module(vectors, field):
             seen.add(key)
             uniq.append(v)
     basis = uniq
+    reducers = [vec_reducer(g, field) for g in basis]
     pairs = []
 
     def push_pairs(k):
-        ltk = vec_lt(basis[k])
+        pk, mk = reducers[k][:2]
         for i in range(k):
-            lti = vec_lt(basis[i])
-            if lti[0] != ltk[0]:
-                continue
-            l = mono_lcm(lti[1], ltk[1])
-            pairs.append((mono_deg(l), i, k))
+            pi, mi = reducers[i][:2]
+            if pi == pk:
+                heapq.heappush(pairs, (mono_deg(mono_lcm(mi, mk)), i, k))
 
     for k in range(1, len(basis)):
         push_pairs(k)
-    pairs.sort()
     while pairs:
-        _, i, j = pairs.pop(0)
+        _, i, j = heapq.heappop(pairs)
         gi, gj = basis[i], basis[j]
-        (pi, mi), (pj, mj) = vec_lt(gi), vec_lt(gj)
+        _, mi, inv_i, _ = reducers[i]
+        _, mj, inv_j, _ = reducers[j]
         l = mono_lcm(mi, mj)
-        s = vec_sub(
-            vec_term_mul(gi, mono_div(l, mi), field.inv(gi[(pi, mi)]), field),
-            vec_term_mul(gj, mono_div(l, mj), field.inv(gj[(pj, mj)]), field),
-            field)
-        r = vec_nf(s, basis, field)
+        s = vec_sub(vec_term_mul(gi, mono_div(l, mi), inv_i, field),
+                    vec_term_mul(gj, mono_div(l, mj), inv_j, field),
+                    field)
+        r = vec_nf(s, reducers, field)
         if r:
             basis.append(vec_monic(r, field))
+            reducers.append(vec_reducer(basis[-1], field))
             push_pairs(len(basis) - 1)
-            pairs.sort()
     # full inter-reduction
     changed = True
     while changed:
         changed = False
         out = []
+        out_red = []
         for i, g in enumerate(basis):
-            others = out + basis[i + 1:]
-            r = vec_nf(g, others, field)
-            if r != g:
+            r = vec_nf(g, out_red + reducers[i + 1:], field)
+            same = r == g
+            if not same:
                 changed = True
             if r:
                 out.append(vec_monic(r, field))
-        basis = out
+                out_red.append(reducers[i] if same
+                               else vec_reducer(out[-1], field))
+        basis, reducers = out, out_red
     basis.sort(key=lambda v: vkey(vec_lt(v)))
     return basis
 
@@ -242,6 +267,9 @@ class LiftBasis:
       relations include F times the units),
     * the coefficients expressing a member in terms of the v_j,
     * a generating set for the syzygies of the v_j.
+
+    The basis is compiled into reducers (vec_reducer) once, here; `reduce`
+    and `member` reuse them.
     """
 
     def __init__(self, vectors, relations, npos, field):
@@ -256,9 +284,10 @@ class LiftBasis:
         for r in relations:
             aug.append(dict(r))
         self.basis = buchberger_module(aug, field)
+        self.reducers = [vec_reducer(g, field) for g in self.basis]
 
     def reduce(self, vec):
-        return vec_nf(dict(vec), self.basis, self.field)
+        return vec_nf(vec, self.reducers, self.field)
 
     def member(self, vec):
         """Coefficients on the generators when vec lies in their span, else None."""

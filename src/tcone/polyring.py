@@ -12,6 +12,7 @@ cone, and the Hasse invariant (supersingularity) of the curve.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from itertools import chain
 
@@ -545,11 +546,13 @@ def hasse_invariant(curve: "CubicCurve"):
 class CubicCurve:
     """A smooth plane cubic over a finite field, with its cone R = S/(F).
 
-    Carries the reduced Groebner basis of (F) (just the monic F) and caches
-    the monomial bases of the graded pieces of R.
+    Carries the reduced Groebner basis of (F) (just the monic F), F as a
+    reducer (lt(F) and the negated tail, for `nf`) and caches the monomial
+    bases of the graded pieces of R.
     """
 
-    __slots__ = ("F", "field", "gb", "_hasse", "_piece_cache", "_index_cache")
+    __slots__ = ("F", "field", "gb", "_reducer", "_hasse", "_piece_cache",
+                 "_index_cache")
 
     def __init__(self, F: Polynomial, field: Field, check_smooth: bool = True):
         if F.field != field:
@@ -561,6 +564,9 @@ class CubicCurve:
         self.F = F.monic()
         self.field = field
         self.gb = (self.F,)
+        lt = self.F.leading_monomial()
+        self._reducer = (lt, tuple((m, field.neg(c)) for m, c
+                                   in self.F.terms.items() if m != lt))
         self._hasse = None
         self._piece_cache = {}
         self._index_cache = {}
@@ -582,12 +588,8 @@ class CubicCurve:
         worklist instead of in monomial order; this keeps the large-degree
         Frobenius computations linear in the number of reduction events.
         """
-        import heapq
-
-        F = self.F
-        lt = F.leading_monomial()
+        lt, tail = self._reducer
         field = self.field
-        tail = [(m, field.neg(c)) for m, c in F.terms.items() if m != lt]
         work = {}
         out = {}
         heap = []

@@ -83,6 +83,16 @@ def test_negative_e_max_is_an_input_error(tmp_path, capsys):
     assert "e_max must be nonnegative" in err
     assert "--emax must be nonnegative" in err
 
+
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "problem.tc"
+    f.write_bytes(b"char = 5\xff\n")
+    assert main(["check", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{E_SYNTAX}]: ")
+    assert "not UTF-8 text (invalid start byte: byte 0xff)" in err
+    assert "Traceback" not in err
+
 F11_CHECK = """\
 char = 11
 cubic = "x^3 + y^3 + z^3"

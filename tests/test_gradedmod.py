@@ -3,11 +3,12 @@ import pytest
 
 from tcone.field import make_field
 from tcone.gradedmod import (GradedMap, ModuleHom, PresentedModule,
-                             TwistedFree, free_module, graded_piece_basis,
-                             hilbert_value, hom_module, hom_space,
-                             image_presentation, rank_and_degree,
-                             syzygy_of_map)
-from tcone.polyring import Polynomial, format_polynomial
+                             TwistedFree, buchberger_module, free_module,
+                             graded_piece_basis, hilbert_value, hom_module,
+                             hom_space, image_presentation, rank_and_degree,
+                             syzygy_of_map, vec_lt, vec_nf, vec_reducer, vkey)
+from tcone.polyring import (Polynomial, format_polynomial, mono_div,
+                            mono_divides, mono_mul, monomials_of_degree)
 
 from .conftest import ideal_of, pp, random_primary_ideal, seeded
 
@@ -206,3 +207,150 @@ def test_cokernel_mode_pieces(fermat5, F5):
     assert rel.piece_dim(0) == 1
     assert rel.piece_dim(1) == 1
     assert rel.piece_dim(2) == 1
+
+
+# -- reducers: vec_nf and buchberger_module ----------------------------------
+
+def _reference_vec_nf(vec, basis, field):
+    """Full reduction by a list of vectors, rescanning for the largest term
+    and rebuilding every reducer's leading term on each call."""
+    reducers = [(vec_lt(g), g) for g in basis if g]
+    work = dict(vec)
+    remainder = {}
+    while work:
+        t = max(work, key=vkey)
+        c = work.pop(t)
+        pos, m = t
+        hit = None
+        for (lpos, lm), g in reducers:
+            if lpos == pos and mono_divides(lm, m):
+                hit = ((lpos, lm), g)
+                break
+        if hit is None:
+            remainder[t] = c
+            continue
+        (lpos, lm), g = hit
+        lc = g[(lpos, lm)]
+        factor = field.mul(c, field.inv(lc))
+        shift = mono_div(m, lm)
+        for (gpos, gm), gc in g.items():
+            tt = (gpos, mono_mul(gm, shift))
+            if tt == t:
+                continue
+            s = field.sub(work.get(tt, 0), field.mul(factor, gc))
+            if s:
+                work[tt] = s
+            else:
+                work.pop(tt, None)
+    return remainder
+
+
+def _random_vec(rng, field, npos, degrees, nterms):
+    """Random module vector with nonzero coefficients, in random key order;
+    each term has a degree drawn from `degrees`."""
+    vec = {}
+    for _ in range(nterms):
+        pos = rng.randrange(npos)
+        monos = monomials_of_degree(rng.choice(degrees))
+        vec[(pos, rng.choice(monos))] = rng.randrange(1, field.q)
+    return vec
+
+
+def _homogeneous_vec(rng, field, twists, degree, nterms):
+    """Random vector of the given degree in the free module with `twists`."""
+    vec = {}
+    for _ in range(nterms):
+        pos = rng.randrange(len(twists))
+        d = degree + twists[pos]
+        if d >= 0:
+            vec[(pos, rng.choice(monomials_of_degree(d)))] = \
+                rng.randrange(1, field.q)
+    return vec
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (2, 2), (7, 4)])
+def test_vec_nf_matches_rescan_reference(p, k):
+    field = make_field(p, k)
+    rng = seeded(100 + p * 10 + k)
+    hits = 0
+    for _ in range(60):
+        npos = rng.randint(1, 3)
+        # arbitrary, non-monic, not a Groebner basis; zero vectors and
+        # repeated leading terms included, so the first match matters
+        basis = [_random_vec(rng, field, npos, (0, 1, 2, 3), rng.randint(0, 5))
+                 for _ in range(rng.randint(0, 6))]
+        if basis and rng.random() < 0.3:
+            basis.append(dict(basis[0]))
+        reducers = [vec_reducer(g, field) for g in basis if g]
+        for _ in range(3):
+            vec = _random_vec(rng, field, npos, (2, 3, 4, 5),
+                              rng.randint(0, 12))
+            want = _reference_vec_nf(vec, basis, field)
+            got = vec_nf(vec, reducers, field)
+            assert list(got.items()) == list(want.items())
+            hits += got != vec
+    assert hits > 60          # most reductions actually reduce
+
+
+def test_vec_reducer_fields():
+    field = make_field(5)
+    g = {(1, (0, 1, 0)): 3, (0, (0, 0, 2)): 2, (1, (1, 0, 0)): 4}
+    pos, lm, inv_lc, tail = vec_reducer(g, field)
+    assert (pos, lm) == (0, (0, 0, 2)) == vec_lt(g)
+    assert field.mul(inv_lc, 2) == 1
+    assert tail == ((1, (0, 1, 0), 3), (1, (1, 0, 0), 4))
+
+
+def _check_reduced_basis(basis, inputs, field):
+    reducers = [vec_reducer(g, field) for g in basis]
+    for g in basis:
+        assert g[vec_lt(g)] == 1
+    keys = [vkey(vec_lt(g)) for g in basis]
+    assert keys == sorted(keys)
+    for i, g in enumerate(basis):
+        assert vec_nf(g, reducers[:i] + reducers[i + 1:], field) == g
+    for v in inputs:
+        assert vec_nf(v, reducers, field) == {}
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (2, 2), (7, 1)])
+def test_buchberger_module_is_reduced_and_unique(p, k):
+    field = make_field(p, k)
+    rng = seeded(200 + p * 10 + k)
+    for _ in range(8):
+        twists = [rng.randint(-1, 1) for _ in range(rng.randint(1, 3))]
+        inputs = []
+        for _ in range(rng.randint(1, 4)):
+            v = _homogeneous_vec(rng, field, twists, rng.randint(1, 3),
+                                 rng.randint(1, 4))
+            if v:
+                inputs.append(v)
+        basis = buchberger_module(inputs, field)
+        _check_reduced_basis(basis, inputs, field)
+        # the reduced basis depends only on the module: shuffle the inputs
+        # and rescale each by a nonzero constant
+        shuffled = list(inputs)
+        rng.shuffle(shuffled)
+        scaled = []
+        for v in shuffled:
+            a = rng.randrange(1, field.q)
+            scaled.append({t: field.mul(c, a) for t, c in v.items()})
+        again = buchberger_module(scaled, field)
+        assert [list(g.items()) for g in again] == \
+            [list(g.items()) for g in basis]
+
+
+def test_buchberger_module_with_closing_relations(fermat5, F5):
+    """Lift-basis style input: generators plus F times each unit."""
+    rng = seeded(211)
+    F = fermat5.F
+    for _ in range(4):
+        twists = [rng.randint(0, 2) for _ in range(2)]
+        inputs = [v for v in (_homogeneous_vec(rng, F5, twists, 2, 3)
+                              for _ in range(3)) if v]
+        inputs += [{(i, m): c for m, c in F.terms.items()} for i in range(2)]
+        basis = buchberger_module(inputs, F5)
+        _check_reduced_basis(basis, inputs, F5)
+        shuffled = list(inputs)
+        rng.shuffle(shuffled)
+        assert buchberger_module(shuffled, F5) == basis

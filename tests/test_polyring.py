@@ -229,6 +229,85 @@ def test_hasse_non_fermat():
         assert curve.supersingular == ss
 
 
+def _reference_curve_nf(curve, f):
+    """Normal form modulo (F), rebuilding F's leading term and negated tail
+    on every call."""
+    import heapq
+
+    from tcone.polyring import mono_div, mono_mul
+
+    F = curve.F
+    lt = F.leading_monomial()
+    field = curve.field
+    tail = [(m, field.neg(c)) for m, c in F.terms.items() if m != lt]
+    work, out, heap = {}, {}, []
+
+    def heap_key(m):
+        return (-(m[0] + m[1] + m[2]), m[2], m[1])
+
+    for m, c in f.terms.items():
+        if mono_divides(lt, m):
+            work[m] = c
+            heapq.heappush(heap, (heap_key(m), m))
+        else:
+            out[m] = c
+    while heap:
+        _, m = heapq.heappop(heap)
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        shift = mono_div(m, lt)
+        for tm, tc in tail:
+            mm = mono_mul(tm, shift)
+            contrib = field.mul(c, tc)
+            target = work if mono_divides(lt, mm) else out
+            prev = target.get(mm, 0)
+            if target is work and prev == 0:
+                heapq.heappush(heap, (heap_key(mm), mm))
+            s = field.add(prev, contrib)
+            if s:
+                target[mm] = s
+            else:
+                target.pop(mm, None)
+    return Polynomial(field, out)
+
+
+def _nf_test_curves():
+    ordinary = "y^2*z + x*y*z + x^3 + z^3"
+    curves = []
+    for p, k in [(2, 1), (2, 2), (5, 2)]:
+        field = make_field(p, k)
+        for text in (ordinary, "x^3 + y^3 + z^3", "x^2*y + y^2*z + z^2*x"):
+            curves.append(CubicCurve(pp(text, field), field))
+    # base change: the curve of an ideal embedded F_5 -> F_25
+    from tcone.field import embed
+    F5, F25 = make_field(5), make_field(5, 2)
+    base = CubicCurve(pp("y^2*z + 4*x^3 + x*z^2", F5), F5)
+    ideal = IdealData(base, [pp("x^2", F5), pp("y^2", F5), pp("z^2", F5)])
+    up = ideal.embedded(F25, lambda c: embed(F5.from_code(c), F25).code)
+    curves.append(up.curve)
+    return curves
+
+
+def test_curve_nf_matches_per_call_reference():
+    rng = seeded(61)
+    curves = _nf_test_curves()
+    assert not curves[0].supersingular and curves[1].supersingular
+    for curve in curves:
+        field = curve.field
+        for _ in range(25):
+            terms = {}
+            for _ in range(rng.randint(0, 15)):
+                m = rng.choice(monomials_of_degree(rng.randint(0, 12)))
+                terms[m] = rng.randrange(1, field.q)
+            f = Polynomial(field, terms)
+            got = curve.nf(f)
+            want = _reference_curve_nf(curve, f)
+            assert list(got.terms.items()) == list(want.terms.items())
+            lt = curve.F.leading_monomial()
+            assert not any(mono_divides(lt, m) for m in got.terms)
+
+
 # -- membership ---------------------------------------------------------------
 
 def _membership_oracle(ideal, f):
