@@ -18,9 +18,8 @@ from .closure import (ClosureCertificate, ClosureIdeal, FrobeniusResult,
 from .field import (Field, FieldElem, FieldError, embed, find_irreducible,
                     make_field)
 from .gradedmod import (GradedMap, ModuleHom, PresentedModule, TwistedFree,
-                        free_module, graded_piece_basis, hilbert_value,
-                        hom_module, hom_space, image_presentation,
-                        rank_and_degree, syzygy_of_map)
+                        free_module, hom_space, image_presentation,
+                        syzygy_of_map)
 from .polyring import (CubicCurve, IdealData, Polynomial,
                        PolynomialSyntaxError, buchberger, format_polynomial,
                        hasse_invariant, hasse_invariant_of, ideal_membership,
@@ -37,9 +36,7 @@ __all__ = [
     "is_smooth_cubic", "is_irrelevant_primary", "hasse_invariant",
     "hasse_invariant_of", "CubicCurve", "IdealData",
     "TwistedFree", "GradedMap", "PresentedModule", "ModuleHom",
-    "free_module", "syzygy_of_map", "hom_module", "hom_space",
-    "graded_piece_basis", "hilbert_value", "rank_and_degree",
-    "image_presentation",
+    "free_module", "syzygy_of_map", "hom_space", "image_presentation",
     "SyzygyBundle", "EndAlgebra", "Summand", "ForcingData", "Decomposition",
     "syzygy_bundle", "end_algebra", "primitive_idempotents",
     "decompose_bundle", "forcing_data", "component_class_vanishes",

@@ -21,8 +21,9 @@ from .algebra import (FiniteAlgebra, UndecidedError, lift_idempotents,
                       semisimple_primitive_idempotents)
 from .field import Field, embed, make_field
 from .gradedmod import (GradedMap, ModuleHom, PresentedModule, TwistedFree,
-                        hom_space, image_presentation, syzygy_of_map)
-from .linalg import as_matrix, solve
+                        hom_space, image_conditions, image_presentation,
+                        syzygy_of_map, vector_degree)
+from .linalg import solve
 from .polyring import CubicCurve, IdealData, Polynomial
 
 
@@ -80,11 +81,7 @@ def syzygy_bundle(ideal: IdealData, m: int) -> SyzygyBundle:
 
 def _hom_coords(M: PresentedModule, images) -> np.ndarray:
     """Coordinates of a generator-image tuple in the graded piece frames."""
-    gdegs = M.gen_degrees()
-    parts = []
-    for img, d in zip(images, gdegs):
-        offsets, _, total = M.piece_coords(d)
-        parts.append(M._vector_coords(img, d, offsets, total))
+    parts = [M.frame(d).coords(img) for img, d in zip(images, M.gen_degrees())]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
@@ -95,15 +92,14 @@ class EndAlgebra:
     structure constants over the base field and a basis of the radical.
     """
 
-    __slots__ = ("bundle", "homs", "algebra", "radical_rows", "_coord_rows")
+    __slots__ = ("bundle", "homs", "algebra", "radical_rows")
 
     def __init__(self, bundle: SyzygyBundle, homs, algebra: FiniteAlgebra,
-                 radical_rows, coord_rows):
+                 radical_rows):
         self.bundle = bundle
         self.homs = homs
         self.algebra = algebra
         self.radical_rows = radical_rows
-        self._coord_rows = coord_rows
 
     @property
     def dim(self):
@@ -126,9 +122,7 @@ def end_algebra(bundle: SyzygyBundle) -> EndAlgebra:
     dim = len(homs)
     if dim == 0:
         raise ArithmeticError("endomorphism algebra without identity")
-    coord_rows = as_matrix([_hom_coords(M, h.images) for h in homs],
-                           _hom_coords(M, homs[0].images).shape[0])
-    basis_T = coord_rows.T.copy()
+    basis_T = np.stack([_hom_coords(M, h.images) for h in homs], axis=1)
     table = []
     for i in range(dim):
         row = []
@@ -145,7 +139,7 @@ def end_algebra(bundle: SyzygyBundle) -> EndAlgebra:
         raise ArithmeticError("identity endomorphism missing from Hom basis")
     algebra = FiniteAlgebra(field, table, unit)
     radical_rows = algebra.radical()
-    return EndAlgebra(bundle, homs, algebra, radical_rows, coord_rows)
+    return EndAlgebra(bundle, homs, algebra, radical_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +382,6 @@ def forcing_data(ideal: IdealData, f0: Polynomial,
     return ForcingData(ideal, f0, m, syz_prime, inclusion, bundle.module)
 
 
-def _include_vector(forcing: ForcingData, polys):
-    zero = Polynomial.zero(forcing.field)
-    return (zero,) + tuple(polys)
-
-
 def component_class_vanishes(forcing: ForcingData, summand: Summand) -> bool:
     """Whether the candidate's class component on the summand is zero.
 
@@ -411,12 +400,7 @@ def component_class_vanishes(forcing: ForcingData, summand: Summand) -> bool:
     proj = summand.projection
     gdegs = Mp.gen_degrees()
     blocks = [Mj.piece_basis(d) for d in gdegs]
-    offsets = []
-    total = 0
-    for b in blocks:
-        offsets.append(total)
-        total += len(b)
-    if total == 0:
+    if not any(blocks):
         # every hom out of the enlarged module is zero; the projection must be
         return all(not p for img in proj.images for p in img)
     rows = []
@@ -424,46 +408,26 @@ def component_class_vanishes(forcing: ForcingData, summand: Summand) -> bool:
 
     def add_condition(coeffs, target_degree, rhs_vec):
         """Condition sum_u coeffs[u] * w_u = rhs at the given degree."""
-        coff, _, ctotal = Mj.piece_coords(target_degree)
-        if ctotal == 0:
-            return
-        block_cols = [np.zeros(ctotal, dtype=np.int64) for _ in range(total)]
-        for u, h in enumerate(coeffs):
-            if not h:
-                continue
-            for b, img in enumerate(blocks[u]):
-                w = tuple(Mj.curve.nf(h * p) for p in img)
-                block_cols[offsets[u] + b] = Mj._vector_coords(
-                    w, target_degree, coff, ctotal)
-        rows.append(np.stack(block_cols, axis=1))
-        if rhs_vec is None:
-            rhs_parts.append(np.zeros(ctotal, dtype=np.int64))
-        else:
-            rhs_parts.append(Mj._vector_coords(rhs_vec, target_degree, coff,
-                                               ctotal))
+        block = image_conditions(Mj, coeffs, blocks, target_degree)
+        if block.shape[0]:
+            rows.append(block)
+            rhs_parts.append(Mj.frame(target_degree).coords(rhs_vec))
 
-    # homomorphism conditions from the generating syzygies of syz_prime
+    # homomorphism conditions from the generating syzygies of syz_prime,
+    # which lie in ⊕ R(-deg g_l)
+    rel_twists = [-dg for dg in gdegs]
+    zero = Polynomial.zero(field)
     for rel in Mp.relations():
-        rel_deg = None
-        for h, dg in zip(rel, gdegs):
-            if h:
-                rel_deg = h.degree() + dg
-                break
-        if rel_deg is None:
-            continue
-        add_condition(rel, rel_deg, None)
+        rel_deg = vector_degree(rel, rel_twists)
+        if rel_deg is not None:
+            add_condition(rel, rel_deg, [zero] * Mj.ambient.rank)
     # restriction conditions: psi(iota(g_l)) = projection(g_l)
     for g, img in zip(forcing.bundle_module.gens, proj.images):
-        iota = _include_vector(forcing, g)
+        iota = (zero,) + tuple(g)
         coeffs = Mp.express(iota)
         if coeffs is None:
             raise ArithmeticError("inclusion image escaped the enlarged module")
-        deg = None
-        for p, a in zip(iota, Mp.ambient.twists):
-            if p:
-                deg = p.degree() - a
-                break
-        add_condition(coeffs, deg, img)
+        add_condition(coeffs, vector_degree(iota, Mp.ambient.twists), img)
     if not rows:
         return True
     mat = np.concatenate(rows, axis=0)

@@ -159,6 +159,9 @@ def parse_problem(text: str) -> ProblemFile:
         if candidate.is_zero() or not candidate.is_homogeneous():
             raise ProblemError(
                 E_CANDIDATE, "candidate must be nonzero and homogeneous")
+        if curve.nf(candidate).is_zero():
+            raise ProblemError(
+                E_CANDIDATE, "candidate is a multiple of the curve equation")
     return ProblemFile(char, ext_degree, cubic_text, generator_texts,
                        candidate_text, e_max, field, curve, ideal, candidate)
 

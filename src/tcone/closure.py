@@ -28,6 +28,7 @@ import numpy as np
 from .algebra import UndecidedError
 from .bundle import (component_class_vanishes, decompose_bundle,
                      forcing_data, syzygy_bundle)
+from .gradedmod import PieceFrame
 from .linalg import SpanBasis, row_space_contains
 from .polyring import (CubicCurve, IdealData, Polynomial,
                        format_polynomial, grevlex_key, ideal_membership)
@@ -155,18 +156,7 @@ _ORACLE_MATRIX_BYTES = 512 << 20
 
 def _ideal_piece_rows(curve: CubicCurve, gens, D: int) -> np.ndarray:
     """Spanning rows of the degree-D piece of the R-ideal of gens."""
-    index = curve.piece_index(D)
-    shifts = [(g, curve.piece_monomials(D - g.degree()))
-              for g in gens if g.degree() >= 0]
-    rows = np.zeros((sum(len(mus) for _, mus in shifts), len(index)),
-                    dtype=np.int64)
-    r = 0
-    for g, mus in shifts:
-        for mu in mus:
-            for mo, c in curve.nf(g.term_mul(mu, 1)).terms.items():
-                rows[r, index[mo]] = c
-            r += 1
-    return rows
+    return PieceFrame(curve, (0,), D).multiples([(g,) for g in gens])
 
 
 def _ideal_piece_span(curve: CubicCurve, gens, D: int) -> SpanBasis:
@@ -175,14 +165,6 @@ def _ideal_piece_span(curve: CubicCurve, gens, D: int) -> SpanBasis:
     for row in _ideal_piece_rows(curve, gens, D):
         span.add(row)
     return span
-
-
-def _piece_coords(curve: CubicCurve, poly: Polynomial, D: int):
-    index = curve.piece_index(D)
-    row = np.zeros(len(index), dtype=np.int64)
-    for mo, c in poly.terms.items():
-        row[index[mo]] = c
-    return row
 
 
 def frobenius_member(ideal: IdealData, f0: Polynomial,
@@ -221,7 +203,8 @@ def frobenius_member(ideal: IdealData, f0: Polynomial,
         powered = [curve.nf(g.frobenius_power(e)) for g in gens]
         # the rows are built here, so they are eliminated in place
         if row_space_contains(_ideal_piece_rows(curve, powered, D),
-                              _piece_coords(curve, target, D), curve.field):
+                              PieceFrame(curve, (0,), D).coords((target,)),
+                              curve.field):
             return FrobeniusResult(True, e, e_max)
     return FrobeniusResult(False, None, e_max)
 
@@ -263,8 +246,8 @@ def _criterion_piece(ideal: IdealData, m: int, ext_bound: int):
     """
     curve = ideal.curve
     field = curve.field
-    monos = curve.piece_monomials(m)
-    width = len(monos)
+    frame = PieceFrame(curve, (0,), m)
+    width = frame.width
     ideal_span = _ideal_piece_span(curve, list(ideal.gens), m)
     free_cols = [c for c in range(width) if c not in ideal_span.pivots]
     t = len(free_cols)
@@ -292,12 +275,9 @@ def _criterion_piece(ideal: IdealData, m: int, ext_bound: int):
             for _ in range(tail):
                 coeffs.append(c % q)
                 c //= q
-            terms = {}
-            for ci, col in zip(coeffs, free_cols):
-                if ci:
-                    terms[monos[col]] = ci
-            cand = Polynomial(field, terms)
-            vec = _piece_coords(curve, cand, m)
+            vec = np.zeros(width, dtype=np.int64)
+            vec[free_cols] = coeffs
+            cand = frame.polys(vec)[0]
             if closure_span.contains(vec):
                 # already known to be in the closure piece
                 members.append(cand)
@@ -325,15 +305,10 @@ def tight_closure_ideal(ideal: IdealData, ext_bound: int = 4) -> ClosureIdeal:
     per_degree = []
     piece_rows = {}
     for m in range(1, bound + 1):
-        monos = curve.piece_monomials(m)
-        width = len(monos)
         ideal_span = _ideal_piece_span(curve, list(ideal.gens), m)
         if m >= slope.mu_max / 3:
             regime = "all"
-            mat = np.zeros((width, width), dtype=np.int64)
-            for i in range(width):
-                mat[i, i] = 1
-            rows = mat
+            rows = np.eye(curve.piece_dim(m), dtype=np.int64)
         elif m < slope.mu_min / 3:
             regime = "ideal"
             rows = ideal_span.matrix()
@@ -346,24 +321,16 @@ def tight_closure_ideal(ideal: IdealData, ext_bound: int = 4) -> ClosureIdeal:
                                        rows.shape[0]))
     # minimal generators: peel each degree against R_1 times the previous piece
     gens = []
-    prev_rows = None
+    prev = []
     for m in range(1, bound + 1):
-        monos = curve.piece_monomials(m)
-        width = len(monos)
-        grown = SpanBasis(width, field)
-        if prev_rows is not None:
-            prev_monos = curve.piece_monomials(m - 1)
-            for row in prev_rows:
-                terms = {mo: int(c) for mo, c in zip(prev_monos, row) if int(c)}
-                poly = Polynomial(field, terms)
-                for var in ("x", "y", "z"):
-                    prod = curve.nf(poly * Polynomial.variable(field, var))
-                    grown.add(_piece_coords(curve, prod, m))
-        for row in piece_rows[m]:
-            if grown.add(row.copy()):
-                terms = {mo: int(c) for mo, c in zip(monos, row) if int(c)}
-                gens.append(Polynomial(field, terms))
-        prev_rows = piece_rows[m]
+        frame = PieceFrame(curve, (0,), m)
+        grown = SpanBasis(frame.width, field)
+        for row in frame.multiples(prev):
+            grown.add(row)
+        prev = [frame.polys(row) for row in piece_rows[m]]
+        for row, vec in zip(piece_rows[m], prev):
+            if grown.add(row):
+                gens.append(vec[0])
     gens.sort(key=lambda g: (g.degree(),
                              tuple(grevlex_key(g.leading_monomial()))),
               reverse=False)

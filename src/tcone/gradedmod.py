@@ -10,6 +10,10 @@ degrevlex order, with earlier positions dominant.  The central tool is an
 augmented basis ("lift basis") for a generator list: one elimination
 computation yields membership tests, expressions of elements in terms of
 the generators, and the full syzygy module of the generators.
+
+Every graded piece is linear algebra in one coordinate frame, `PieceFrame`:
+the degree-t piece of ⊕ R(a_i) with the monomial bases of the R_(t + a_i)
+side by side.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import heapq
 
 import numpy as np
 
-from .linalg import as_matrix, rref
+from .linalg import SpanBasis, nullspace, rref
 from .polyring import (CubicCurve, Polynomial, grevlex_key, mono_deg,
                        mono_div, mono_divides, mono_lcm, mono_mul)
 
@@ -71,17 +75,6 @@ def vec_to_polys(vec, npos, field):
     return tuple(Polynomial(field, t) for t in polys)
 
 
-def vec_add(a, b, field):
-    res = dict(a)
-    for t, c in b.items():
-        s = field.add(res.get(t, 0), c)
-        if s:
-            res[t] = s
-        else:
-            res.pop(t, None)
-    return res
-
-
 def vec_sub(a, b, field):
     res = dict(a)
     for t, c in b.items():
@@ -112,18 +105,22 @@ def vec_lt(a):
     return max(a, key=vkey) if a else None
 
 
-def vec_degree(vec, twists):
-    """Degree of a homogeneous vector; None for 0, error when inhomogeneous.
+def vector_degree(polys, twists):
+    """Degree of a homogeneous vector of ⊕ R(a_i), given as polynomials.
 
     A component of polynomial degree e at a position twisted by a sits in
-    R(a)_(e-a), so the vector degree is e - a.
+    R(a)_(e-a), so the first nonzero component gives the vector degree.
+    None for the zero vector.
     """
-    if not vec:
-        return None
-    degs = {mono_deg(m) - twists[pos] for (pos, m) in vec}
-    if len(degs) != 1:
-        raise ValueError("vector is not homogeneous")
-    return degs.pop()
+    for p, a in zip(polys, twists):
+        if p:
+            return p.degree() - a
+    return None
+
+
+def closing_relations(F, rank):
+    """F times each unit vector of a free module of the given rank."""
+    return [{(i, m): c for m, c in F.terms.items()} for i in range(rank)]
 
 
 def vec_reducer(g, field):
@@ -323,50 +320,97 @@ class LiftBasis:
         return out
 
 
+class PieceFrame:
+    """Coordinates on the degree-t piece of a twisted free module ⊕ R(a_i).
+
+    Position i contributes the monomial basis of R_(t + a_i)
+    (`CubicCurve.piece_monomials`), starting at column offsets[i]; a
+    position with t + a_i < 0 contributes nothing.  Polynomials must be
+    reduced modulo F and homogeneous of the matching degree.
+    """
+
+    __slots__ = ("curve", "twists", "t", "monos", "index", "offsets", "width")
+
+    def __init__(self, curve: CubicCurve, twists, t: int):
+        self.curve = curve
+        self.twists = tuple(twists)
+        self.t = t
+        self.monos = [curve.piece_monomials(t + a) for a in self.twists]
+        self.index = [curve.piece_index(t + a) for a in self.twists]
+        self.offsets = []
+        width = 0
+        for ms in self.monos:
+            self.offsets.append(width)
+            width += len(ms)
+        self.width = width
+
+    def _fill(self, row, polys):
+        for off, index, poly in zip(self.offsets, self.index, polys):
+            for m, c in poly.terms.items():
+                row[off + index[m]] = c
+
+    def coords(self, polys) -> np.ndarray:
+        """Coordinate row of a vector given as one polynomial per position."""
+        row = np.zeros(self.width, dtype=np.int64)
+        self._fill(row, polys)
+        return row
+
+    def polys(self, row):
+        """The vector, one polynomial per position, of a coordinate row."""
+        field = self.curve.field
+        out = []
+        for off, ms in zip(self.offsets, self.monos):
+            terms = {}
+            for i, m in enumerate(ms):
+                c = int(row[off + i])
+                if c:
+                    terms[m] = c
+            out.append(Polynomial(field, terms))
+        return tuple(out)
+
+    def multiples(self, vectors) -> np.ndarray:
+        """Rows nf(mu * v) for each vector v and each mu in R_(t - deg v).
+
+        The rows come vector by vector, mu in `piece_monomials` order, and
+        are written into one preallocated array; zero vectors and vectors
+        of degree above t contribute none.
+        """
+        curve = self.curve
+        shifts = []
+        for v in vectors:
+            d = vector_degree(v, self.twists)
+            if d is not None:
+                shifts.append((v, curve.piece_monomials(self.t - d)))
+        rows = np.zeros((sum(len(mus) for _, mus in shifts), self.width),
+                        dtype=np.int64)
+        r = 0
+        for v, mus in shifts:
+            for mu in mus:
+                self._fill(rows[r], [curve.nf(p.term_mul(mu, 1)) if p else p
+                                     for p in v])
+                r += 1
+        return rows
+
+
 def _minimal_generators(curve, ambient, vectors):
     """Prune a sorted homogeneous generator list to a minimal one.
 
     Graded Nakayama: a generator is redundant exactly when it lies in the
     span, at its own degree, of multiples of the generators kept so far.
     """
-    from .linalg import SpanBasis
-
-    field = curve.field
     kept = []
     i = 0
     while i < len(vectors):
-        d = vec_degree(vec_from_polys(vectors[i]), ambient.twists)
-        batch = []
-        while i < len(vectors) and vec_degree(vec_from_polys(vectors[i]),
-                                              ambient.twists) == d:
-            batch.append(vectors[i])
+        d = vector_degree(vectors[i], ambient.twists)
+        frame = PieceFrame(curve, ambient.twists, d)
+        span = SpanBasis(frame.width, curve.field)
+        for row in frame.multiples(kept):
+            span.add(row)
+        while i < len(vectors) and \
+                vector_degree(vectors[i], ambient.twists) == d:
+            if span.add(frame.coords(vectors[i])):
+                kept.append(vectors[i])
             i += 1
-        monos = [curve.piece_monomials(d + a) for a in ambient.twists]
-        offsets = []
-        total = 0
-        for ms in monos:
-            offsets.append(total)
-            total += len(ms)
-        index = [curve.piece_index(d + a) for a in ambient.twists]
-
-        def coords(v):
-            row = np.zeros(total, dtype=np.int64)
-            for pos, poly in enumerate(v):
-                for m, c in poly.terms.items():
-                    row[offsets[pos] + index[pos][m]] = c
-            return row
-
-        span = SpanBasis(total, field)
-        for g in kept:
-            gd = vec_degree(vec_from_polys(g), ambient.twists)
-            if d - gd < 0:
-                continue
-            for m in curve.piece_monomials(d - gd):
-                w = tuple(curve.nf(p.term_mul(m, 1)) for p in g)
-                span.add(coords(w))
-        for v in batch:
-            if span.add(coords(v)):
-                kept.append(v)
     return kept
 
 
@@ -418,36 +462,31 @@ class PresentedModule:
     """A graded module over the cone R, as a submodule of a twisted free.
 
     Generators are honest vectors in the ambient free module; the module is
-    their R-span.  A cokernel presentation (ambient modulo the span of
-    relation vectors) is also supported for the graded piece and Hilbert
-    machinery.
+    their R-span.
     """
 
-    SUBMODULE = "submodule"
-    COKERNEL = "cokernel"
-
     def __init__(self, curve: CubicCurve, ambient: TwistedFree, vectors,
-                 mode: str = SUBMODULE, minimalize: bool = False):
+                 minimalize: bool = False):
         self.curve = curve
         self.field = curve.field
         self.ambient = ambient
-        self.mode = mode
         cleaned = []
         for v in vectors:
             nf = tuple(curve.nf(p) for p in v)
-            if any(p for p in nf):
-                cleaned.append(nf)
+            if any(nf):
+                d = vector_degree(nf, ambient.twists)
+                if any(p and (not p.is_homogeneous() or p.degree() - a != d)
+                       for p, a in zip(nf, ambient.twists)):
+                    raise ValueError("vector is not homogeneous")
+                cleaned.append((d, vkey(vec_lt(vec_from_polys(nf))), nf))
         # canonical generator order: by degree, then leading term
-        def genkey(v):
-            vec = vec_from_polys(v)
-            return (vec_degree(vec, ambient.twists), vkey(vec_lt(vec)))
-        cleaned.sort(key=genkey)
-        if minimalize and mode == self.SUBMODULE:
+        cleaned.sort(key=lambda k: k[:2])
+        cleaned = [v for _, _, v in cleaned]
+        if minimalize:
             cleaned = _minimal_generators(curve, ambient, cleaned)
         self.vectors = tuple(cleaned)
-        for v in self.vectors:
-            vec_degree(vec_from_polys(v), ambient.twists)  # homogeneity check
         self._lift = None
+        self._frames = {}
         self._piece_cache = {}
         self._rank_degree = None
         self._relations = None
@@ -456,33 +495,22 @@ class PresentedModule:
 
     @property
     def gens(self):
-        if self.mode != self.SUBMODULE:
-            raise ValueError("cokernel presentation has no generator vectors")
         return self.vectors
 
     def gen_degrees(self):
-        return tuple(vec_degree(vec_from_polys(v), self.ambient.twists)
+        return tuple(vector_degree(v, self.ambient.twists)
                      for v in self.vectors)
-
-    def closing_relations(self):
-        """F times each ambient unit vector, as module vectors."""
-        F = self.curve.F
-        rels = []
-        for i in range(self.ambient.rank):
-            rels.append({(i, m): c for m, c in F.terms.items()})
-        return rels
 
     @property
     def lift(self) -> LiftBasis:
         if self._lift is None:
             vecs = [vec_from_polys(v) for v in self.vectors]
-            self._lift = LiftBasis(vecs, self.closing_relations(),
-                                   self.ambient.rank, self.field)
+            self._lift = LiftBasis(
+                vecs, closing_relations(self.curve.F, self.ambient.rank),
+                self.ambient.rank, self.field)
         return self._lift
 
     def contains(self, polys) -> bool:
-        if self.mode != self.SUBMODULE:
-            raise ValueError("membership needs a submodule presentation")
         return self.lift.member(vec_from_polys(polys)) is not None
 
     def express(self, polys):
@@ -508,89 +536,29 @@ class PresentedModule:
 
     # -- graded pieces ------------------------------------------------------------
 
-    def piece_coords(self, t: int):
-        """Coordinate frame of the ambient degree-t piece.
+    def frame(self, t: int) -> PieceFrame:
+        """Coordinate frame of the ambient degree-t piece."""
+        frame = self._frames.get(t)
+        if frame is None:
+            frame = self._frames[t] = PieceFrame(self.curve,
+                                                 self.ambient.twists, t)
+        return frame
 
-        Returns (offsets, monomial lists); coordinates concatenate the
-        reduced monomial bases of R_(t + a_i) over the ambient positions.
-        """
-        monos = []
-        offsets = []
-        total = 0
-        for a in self.ambient.twists:
-            ms = self.curve.piece_monomials(t + a)
-            offsets.append(total)
-            monos.append(ms)
-            total += len(ms)
-        return offsets, monos, total
-
-    def _vector_coords(self, polys, t, offsets, total):
-        row = np.zeros(total, dtype=np.int64)
-        for pos, poly in enumerate(polys):
-            if not poly:
-                continue
-            index = self.curve.piece_index(t + self.ambient.twists[pos])
-            for m, c in poly.terms.items():
-                row[offsets[pos] + index[m]] = c
-        return row
-
-    def piece_matrix(self, t: int):
-        """Reduced row basis of the degree-t piece, with its coordinate frame."""
-        cached = self._piece_cache.get(t)
-        if cached is not None:
-            return cached
-        offsets, monos, total = self.piece_coords(t)
-        rows = []
-        if self.mode == self.SUBMODULE:
-            for v in self.vectors:
-                vdeg = vec_degree(vec_from_polys(v), self.ambient.twists)
-                d = t - vdeg
-                if d < 0:
-                    continue
-                for m in self.curve.piece_monomials(d):
-                    w = tuple(self.curve.nf(p.term_mul(m, 1)) for p in v)
-                    rows.append(self._vector_coords(w, t, offsets, total))
-            mat, _ = rref(as_matrix(rows, total), self.field)
-        else:
-            # cokernel: ambient piece modulo the span of relation multiples
-            rel_rows = []
-            for v in self.vectors:
-                vdeg = vec_degree(vec_from_polys(v), self.ambient.twists)
-                d = t - vdeg
-                if d < 0:
-                    continue
-                for m in self.curve.piece_monomials(d):
-                    w = tuple(self.curve.nf(p.term_mul(m, 1)) for p in v)
-                    rel_rows.append(self._vector_coords(w, t, offsets, total))
-            mat = (as_matrix(rel_rows, total), total)
-        self._piece_cache[t] = (mat, offsets, monos, total)
-        return self._piece_cache[t]
+    def piece_matrix(self, t: int) -> np.ndarray:
+        """Reduced row basis of the degree-t piece, in frame(t) coordinates."""
+        mat = self._piece_cache.get(t)
+        if mat is None:
+            mat, _ = rref(self.frame(t).multiples(self.vectors), self.field)
+            self._piece_cache[t] = mat
+        return mat
 
     def piece_dim(self, t: int) -> int:
-        if self.mode == self.SUBMODULE:
-            mat, _, _, _ = self.piece_matrix(t)
-            return mat.shape[0]
-        (rel, total), _, _, _ = self.piece_matrix(t)
-        return total - rref(rel, self.field)[0].shape[0]
+        return self.piece_matrix(t).shape[0]
 
     def piece_basis(self, t: int):
         """K-basis of the degree-t piece as ambient vectors of polynomials."""
-        if self.mode != self.SUBMODULE:
-            raise ValueError("explicit piece bases need a submodule presentation")
-        mat, offsets, monos, _total = self.piece_matrix(t)
-        out = []
-        for row in mat:
-            polys = []
-            for pos in range(self.ambient.rank):
-                terms = {}
-                base = offsets[pos]
-                for i, m in enumerate(monos[pos]):
-                    c = int(row[base + i])
-                    if c:
-                        terms[m] = c
-                polys.append(Polynomial(self.field, terms))
-            out.append(tuple(polys))
-        return out
+        frame = self.frame(t)
+        return [frame.polys(row) for row in self.piece_matrix(t)]
 
     # -- sheaf invariants -----------------------------------------------------------
 
@@ -603,8 +571,7 @@ class PresentedModule:
         """
         if self._rank_degree is not None:
             return self._rank_degree
-        degs = [d for d in (self.gen_degrees() if self.mode == self.SUBMODULE
-                            else [0]) if d is not None]
+        degs = self.gen_degrees()
         base = (max(degs) if degs else 0) + self.ambient.rank + 3
         for t0 in (base, 2 * base):
             h = [self.piece_dim(t0 + i) for i in range(3)]
@@ -629,13 +596,13 @@ class PresentedModule:
         """
         vecs = [tuple(p.map_coefficients(curve2.field, embed_fn) for p in v)
                 for v in self.vectors]
-        other = PresentedModule(curve2, self.ambient, vecs, self.mode)
+        other = PresentedModule(curve2, self.ambient, vecs)
         if self._rank_degree is not None:
             other._rank_degree = self._rank_degree
         return other
 
     def __repr__(self):
-        return (f"PresentedModule({self.mode}, ambient={self.ambient!r}, "
+        return (f"PresentedModule(ambient={self.ambient!r}, "
                 f"{len(self.vectors)} vectors)")
 
 
@@ -651,10 +618,8 @@ def syzygy_of_map(phi: GradedMap, curve: CubicCurve) -> PresentedModule:
     generates the kernel over R.
     """
     cols = [vec_from_polys(c) for c in phi.columns()]
-    F = curve.F
-    rels = [{(i, m): c for m, c in F.terms.items()}
-            for i in range(phi.target.rank)]
-    lift = LiftBasis(cols, rels, phi.target.rank, curve.field)
+    lift = LiftBasis(cols, closing_relations(curve.F, phi.target.rank),
+                     phi.target.rank, curve.field)
     gens = lift.syzygies()
     return PresentedModule(curve, phi.source, gens, minimalize=True)
 
@@ -667,18 +632,6 @@ def free_module(curve: CubicCurve, twists) -> PresentedModule:
     gens = [tuple(one if j == i else zero for j in range(amb.rank))
             for i in range(amb.rank)]
     return PresentedModule(curve, amb, gens)
-
-
-def graded_piece_basis(M: PresentedModule, t: int):
-    return M.piece_basis(t)
-
-
-def hilbert_value(M: PresentedModule, t: int) -> int:
-    return M.piece_dim(t)
-
-
-def rank_and_degree(M: PresentedModule):
-    return M.rank_and_degree()
 
 
 class ModuleHom:
@@ -720,6 +673,26 @@ class ModuleHom:
                 f"{len(self.images)} generator images)")
 
 
+def image_conditions(N: PresentedModule, coeffs, blocks, t: int) -> np.ndarray:
+    """Matrix of the map (w_u) -> sum_u coeffs[u] * w_u into N_t.
+
+    Each unknown w_u is a combination of the vectors blocks[u] of N.  The
+    columns stand for those vectors, block after block: the column of
+    v = blocks[u][b] holds the frame(t) coordinates of nf(coeffs[u] * v).
+    """
+    frame = N.frame(t)
+    nf = N.curve.nf
+    cols = np.zeros((frame.width, sum(len(b) for b in blocks)),
+                    dtype=np.int64)
+    j = 0
+    for h, block in zip(coeffs, blocks):
+        if h:
+            for b, img in enumerate(block):
+                cols[:, j + b] = frame.coords([nf(h * p) for p in img])
+        j += len(block)
+    return cols
+
+
 def hom_space(M: PresentedModule, N: PresentedModule, degree: int = 0):
     """K-basis of the degree-d homomorphisms M -> N.
 
@@ -731,49 +704,28 @@ def hom_space(M: PresentedModule, N: PresentedModule, degree: int = 0):
         raise ValueError("modules live over different cones")
     field = M.field
     gdegs = M.gen_degrees()
-    blocks = []          # per generator: basis of N_(deg + d)
-    offsets = []
-    total = 0
-    for dg in gdegs:
-        basis = N.piece_basis(dg + degree)
-        blocks.append(basis)
-        offsets.append(total)
-        total += len(basis)
+    # per generator: basis of N_(deg + d)
+    blocks = [N.piece_basis(dg + degree) for dg in gdegs]
+    total = sum(len(b) for b in blocks)
     if total == 0:
         return []
-    rows = []
+    # a generating syzygy of M lies in ⊕ R(-deg g_l); its image must vanish
+    rel_twists = [-dg for dg in gdegs]
+    conditions = [np.zeros((0, total), dtype=np.int64)]
     for rel in M.relations():
-        rel_deg = None
-        for h, dg in zip(rel, gdegs):
-            if h:
-                rel_deg = h.degree() + dg
-                break
-        if rel_deg is None:
-            continue
-        coff, _, ctotal = N.piece_coords(rel_deg + degree)
-        row_block = [np.zeros(ctotal, dtype=np.int64) for _ in range(total)]
-        for l, h in enumerate(rel):
-            if not h:
-                continue
-            for b, img in enumerate(blocks[l]):
-                w = tuple(N.curve.nf(h * p) for p in img)
-                row_block[offsets[l] + b] = N._vector_coords(
-                    w, rel_deg + degree, coff, ctotal)
-        # conditions: sum over unknowns of coeff * row_block = 0
-        rows.append(np.stack(row_block, axis=1) if ctotal else None)
-    if rows:
-        mat = np.concatenate([r for r in rows if r is not None], axis=0)
-    else:
-        mat = np.zeros((0, total), dtype=np.int64)
-    from .linalg import nullspace
-    sols = nullspace(mat, field)
+        rel_deg = vector_degree(rel, rel_twists)
+        if rel_deg is not None:
+            conditions.append(image_conditions(N, rel, blocks,
+                                               rel_deg + degree))
+    sols = nullspace(np.concatenate(conditions), field)
     homs = []
     for sol in sols:
+        coeffs = iter(sol)
         images = []
-        for l, dg in enumerate(gdegs):
+        for block in blocks:
             img = [Polynomial.zero(field) for _ in range(N.ambient.rank)]
-            for b, vec in enumerate(blocks[l]):
-                c = int(sol[offsets[l] + b])
+            for vec in block:
+                c = int(next(coeffs))
                 if c:
                     for i, p in enumerate(vec):
                         if p:
@@ -819,18 +771,7 @@ class HomModule:
             twists.extend(b + dg for b in N.ambient.twists)
         amb = TwistedFree(twists)
         # target free module: one copy of N's ambient per relation
-        rel_degs = []
-        for rel in rels:
-            d = None
-            for h, dg in zip(rel, gdegs):
-                if h:
-                    d = h.degree() + dg
-                    break
-            rel_degs.append(d)
-        tw_t = []
-        for d in rel_degs:
-            tw_t.extend(b + (d if d is not None else 0)
-                        for b in N.ambient.twists)
+        ntarget = len(rels) * namb
         # spanning vectors of ⊕_l N(-delta_l): iota_l(nu) over N's generators
         dom_vecs = []
         images = []
@@ -852,10 +793,8 @@ class HomModule:
                             t = (k * namb + i, m)
                             img[t] = field.add(img.get(t, 0), c)
                 images.append({t: c for t, c in img.items() if c})
-        F = curve.F
-        closing = [{(i, m): c for m, c in F.terms.items()}
-                   for i in range(len(tw_t))]
-        lift = LiftBasis(images, closing, max(len(tw_t), 1), field)
+        lift = LiftBasis(images, closing_relations(curve.F, ntarget),
+                         max(ntarget, 1), field)
         gens = []
         for syz in lift.syzygies():
             vec = {}
@@ -874,11 +813,6 @@ class HomModule:
             if vec:
                 gens.append(vec_to_polys(vec, amb.rank, field))
         return PresentedModule(curve, amb, gens)
-
-
-def hom_module(M: PresentedModule, N: PresentedModule) -> HomModule:
-    """Hom_R(M, N): module presentation plus the degree-0 piece as maps."""
-    return HomModule(M, N)
 
 
 def image_presentation(e: ModuleHom, M: PresentedModule) -> PresentedModule:

@@ -93,6 +93,19 @@ def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
     assert "not UTF-8 text (invalid start byte: byte 0xff)" in err
     assert "Traceback" not in err
 
+
+def test_candidate_zero_in_the_cone_is_an_input_error(tmp_path, capsys):
+    # F itself is nonzero in S but zero in R: an input error (exit 2),
+    # not a non-member verdict (exit 1)
+    text = FERMAT_CHECK.replace('"x*y*z"', '"x^3 + y^3 + z^3"')
+    assert _code_of(text) == E_CANDIDATE
+    f = tmp_path / "problem.tc"
+    f.write_text(text)
+    assert main(["check", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error [{E_CANDIDATE}]: candidate is a multiple of the "
+                   f"curve equation\n")
+
 F11_CHECK = """\
 char = 11
 cubic = "x^3 + y^3 + z^3"

@@ -12,7 +12,7 @@ import numpy as np
 from tcone.bundle import cohomology_dims, syzygy_bundle
 from tcone.closure import _ideal_piece_rows, tight_closure_member
 from tcone.field import embed, make_field
-from tcone.gradedmod import (GradedMap, TwistedFree, free_module, hom_module,
+from tcone.gradedmod import (GradedMap, HomModule, TwistedFree, free_module,
                              hom_space, syzygy_of_map)
 from tcone.linalg import rref
 from tcone.polyring import (CubicCurve, IdealData, buchberger,
@@ -58,7 +58,7 @@ def test_hom_module_presentation_matches_direct_solver(fermat5):
     M = syzygy_bundle(ideal_of(fermat5, "x^2", "y^2", "z^2"), 3).module
     N = syzygy_bundle(ideal_of(fermat5, "x^2", "y^2", "x^2"), 3).module
     for dom, cod in ((M, M), (M, N), (N, M)):
-        H = hom_module(dom, cod)
+        H = HomModule(dom, cod)
         for d in (0, 1):
             assert H.module.piece_dim(d) == len(hom_space(dom, cod, d))
 

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from tcone.closure import _ideal_piece_rows
 from tcone.field import make_field
-from tcone.gradedmod import (GradedMap, ModuleHom, PresentedModule,
+from tcone.gradedmod import (GradedMap, HomModule, ModuleHom, PieceFrame,
                              TwistedFree, buchberger_module, free_module,
-                             graded_piece_basis, hilbert_value, hom_module,
-                             hom_space, image_presentation, rank_and_degree,
-                             syzygy_of_map, vec_lt, vec_nf, vec_reducer, vkey)
-from tcone.polyring import (Polynomial, format_polynomial, mono_div,
-                            mono_divides, mono_mul, monomials_of_degree)
+                             hom_space, image_presentation, syzygy_of_map,
+                             vec_from_polys, vec_lt, vec_nf, vec_reducer, vkey)
+from tcone.linalg import as_matrix
+from tcone.polyring import (CubicCurve, Polynomial, format_polynomial,
+                            mono_deg, mono_div, mono_divides, mono_mul,
+                            monomials_of_degree)
 
-from .conftest import ideal_of, pp, random_primary_ideal, seeded
+from .conftest import (ideal_of, pp, random_homogeneous, random_primary_ideal,
+                       seeded)
 
 
 def syz_map(curve, gens_texts, m):
@@ -70,35 +73,35 @@ def test_graded_piece_examples(fermat5, F5):
     R = free_module(fermat5, [0])
     assert R.piece_dim(2) == 6
     assert R.piece_dim(0) == 1
-    basis0 = graded_piece_basis(R, 0)
+    basis0 = R.piece_basis(0)
     assert basis0 == [(Polynomial.constant(F5, 1),)]
     M = syzygy_of_map(syz_map(fermat5, ["x^2", "y^2", "z^2"], 3), fermat5)
-    basis = graded_piece_basis(M, 0)
+    basis = M.piece_basis(0)
     assert len(basis) == 1
     assert basis[0] == (pp("x", F5), pp("y", F5), pp("z", F5))
 
 
 def test_hilbert_examples(fermat5):
     R = free_module(fermat5, [0])
-    assert hilbert_value(R, 4) == 12
+    assert R.piece_dim(4) == 12
     Rm1 = free_module(fermat5, [-1])
-    assert hilbert_value(Rm1, 1) == 1
+    assert Rm1.piece_dim(1) == 1
     M = syzygy_of_map(syz_map(fermat5, ["x", "y"], 0), fermat5)
-    assert hilbert_value(M, 3) == 3
+    assert M.piece_dim(3) == 3
 
 
 def test_hilbert_matches_piece_basis(fermat5):
     M = syzygy_of_map(syz_map(fermat5, ["x^2", "y^2", "z^2"], 3), fermat5)
     for t in range(0, 5):
-        assert hilbert_value(M, t) == len(graded_piece_basis(M, t))
+        assert M.piece_dim(t) == len(M.piece_basis(t))
 
 
 def test_rank_and_degree_examples(fermat5):
     M = syzygy_of_map(syz_map(fermat5, ["x^2", "y^2", "z^2"], 3), fermat5)
-    assert rank_and_degree(M) == (2, 0)
+    assert M.rank_and_degree() == (2, 0)
     Mdup = syzygy_of_map(syz_map(fermat5, ["x^2", "y^2", "x^2"], 3), fermat5)
-    assert rank_and_degree(Mdup) == (2, 0)
-    assert rank_and_degree(free_module(fermat5, [-1])) == (1, -3)
+    assert Mdup.rank_and_degree() == (2, 0)
+    assert free_module(fermat5, [-1]).rank_and_degree() == (1, -3)
 
 
 def test_rank_and_degree_of_twisted_frees(fermat5):
@@ -106,7 +109,7 @@ def test_rank_and_degree_of_twisted_frees(fermat5):
     for _ in range(5):
         twists = [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))]
         F = free_module(fermat5, twists)
-        assert rank_and_degree(F) == (len(twists), 3 * sum(twists))
+        assert F.rank_and_degree() == (len(twists), 3 * sum(twists))
 
 
 def test_degree_formula_for_primary_ideals(fermat5):
@@ -118,7 +121,7 @@ def test_degree_formula_for_primary_ideals(fermat5):
             phi = GradedMap(TwistedFree([m - d for d in ideal.degrees]),
                             TwistedFree([m]), [list(ideal.gens)])
             M = syzygy_of_map(phi, fermat5)
-            rank, degree = rank_and_degree(M)
+            rank, degree = M.rank_and_degree()
             assert rank == n - 1
             assert degree == -3 * (sum(ideal.degrees) - (n - 1) * m)
 
@@ -126,22 +129,22 @@ def test_degree_formula_for_primary_ideals(fermat5):
 def test_hom_module_examples(fermat5, F5):
     Rm1 = free_module(fermat5, [-1])
     R = free_module(fermat5, [0])
-    H = hom_module(Rm1, R)
+    H = HomModule(Rm1, R)
     assert len(H.degree0) == 3
     images = sorted(format_polynomial(h.images[0][0]) for h in H.degree0)
     assert images == ["x", "y", "z"]
-    assert len(hom_module(R, Rm1).degree0) == 0
+    assert len(HomModule(R, Rm1).degree0) == 0
     M = syzygy_of_map(syz_map(fermat5, ["x^2", "y^2", "z^2"], 3), fermat5)
-    assert len(hom_module(M, M).degree0) == 2
+    assert len(HomModule(M, M).degree0) == 2
 
 
 def test_hom_module_module_part(fermat5):
     Rm1 = free_module(fermat5, [-1])
     R = free_module(fermat5, [0])
-    H = hom_module(Rm1, R)
+    H = HomModule(Rm1, R)
     assert H.module.rank_and_degree() == (1, 3)  # Hom(R(-1), R) = R(1)
     M = syzygy_of_map(syz_map(fermat5, ["x^2", "y^2", "z^2"], 3), fermat5)
-    HM = hom_module(M, M)
+    HM = HomModule(M, M)
     # degree-0 piece of the module presentation agrees with the hom basis
     assert HM.module.piece_dim(0) == len(HM.degree0)
 
@@ -199,14 +202,127 @@ def test_express_roundtrip(fermat5, F5):
         assert tuple(fermat5.nf(p) for p in back) == acc
 
 
-def test_cokernel_mode_pieces(fermat5, F5):
-    # R / (x, y) as a cokernel: Hilbert values 1, 1, 1 (the z-axis cone ring)
-    amb = TwistedFree([0])
-    rel = PresentedModule(fermat5, amb, [(pp("x", F5),), (pp("y", F5),)],
-                          mode=PresentedModule.COKERNEL)
-    assert rel.piece_dim(0) == 1
-    assert rel.piece_dim(1) == 1
-    assert rel.piece_dim(2) == 1
+# -- the graded-piece frame ---------------------------------------------------
+
+def _reference_coords(curve, twists, t, polys):
+    """Hand-built frame: offsets over the pieces R_(t + a), then one
+    `piece_index` lookup per term."""
+    offsets = []
+    total = 0
+    for a in twists:
+        offsets.append(total)
+        total += len(curve.piece_monomials(t + a))
+    row = np.zeros(total, dtype=np.int64)
+    for pos, poly in enumerate(polys):
+        if not poly:
+            continue
+        index = curve.piece_index(t + twists[pos])
+        for m, c in poly.terms.items():
+            row[offsets[pos] + index[m]] = c
+    return row
+
+
+def _reference_polys(curve, twists, t, row):
+    out = []
+    base = 0
+    for a in twists:
+        terms = {}
+        for i, m in enumerate(curve.piece_monomials(t + a)):
+            c = int(row[base + i])
+            if c:
+                terms[m] = c
+        base += len(curve.piece_monomials(t + a))
+        out.append(Polynomial(curve.field, terms))
+    return tuple(out)
+
+
+def _reference_multiples(curve, twists, t, vectors):
+    """nf(mu * v) for mu in R_(t - deg v), vector by vector, as a list."""
+    width = sum(len(curve.piece_monomials(t + a)) for a in twists)
+    rows = []
+    for v in vectors:
+        degs = {mono_deg(m) - twists[pos]
+                for (pos, m) in vec_from_polys(v)}
+        if not degs:
+            continue
+        (vdeg,) = degs
+        for mu in curve.piece_monomials(t - vdeg):
+            w = tuple(curve.nf(p.term_mul(mu, 1)) for p in v)
+            rows.append(_reference_coords(curve, twists, t, w))
+    return as_matrix(rows, width)
+
+
+def _random_piece_vector(curve, twists, degree, rng):
+    """Random vector of R-reduced components, some of them zero."""
+    field = curve.field
+    out = []
+    for a in twists:
+        terms = {}
+        if rng.random() < 0.7:
+            for m in curve.piece_monomials(degree + a):
+                if rng.random() < 0.5:
+                    terms[m] = rng.randrange(1, field.q)
+        out.append(Polynomial(field, terms))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (2, 2), (7, 4)])
+def test_piece_frame_matches_reference(p, k):
+    field = make_field(p, k)
+    curve = CubicCurve(pp("x^3 + y^3 + z^3", field), field)
+    rng = seeded(300 + p * 10 + k)
+    # negative and empty pieces (t + a < 0), one-monomial pieces (t + a = 0)
+    # and ordinary ones, side by side
+    cases = [((0,), 2), ((-2, 0, 1), 1), ((-3, -1), 2), ((1, -4, 0), 3),
+             ((-5,), 2)]
+    seen_rows = 0
+    for twists, t in cases:
+        frame = PieceFrame(curve, twists, t)
+        assert frame.width == sum(curve.piece_dim(t + a) for a in twists)
+        for _ in range(4):
+            v = _random_piece_vector(curve, twists, t, rng)
+            row = frame.coords(v)
+            assert np.array_equal(row, _reference_coords(curve, twists, t, v))
+            assert frame.polys(row) == v
+            assert frame.polys(row) == _reference_polys(curve, twists, t, row)
+        zero = tuple(Polynomial.zero(field) for _ in twists)
+        vectors = [zero]
+        for d in (t - 2, t - 1, t, t + 1):
+            vectors += [_random_piece_vector(curve, twists, d, rng)
+                        for _ in range(2)]
+        got = frame.multiples(vectors)
+        want = _reference_multiples(curve, twists, t, vectors)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        seen_rows += got.shape[0]
+    assert seen_rows > 20
+
+
+def _reference_ideal_piece_rows(curve, gens, D):
+    """One row per monomial multiple nf(mu * g) in R_D, built in a list."""
+    index = curve.piece_index(D)
+    rows = []
+    for g in gens:
+        for mu in curve.piece_monomials(D - g.degree()):
+            row = np.zeros(len(index), dtype=np.int64)
+            for mo, c in curve.nf(g.term_mul(mu, 1)).terms.items():
+                row[index[mo]] = c
+            rows.append(row)
+    return as_matrix(rows, len(index))
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (2, 2), (7, 4)])
+def test_ideal_piece_rows_match_reference(p, k):
+    field = make_field(p, k)
+    curve = CubicCurve(pp("x^3 + y^3 + z^3", field), field)
+    rng = seeded(400 + p * 10 + k)
+    gens = [pp("x^2", field), pp("x^2", field), pp("y*z + z^2", field),
+            pp("x^4", field)]
+    gens += [random_homogeneous(curve, rng.randint(1, 3), rng)
+             for _ in range(3)]
+    for D in (0, 1, 2, 3, 5):
+        got = _ideal_piece_rows(curve, gens, D)
+        assert np.array_equal(got, _reference_ideal_piece_rows(curve, gens, D))
 
 
 # -- reducers: vec_nf and buchberger_module ----------------------------------
