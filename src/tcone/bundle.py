@@ -244,19 +244,17 @@ def decompose_bundle(bundle: SyzygyBundle, ext_bound: int = 4,
     base_field = bundle.field
     ideal = bundle.ideal
     module = bundle.module
-    homs = None
-    rel_ext = 1
+    ea = None
 
     def build_over(ext):
-        """(ideal, module, homs, algebra) over the degree-ext extension."""
-        nonlocal homs
-        if homs is None:
+        """(ideal, module, homs, algebra, embed, radical) over the degree-ext
+        extension; at ext = 1 the radical is the one end_algebra stored."""
+        nonlocal ea
+        if ea is None:
             ea = end_algebra(bundle)
-            homs0, alg0 = ea.homs, ea.algebra
-            homs = (homs0, alg0)
-        homs0, alg0 = homs
+        homs0, alg0 = ea.homs, ea.algebra
         if ext == 1:
-            return ideal, module, homs0, alg0, (lambda c: c)
+            return ideal, module, homs0, alg0, (lambda c: c), ea.radical_rows
         K = make_field(base_field.p, base_field.k * ext)
         emb = lambda code: embed(base_field.from_code(code), K).code
         ideal2 = ideal.embedded(K, emb)
@@ -266,12 +264,11 @@ def decompose_bundle(bundle: SyzygyBundle, ext_bound: int = 4,
                             for img in h.images])
                  for h in homs0]
         alg2, _ = alg0.extend_scalars(K)
-        return ideal2, module2, homs2, alg2, emb
+        return ideal2, module2, homs2, alg2, emb, alg2.radical()
 
     rel_ext = max(1, min_extension)
     while True:
-        ideal_x, module_x, homs_x, alg_x, emb = build_over(rel_ext)
-        rad = alg_x.radical()
+        ideal_x, module_x, homs_x, alg_x, emb, rad = build_over(rel_ext)
         quot, proj, sect = alg_x.quotient(rad)
         if quot.radical().shape[0] != 0:
             raise ArithmeticError("quotient by the radical is not semisimple")
@@ -453,7 +450,8 @@ def primitive_idempotents(A: EndAlgebra, ext_bound: int = 4):
 def cohomology_dims(M: PresentedModule, j: int):
     """(h0, h1) of the sheaf of M twisted by j, by Riemann-Roch at genus 1.
 
-    h0 is the dimension of the degree-j piece; h1 follows from the Euler
+    h0 is the dimension of the degree-j piece, a leading-term count
+    (`PresentedModule.piece_dim`); h1 follows from the Euler
     characteristic degree + 3 * rank * j.
     """
     h0 = M.piece_dim(j)

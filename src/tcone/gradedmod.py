@@ -3,7 +3,9 @@
 Everything here lives over S = K[x,y,z] or R = S/(F): twisted free modules,
 homogeneous maps between them, submodules given by generators, and the
 sheaf-level invariants (graded pieces, Hilbert values, rank and degree)
-that the bundle layer consumes.
+that the bundle layer consumes.  Hilbert values are counts of leading
+monomials of the module Groebner basis (Macaulay's theorem), not matrix
+ranks.
 
 Module Groebner bases use the position-over-term extension of the fixed
 degrevlex order, with earlier positions dominant.  The central tool is an
@@ -488,6 +490,7 @@ class PresentedModule:
         self._lift = None
         self._frames = {}
         self._piece_cache = {}
+        self._leads = None
         self._rank_degree = None
         self._relations = None
 
@@ -552,8 +555,39 @@ class PresentedModule:
             self._piece_cache[t] = mat
         return mat
 
+    def _lead_table(self):
+        """Leading monomials of the preimage's Groebner basis, per position.
+
+        The preimage N of M in ⊕ S(a_i) is spanned by the generators and F
+        times the units; its reduced Groebner basis is `lift.block1_gb()`,
+        whose leading terms are those of the lift reducers in positions
+        below the coefficient block.  Read once and cached.
+        """
+        if self._leads is None:
+            leads = [[] for _ in self.ambient.twists]
+            for pos, lm, _, _ in self.lift.reducers:
+                if pos < self.ambient.rank:
+                    leads[pos].append(lm)
+            self._leads = tuple(tuple(ms) for ms in leads)
+        return self._leads
+
     def piece_dim(self, t: int) -> int:
-        return self.piece_matrix(t).shape[0]
+        """dim M_t, counted from leading terms (Macaulay's theorem).
+
+        dim M_t = Σ_i dim R_(t + a_i) − #(standard monomials of N of degree
+        t + a_i in position i).  F times each unit lies in N, so every
+        standard monomial is a basis monomial of R (`piece_monomials`), and
+        position i contributes the basis monomials of R_(t + a_i) that some
+        leading monomial in position i divides.  No matrix is built.
+        """
+        dim = 0
+        for a, leads in zip(self.ambient.twists, self._lead_table()):
+            for m in self.curve.piece_monomials(t + a):
+                for lm in leads:
+                    if mono_divides(lm, m):
+                        dim += 1
+                        break
+        return dim
 
     def piece_basis(self, t: int):
         """K-basis of the degree-t piece as ambient vectors of polynomials."""
@@ -567,12 +601,15 @@ class PresentedModule:
 
         Probes three consecutive degrees where dim M_t = 3*rank*t + degree
         must hold exactly; the starting point doubles once if linearity
-        fails, after which a failure is an error.
+        fails, after which a failure is an error.  The Hilbert values are
+        leading-term counts (`piece_dim`), so the probe fills no
+        `piece_matrix` cache.
         """
         if self._rank_degree is not None:
             return self._rank_degree
         degs = self.gen_degrees()
         base = (max(degs) if degs else 0) + self.ambient.rank + 3
+        seen = []
         for t0 in (base, 2 * base):
             h = [self.piece_dim(t0 + i) for i in range(3)]
             d1, d2 = h[1] - h[0], h[2] - h[1]
@@ -581,24 +618,26 @@ class PresentedModule:
                 degree = h[0] - 3 * rank * t0
                 self._rank_degree = (rank, degree)
                 return self._rank_degree
+            seen.append(f"{h} at t = {t0}..{t0 + 2}")
         raise ArithmeticError(
-            "Hilbert values are not linear at the probed degrees; "
-            "module is not the section module of a locally free sheaf")
+            "Hilbert values are not linear at the probed degrees "
+            f"({'; '.join(seen)}); module is not the section module of a "
+            "locally free sheaf")
 
     # -- base change ------------------------------------------------------------------
 
     def embedded(self, curve2: CubicCurve, embed_fn) -> "PresentedModule":
         """The same module after coefficient embedding into a larger field.
 
-        Generator vectors and cached Groebner data stay valid verbatim
-        because reduced Groebner bases are stable under base field
-        extension.
+        Generator vectors and the cached leading-term table stay valid
+        verbatim because reduced Groebner bases are stable under base field
+        extension; so do rank and degree.
         """
         vecs = [tuple(p.map_coefficients(curve2.field, embed_fn) for p in v)
                 for v in self.vectors]
         other = PresentedModule(curve2, self.ambient, vecs)
-        if self._rank_degree is not None:
-            other._rank_degree = self._rank_degree
+        other._leads = self._leads
+        other._rank_degree = self._rank_degree
         return other
 
     def __repr__(self):

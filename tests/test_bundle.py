@@ -273,3 +273,18 @@ def test_splitting_extension_occurs(F7):
         assert sum(s.degree for s in dec) == B.degree
     # not asserting seen_ext: whether an extension is needed depends on the
     # random draws; the loop exercises both paths across the suite
+
+
+def test_decomposition_reuses_end_algebra_radical(fermat5, monkeypatch):
+    """At ext = 1 the radical comes from end_algebra; the only other radical
+    is the semisimplicity check on the quotient."""
+    from tcone.algebra import FiniteAlgebra
+    calls = []
+    real = FiniteAlgebra.radical
+    monkeypatch.setattr(FiniteAlgebra, "radical",
+                        lambda self: calls.append(self.dim) or real(self))
+    B = syzygy_bundle(ideal_of(fermat5, "x^2", "y^2", "x^2"), 3)
+    dec = decompose_bundle(B)
+    assert dec.extension_degree == 1
+    assert dec.shape() == [(1, 3), (1, -3)]
+    assert calls == [8, 2]

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import tcone.gradedmod as gradedmod
+from tcone.bundle import decompose_bundle, forcing_data, syzygy_bundle
 from tcone.closure import _ideal_piece_rows
-from tcone.field import make_field
+from tcone.field import embed, make_field
 from tcone.gradedmod import (GradedMap, HomModule, ModuleHom, PieceFrame,
-                             TwistedFree, buchberger_module, free_module,
-                             hom_space, image_presentation, syzygy_of_map,
-                             vec_from_polys, vec_lt, vec_nf, vec_reducer, vkey)
+                             PresentedModule, TwistedFree, buchberger_module,
+                             free_module, hom_space, image_presentation,
+                             syzygy_of_map, vec_from_polys, vec_lt, vec_nf,
+                             vec_reducer, vkey)
 from tcone.linalg import as_matrix
 from tcone.polyring import (CubicCurve, Polynomial, format_polynomial,
                             mono_deg, mono_div, mono_divides, mono_mul,
@@ -470,3 +473,94 @@ def test_buchberger_module_with_closing_relations(fermat5, F5):
         shuffled = list(inputs)
         rng.shuffle(shuffled)
         assert buchberger_module(shuffled, F5) == basis
+
+
+# -- Hilbert values by leading-term counts --------------------------------------
+
+def _check_piece_dims(M):
+    """piece_dim(t) against the rank of piece_matrix(t), the row-reduction
+    reference, for t from -2 to max generator degree + rank + 6; returns
+    the number of degrees with a nonzero piece."""
+    degs = M.gen_degrees()
+    top = (max(degs) if degs else 0) + M.ambient.rank + 6
+    nonzero = 0
+    for t in range(-2, top + 1):
+        want = M.piece_matrix(t).shape[0]
+        assert M.piece_dim(t) == want, (M, t)
+        nonzero += want > 0
+    return nonzero
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (2, 2), (7, 4)])
+def test_piece_dim_counts_match_rref_reference(p, k):
+    field = make_field(p, k)
+    curve = CubicCurve(pp("x^3 + y^3 + z^3", field), field)
+    rng = seeded(500 + p * 10 + k)
+    modules = [PresentedModule(curve, TwistedFree([0, -1]), []),
+               free_module(curve, [-2, 0, 1])]
+    # random submodules of twisted frees, negative twists included, so some
+    # pieces R_(t + a) are empty
+    for twists in ((-2, 0, 1), (-3, -1), (0,), (1, -1, 0)):
+        vectors = [_random_piece_vector(curve, twists, rng.randint(0, 3), rng)
+                   for _ in range(rng.randint(1, 3))]
+        modules.append(PresentedModule(curve, TwistedFree(twists), vectors))
+    ideal = ideal_of(curve, "x^2", "y^2", "x^2 + x*y")
+    syz = syzygy_of_map(syz_map(curve, ["x^2", "y^2", "x^2 + x*y"], 3), curve)
+    modules.append(syz)
+    modules += [image_presentation(h, syz) for h in hom_space(syz, syz, 0)]
+    modules.append(forcing_data(ideal, pp("x*y*z", field)).syz_prime)
+    nonzero = sum(_check_piece_dims(M) for M in modules)
+    assert nonzero > 40
+
+
+def test_piece_dim_counts_on_acceptance_5_modules(fermat5):
+    """Every bundle, summand and enlarged syzygy module of the first 20
+    ideals of acceptance 5 counts the same Hilbert values as row reduction."""
+    rng = seeded(20260808)
+    cand_rng = seeded(5)
+    checked = 0
+    for _ in range(20):
+        ideal = random_primary_ideal(fermat5, rng, n_min=2, n_max=4, max_deg=3)
+        m = max(ideal.degrees) + 1
+        bundle = syzygy_bundle(ideal, m)
+        f0 = random_homogeneous(fermat5, m, cand_rng)
+        modules = [bundle.module, forcing_data(ideal, f0, bundle).syz_prime]
+        modules += [s.module for s in decompose_bundle(bundle)]
+        for M in modules:
+            _check_piece_dims(M)
+            checked += 1
+    assert checked >= 60
+
+
+def test_rank_and_degree_fills_no_piece_matrix(fermat5):
+    M = syzygy_of_map(syz_map(fermat5, ["x^2", "y^2", "z^2"], 3), fermat5)
+    assert M.rank_and_degree() == (2, 0)
+    assert M._piece_cache == {}
+
+
+def test_embedded_module_reuses_lead_table(fermat5, F5, monkeypatch):
+    M = syzygy_of_map(syz_map(fermat5, ["x^2", "y^2", "x^2"], 3), fermat5)
+    dims = [M.piece_dim(t) for t in range(-1, 8)]
+    F25 = make_field(5, 2)
+    emb = lambda code: embed(F5.from_code(code), F25).code
+    M2 = M.embedded(fermat5.embedded(F25, emb), emb)
+    calls = []
+    real = gradedmod.buchberger_module
+    monkeypatch.setattr(gradedmod, "buchberger_module",
+                        lambda *a: calls.append(1) or real(*a))
+    for t, want in zip(range(-1, 8), dims):
+        assert M2.piece_dim(t) == want == M2.piece_matrix(t).shape[0]
+    assert calls == []
+
+
+def test_nonlinear_hilbert_values_name_degrees(fermat5, monkeypatch):
+    M = syzygy_of_map(syz_map(fermat5, ["x^2", "y^2", "z^2"], 3), fermat5)
+    base = max(M.gen_degrees()) + M.ambient.rank + 3
+    monkeypatch.setattr(M, "piece_dim", lambda t: t * t)
+    with pytest.raises(ArithmeticError) as err:
+        M.rank_and_degree()
+    msg = str(err.value)
+    h = [t * t for t in range(base, base + 3)]
+    h2 = [t * t for t in range(2 * base, 2 * base + 3)]
+    assert f"{h} at t = {base}..{base + 2}" in msg
+    assert f"{h2} at t = {2 * base}..{2 * base + 2}" in msg
