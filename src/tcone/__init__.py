@@ -11,7 +11,7 @@ from .algebra import UndecidedError
 from .bundle import (Decomposition, EndAlgebra, ForcingData, Summand,
                      SyzygyBundle, cohomology_dims, component_class_vanishes,
                      decompose_bundle, end_algebra, forcing_data,
-                     primitive_idempotents, syzygy_bundle)
+                     syzygy_bundle)
 from .closure import (ClosureCertificate, ClosureIdeal, FrobeniusResult,
                       SlopeReport, frobenius_member, slope_and_threshold,
                       tight_closure_ideal, tight_closure_member)
@@ -22,7 +22,7 @@ from .gradedmod import (GradedMap, ModuleHom, PresentedModule, TwistedFree,
                         syzygy_of_map)
 from .polyring import (CubicCurve, IdealData, Polynomial,
                        PolynomialSyntaxError, buchberger, format_polynomial,
-                       hasse_invariant, hasse_invariant_of, ideal_membership,
+                       hasse_invariant_of, ideal_membership,
                        is_irrelevant_primary, is_smooth_cubic, normal_form,
                        parse_polynomial)
 
@@ -33,14 +33,13 @@ __all__ = [
     "embed",
     "Polynomial", "PolynomialSyntaxError", "parse_polynomial",
     "format_polynomial", "buchberger", "normal_form", "ideal_membership",
-    "is_smooth_cubic", "is_irrelevant_primary", "hasse_invariant",
-    "hasse_invariant_of", "CubicCurve", "IdealData",
+    "is_smooth_cubic", "is_irrelevant_primary", "hasse_invariant_of",
+    "CubicCurve", "IdealData",
     "TwistedFree", "GradedMap", "PresentedModule", "ModuleHom",
     "free_module", "syzygy_of_map", "hom_space", "image_presentation",
     "SyzygyBundle", "EndAlgebra", "Summand", "ForcingData", "Decomposition",
-    "syzygy_bundle", "end_algebra", "primitive_idempotents",
-    "decompose_bundle", "forcing_data", "component_class_vanishes",
-    "cohomology_dims",
+    "syzygy_bundle", "end_algebra", "decompose_bundle", "forcing_data",
+    "component_class_vanishes", "cohomology_dims",
     "ClosureCertificate", "SlopeReport", "FrobeniusResult", "ClosureIdeal",
     "tight_closure_member", "frobenius_member", "tight_closure_ideal",
     "slope_and_threshold",

@@ -33,12 +33,6 @@ def ustrip(a):
     return a
 
 
-def uadd(a, b, f):
-    n = max(len(a), len(b))
-    return ustrip([f.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-                   for i in range(n)])
-
-
 def usub(a, b, f):
     n = max(len(a), len(b))
     return ustrip([f.sub(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)

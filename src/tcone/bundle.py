@@ -21,10 +21,10 @@ from .algebra import (FiniteAlgebra, UndecidedError, lift_idempotents,
                       semisimple_primitive_idempotents)
 from .field import Field, embed, make_field
 from .gradedmod import (GradedMap, ModuleHom, PresentedModule, TwistedFree,
-                        hom_space, image_conditions, image_presentation,
-                        syzygy_of_map, vector_degree)
+                        combine_vectors, hom_space, image_conditions,
+                        image_presentation, syzygy_of_map, vector_degree)
 from .linalg import solve
-from .polyring import CubicCurve, IdealData, Polynomial
+from .polyring import IdealData, Polynomial
 
 
 class SyzygyBundle:
@@ -210,20 +210,11 @@ class Decomposition:
         return f"Decomposition({self.shape()}, over {self.field})"
 
 
-def _combine_hom(M: PresentedModule, homs, coords, field) -> ModuleHom:
+def _combine_hom(M: PresentedModule, homs, coords) -> ModuleHom:
     """Linear combination of endomorphisms given by algebra coordinates."""
-    images = []
-    for l in range(len(M.gens)):
-        img = [Polynomial.zero(field) for _ in range(M.ambient.rank)]
-        for c, h in zip(coords, homs):
-            c = int(c)
-            if not c:
-                continue
-            for i, p in enumerate(h.images[l]):
-                if p:
-                    img[i] = img[i] + p.scale(c)
-        images.append(tuple(M.curve.nf(p) for p in img))
-    return ModuleHom(M, M, images)
+    return ModuleHom(M, M, [combine_vectors(M, coords,
+                                            [h.images[l] for h in homs])
+                            for l in range(len(M.gens))])
 
 
 def decompose_bundle(bundle: SyzygyBundle, ext_bound: int = 4,
@@ -284,7 +275,7 @@ def decompose_bundle(bundle: SyzygyBundle, ext_bound: int = 4,
     field_x = ideal_x.curve.field
     summands = []
     for e in lifted:
-        ehom = _combine_hom(module_x, homs_x, e, field_x)
+        ehom = _combine_hom(module_x, homs_x, e)
         smod = image_presentation(ehom, module_x)
         r, d = smod.rank_and_degree()
         summands.append(Summand(ehom, smod, r, d))
@@ -305,24 +296,22 @@ def decompose_bundle(bundle: SyzygyBundle, ext_bound: int = 4,
 # ---------------------------------------------------------------------------
 
 class ForcingData:
-    """Candidate data: the enlarged syzygy module and the inclusion.
+    """Candidate data: the enlarged syzygy module and the bundle module.
 
     For a homogeneous candidate f0 of degree m, syz_prime is the module of
-    syzygies of (f0, f_1, ..., f_n) at total degree m, and the inclusion
-    embeds the syzygies of (f_1, ..., f_n) as those with vanishing first
-    coordinate.
+    syzygies of (f0, f_1, ..., f_n) at total degree m; it contains the
+    syzygies of (f_1, ..., f_n) (bundle_module) as those with vanishing
+    first coordinate.
     """
 
-    __slots__ = ("ideal", "f0", "m", "syz_prime", "inclusion", "bundle_module")
+    __slots__ = ("ideal", "f0", "m", "syz_prime", "bundle_module")
 
     def __init__(self, ideal: IdealData, f0: Polynomial, m: int,
-                 syz_prime: PresentedModule, inclusion: GradedMap,
-                 bundle_module: PresentedModule):
+                 syz_prime: PresentedModule, bundle_module: PresentedModule):
         self.ideal = ideal
         self.f0 = f0
         self.m = m
         self.syz_prime = syz_prime
-        self.inclusion = inclusion
         self.bundle_module = bundle_module
 
     @property
@@ -335,10 +324,7 @@ class ForcingData:
         f02 = self.f0.map_coefficients(target_field, embed_code)
         syz2 = self.syz_prime.embedded(curve2, embed_code)
         bm2 = self.bundle_module.embedded(curve2, embed_code)
-        inc2 = GradedMap(self.inclusion.source, self.inclusion.target,
-                         [[p.map_coefficients(target_field, embed_code)
-                           for p in row] for row in self.inclusion.matrix])
-        return ForcingData(ideal2, f02, self.m, syz2, inc2, bm2)
+        return ForcingData(ideal2, f02, self.m, syz2, bm2)
 
     def __repr__(self):
         return f"ForcingData(f0={self.f0!r}, m={self.m})"
@@ -346,7 +332,7 @@ class ForcingData:
 
 def forcing_data(ideal: IdealData, f0: Polynomial,
                  bundle: SyzygyBundle | None = None) -> ForcingData:
-    """Syzygies of (f0, f_1, ..., f_n) with the canonical inclusion."""
+    """Syzygies of (f0, f_1, ..., f_n), with the bundle of (f_1, ..., f_n)."""
     if f0.is_zero():
         raise ValueError("candidate must be nonzero")
     if not f0.is_homogeneous():
@@ -369,14 +355,7 @@ def forcing_data(ideal: IdealData, f0: Polynomial,
     else:
         if bundle.m != m or bundle.ideal is not ideal:
             raise ValueError("bundle does not match the candidate degree")
-    zero = Polynomial.zero(curve.field)
-    one = Polynomial.constant(curve.field, 1)
-    amb = bundle.module.ambient
-    rows = [[zero] * amb.rank]
-    for i in range(amb.rank):
-        rows.append([one if j == i else zero for j in range(amb.rank)])
-    inclusion = GradedMap(amb, source, rows)
-    return ForcingData(ideal, f0, m, syz_prime, inclusion, bundle.module)
+    return ForcingData(ideal, f0, m, syz_prime, bundle.module)
 
 
 def component_class_vanishes(forcing: ForcingData, summand: Summand) -> bool:
@@ -434,17 +413,6 @@ def component_class_vanishes(forcing: ForcingData, summand: Summand) -> bool:
 
 def _embed_code_fn(source: Field, target: Field):
     return lambda code: embed(source.from_code(code), target).code
-
-
-def primitive_idempotents(A: EndAlgebra, ext_bound: int = 4):
-    """Complete orthogonal primitive idempotent system of the End algebra.
-
-    Returns the idempotents as endomorphisms by delegating to the
-    decomposition driver; they are defined over the splitting field, which
-    is the field of the returned projections.  A is not modified.
-    """
-    dec = decompose_bundle(A.bundle, ext_bound=ext_bound)
-    return [s.projection for s in dec.summands]
 
 
 def cohomology_dims(M: PresentedModule, j: int):

@@ -236,23 +236,23 @@ def _ceil_fraction(x: Fraction) -> int:
 _LINE_LIMIT = 100_000
 
 
-def _criterion_piece(ideal: IdealData, m: int, ext_bound: int):
+def _criterion_piece(ideal: IdealData, m: int, ext_bound: int,
+                     ideal_span: SpanBasis) -> SpanBasis:
     """Degree-m piece of the tight closure in the criterion window.
 
-    The piece is a subspace of R_m containing the ideal piece; it is
-    reconstructed exactly by testing one representative of every line of
-    the quotient space with the summand criterion (reusing one bundle
-    decomposition for the whole degree).
+    The piece is a subspace of R_m containing the ideal piece (ideal_span,
+    left unchanged); it is reconstructed exactly by testing one
+    representative of every line of the quotient space with the summand
+    criterion (reusing one bundle decomposition for the whole degree).
     """
     curve = ideal.curve
     field = curve.field
     frame = PieceFrame(curve, (0,), m)
     width = frame.width
-    ideal_span = _ideal_piece_span(curve, list(ideal.gens), m)
     free_cols = [c for c in range(width) if c not in ideal_span.pivots]
     t = len(free_cols)
     if t == 0:
-        return ideal_span, []
+        return ideal_span
     q = field.q
     n_lines = (q ** t - 1) // (q - 1)
     if n_lines > _LINE_LIMIT:
@@ -265,7 +265,6 @@ def _criterion_piece(ideal: IdealData, m: int, ext_bound: int):
     closure_span = SpanBasis(width, field)
     for row in ideal_span.rows:
         closure_span.add(row.copy())
-    members = []
     # canonical line representatives: leading coordinate 1
     for lead in range(t):
         tail = t - lead - 1
@@ -277,16 +276,13 @@ def _criterion_piece(ideal: IdealData, m: int, ext_bound: int):
                 c //= q
             vec = np.zeros(width, dtype=np.int64)
             vec[free_cols] = coeffs
-            cand = frame.polys(vec)[0]
             if closure_span.contains(vec):
                 # already known to be in the closure piece
-                members.append(cand)
                 continue
-            fd = forcing_data(ideal, cand, bundle)
+            fd = forcing_data(ideal, frame.polys(vec)[0], bundle)
             if all(component_class_vanishes(fd, s) for s in negatives):
-                members.append(cand)
                 closure_span.add(vec)
-    return closure_span, members
+    return closure_span
 
 
 def tight_closure_ideal(ideal: IdealData, ext_bound: int = 4) -> ClosureIdeal:
@@ -314,8 +310,7 @@ def tight_closure_ideal(ideal: IdealData, ext_bound: int = 4) -> ClosureIdeal:
             rows = ideal_span.matrix()
         else:
             regime = "criterion"
-            span, _ = _criterion_piece(ideal, m, ext_bound)
-            rows = span.matrix()
+            rows = _criterion_piece(ideal, m, ext_bound, ideal_span).matrix()
         piece_rows[m] = rows
         per_degree.append(DegreeRegime(m, regime, ideal_span.dim,
                                        rows.shape[0]))

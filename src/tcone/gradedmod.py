@@ -7,11 +7,12 @@ that the bundle layer consumes.  Hilbert values are counts of leading
 monomials of the module Groebner basis (Macaulay's theorem), not matrix
 ranks.
 
-Module Groebner bases use the position-over-term extension of the fixed
-degrevlex order, with earlier positions dominant.  The central tool is an
-augmented basis ("lift basis") for a generator list: one elimination
-computation yields membership tests, expressions of elements in terms of
-the generators, and the full syzygy module of the generators.
+Module Groebner bases come from the one engine in `tcone.polyring`
+(`buchberger_module`, `vec_nf`), in the position-over-term extension of
+the fixed degrevlex order, with earlier positions dominant.  The central
+tool is an augmented basis ("lift basis") for a generator list: one
+elimination computation yields membership tests, expressions of elements
+in terms of the generators, and the full syzygy module of the generators.
 
 Every graded piece is linear algebra in one coordinate frame, `PieceFrame`:
 the degree-t piece of ⊕ R(a_i) with the monomial bases of the R_(t + a_i)
@@ -20,13 +21,12 @@ side by side.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from .linalg import SpanBasis, nullspace, rref
-from .polyring import (CubicCurve, Polynomial, grevlex_key, mono_deg,
-                       mono_div, mono_divides, mono_lcm, mono_mul)
+from .polyring import (CubicCurve, Polynomial, buchberger_module,
+                       mono_divides, mono_mul, vec_lt, vec_nf, vec_reducer,
+                       vkey)
 
 
 class TwistedFree:
@@ -55,11 +55,6 @@ class TwistedFree:
 # module vectors: dict {(position, monomial): coefficient code}
 # ---------------------------------------------------------------------------
 
-def vkey(term):
-    pos, mono = term
-    return (-pos, grevlex_key(mono))
-
-
 def vec_from_polys(polys):
     out = {}
     for pos, poly in enumerate(polys):
@@ -75,36 +70,6 @@ def vec_to_polys(vec, npos, field):
     for (pos, m), c in vec.items():
         polys[pos][m] = c
     return tuple(Polynomial(field, t) for t in polys)
-
-
-def vec_sub(a, b, field):
-    res = dict(a)
-    for t, c in b.items():
-        s = field.sub(res.get(t, 0), c)
-        if s:
-            res[t] = s
-        else:
-            res.pop(t, None)
-    return res
-
-
-def vec_scale(a, code, field):
-    if code == 0:
-        return {}
-    if code == 1:
-        return dict(a)
-    return {t: field.mul(c, code) for t, c in a.items()}
-
-
-def vec_term_mul(a, mono, code, field):
-    if code == 0:
-        return {}
-    return {(pos, mono_mul(m, mono)): field.mul(c, code)
-            for (pos, m), c in a.items()}
-
-
-def vec_lt(a):
-    return max(a, key=vkey) if a else None
 
 
 def vector_degree(polys, twists):
@@ -123,134 +88,6 @@ def vector_degree(polys, twists):
 def closing_relations(F, rank):
     """F times each unit vector of a free module of the given rank."""
     return [{(i, m): c for m, c in F.terms.items()} for i in range(rank)]
-
-
-def vec_reducer(g, field):
-    """A nonzero vector compiled for reduction: (pos, lm, inv_lc, tail).
-
-    (pos, lm) is the leading term, inv_lc the inverse of its coefficient
-    and tail the remaining terms as (pos, mono, coeff) in g's own order.
-    """
-    pos, lm = vec_lt(g)
-    tail = tuple((p, m, c) for (p, m), c in g.items() if p != pos or m != lm)
-    return pos, lm, field.inv(g[(pos, lm)]), tail
-
-
-def vec_nf(vec, reducers, field):
-    """Full reduction of a module vector by a list of reducers (vec_reducer).
-
-    Terms are popped from a heap in descending vkey order; each is reduced
-    by the first reducer in list order with the same position whose leading
-    monomial divides it, or else moved to the remainder.  Contributions
-    land only on smaller terms, so each term is handled once and the
-    remainder's keys come out in descending order.
-    """
-    work = dict(vec)
-    heap = [(pos, -mono_deg(m), m[2], m[1], m) for pos, m in work]
-    heapq.heapify(heap)
-    remainder = {}
-    while heap:
-        pos, _, _, _, m = heapq.heappop(heap)
-        c = work.pop((pos, m), 0)
-        if not c:
-            continue
-        for rpos, lm, inv_lc, tail in reducers:
-            if rpos == pos and mono_divides(lm, m):
-                break
-        else:
-            remainder[(pos, m)] = c
-            continue
-        factor = field.mul(c, inv_lc)
-        shift = mono_div(m, lm)
-        for gpos, gm, gc in tail:
-            mm = mono_mul(gm, shift)
-            tt = (gpos, mm)
-            prev = work.get(tt, 0)
-            s = field.sub(prev, field.mul(factor, gc))
-            if s:
-                if not prev:
-                    heapq.heappush(heap,
-                                   (gpos, -mono_deg(mm), mm[2], mm[1], mm))
-                work[tt] = s
-            elif prev:
-                del work[tt]
-    return remainder
-
-
-def vec_monic(vec, field):
-    t = vec_lt(vec)
-    if t is None:
-        return vec
-    lc = vec[t]
-    if lc == 1:
-        return vec
-    return vec_scale(vec, field.inv(lc), field)
-
-
-def buchberger_module(vectors, field):
-    """Reduced module Groebner basis, position-over-term degrevlex.
-
-    The result is monic, inter-reduced and sorted by ascending vkey of the
-    leading term.  Each basis vector is compiled into a reducer once, when
-    it joins the basis; `reducers` stays index-aligned with `basis`.
-    No pair-skipping criteria beyond equal leading position: the product
-    criterion is not valid for modules.
-    """
-    basis = [vec_monic(v, field) for v in vectors if v]
-    basis.sort(key=lambda v: vkey(vec_lt(v)), reverse=True)
-    # drop exact duplicates
-    seen = set()
-    uniq = []
-    for v in basis:
-        key = tuple(sorted(v.items()))
-        if key not in seen:
-            seen.add(key)
-            uniq.append(v)
-    basis = uniq
-    reducers = [vec_reducer(g, field) for g in basis]
-    pairs = []
-
-    def push_pairs(k):
-        pk, mk = reducers[k][:2]
-        for i in range(k):
-            pi, mi = reducers[i][:2]
-            if pi == pk:
-                heapq.heappush(pairs, (mono_deg(mono_lcm(mi, mk)), i, k))
-
-    for k in range(1, len(basis)):
-        push_pairs(k)
-    while pairs:
-        _, i, j = heapq.heappop(pairs)
-        gi, gj = basis[i], basis[j]
-        _, mi, inv_i, _ = reducers[i]
-        _, mj, inv_j, _ = reducers[j]
-        l = mono_lcm(mi, mj)
-        s = vec_sub(vec_term_mul(gi, mono_div(l, mi), inv_i, field),
-                    vec_term_mul(gj, mono_div(l, mj), inv_j, field),
-                    field)
-        r = vec_nf(s, reducers, field)
-        if r:
-            basis.append(vec_monic(r, field))
-            reducers.append(vec_reducer(basis[-1], field))
-            push_pairs(len(basis) - 1)
-    # full inter-reduction
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        out_red = []
-        for i, g in enumerate(basis):
-            r = vec_nf(g, out_red + reducers[i + 1:], field)
-            same = r == g
-            if not same:
-                changed = True
-            if r:
-                out.append(vec_monic(r, field))
-                out_red.append(reducers[i] if same
-                               else vec_reducer(out[-1], field))
-        basis, reducers = out, out_red
-    basis.sort(key=lambda v: vkey(vec_lt(v)))
-    return basis
 
 
 class LiftBasis:
@@ -732,6 +569,22 @@ def image_conditions(N: PresentedModule, coeffs, blocks, t: int) -> np.ndarray:
     return cols
 
 
+def combine_vectors(N: PresentedModule, coeffs, vectors):
+    """nf(Σ_k coeffs[k] · vectors[k]) for vectors of N's ambient module.
+
+    Coefficients are field codes; the sum is taken position by position in
+    the order of the vectors, and each position is then reduced modulo F.
+    """
+    acc = [Polynomial.zero(N.field) for _ in range(N.ambient.rank)]
+    for c, vec in zip(coeffs, vectors):
+        c = int(c)
+        if c:
+            for i, p in enumerate(vec):
+                if p:
+                    acc[i] = acc[i] + p.scale(c)
+    return tuple(N.curve.nf(p) for p in acc)
+
+
 def hom_space(M: PresentedModule, N: PresentedModule, degree: int = 0):
     """K-basis of the degree-d homomorphisms M -> N.
 
@@ -756,20 +609,13 @@ def hom_space(M: PresentedModule, N: PresentedModule, degree: int = 0):
         if rel_deg is not None:
             conditions.append(image_conditions(N, rel, blocks,
                                                rel_deg + degree))
-    sols = nullspace(np.concatenate(conditions), field)
     homs = []
-    for sol in sols:
-        coeffs = iter(sol)
+    for sol in nullspace(np.concatenate(conditions), field):
         images = []
+        j = 0
         for block in blocks:
-            img = [Polynomial.zero(field) for _ in range(N.ambient.rank)]
-            for vec in block:
-                c = int(next(coeffs))
-                if c:
-                    for i, p in enumerate(vec):
-                        if p:
-                            img[i] = img[i] + p.scale(c)
-            images.append(tuple(N.curve.nf(p) for p in img))
+            images.append(combine_vectors(N, sol[j:j + len(block)], block))
+            j += len(block)
         homs.append(ModuleHom(M, N, images, degree))
     return homs
 

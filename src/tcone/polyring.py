@@ -5,6 +5,10 @@ lexicographic with x > y > z.  Every Groebner basis, normal form and
 certificate is taken with respect to this one order, which keeps all
 outputs bit-reproducible.
 
+It also holds the library's one Groebner engine, for vectors of a free
+module over K[x, y, z] (`buchberger_module`, `vec_nf`); `buchberger` and
+`normal_form` run polynomial ideals through it at rank 1.
+
 Alongside the ring arithmetic this module carries the curve-level checks:
 smoothness of a plane cubic, the irrelevant-primary test for ideals in the
 cone, and the Hasse invariant (supersingularity) of the curve.
@@ -13,7 +17,6 @@ cone, and the Hasse invariant (supersingularity) of the curve.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from itertools import chain
 
 from .field import Field, FieldElem, FieldError
@@ -398,105 +401,207 @@ def format_polynomial(poly: Polynomial) -> str:
 # division and Buchberger
 # ---------------------------------------------------------------------------
 
-def normal_form(f: Polynomial, basis) -> Polynomial:
-    """Unique remainder of f on division by a (Groebner) basis.
+# Module vectors are dicts {(position, monomial): coefficient code}, ordered
+# position-over-term: earlier positions dominate, then degrevlex.  This is
+# the one Groebner engine of the library; a polynomial is the vector with
+# its terms at position 0, so ideals run through it at rank 1.
 
-    Reduces every term, always choosing the first reducer in the given
-    ordering, so the result is deterministic; for a reduced Groebner basis
-    it is the canonical normal form.
+def vkey(term):
+    pos, mono = term
+    return (-pos, grevlex_key(mono))
+
+
+def vec_sub(a, b, field):
+    res = dict(a)
+    for t, c in b.items():
+        s = field.sub(res.get(t, 0), c)
+        if s:
+            res[t] = s
+        else:
+            res.pop(t, None)
+    return res
+
+
+def vec_scale(a, code, field):
+    if code == 0:
+        return {}
+    if code == 1:
+        return dict(a)
+    return {t: field.mul(c, code) for t, c in a.items()}
+
+
+def vec_term_mul(a, mono, code, field):
+    if code == 0:
+        return {}
+    return {(pos, mono_mul(m, mono)): field.mul(c, code)
+            for (pos, m), c in a.items()}
+
+
+def vec_lt(a):
+    return max(a, key=vkey) if a else None
+
+
+def vec_monic(vec, field):
+    t = vec_lt(vec)
+    if t is None:
+        return vec
+    lc = vec[t]
+    if lc == 1:
+        return vec
+    return vec_scale(vec, field.inv(lc), field)
+
+
+def vec_reducer(g, field):
+    """A nonzero vector compiled for reduction: (pos, lm, inv_lc, tail).
+
+    (pos, lm) is the leading term, inv_lc the inverse of its coefficient
+    and tail the remaining terms as (pos, mono, coeff) in g's own order.
     """
-    field = f.field
-    reducers = [(g.leading_monomial(), g.leading_coeff_code(), g)
-                for g in basis if g]
-    work = dict(f.terms)
+    pos, lm = vec_lt(g)
+    tail = tuple((p, m, c) for (p, m), c in g.items() if p != pos or m != lm)
+    return pos, lm, field.inv(g[(pos, lm)]), tail
+
+
+def vec_nf(vec, reducers, field):
+    """Full reduction of a module vector by a list of reducers (vec_reducer).
+
+    Terms are popped from a heap in descending vkey order; each is reduced
+    by the first reducer in list order with the same position whose leading
+    monomial divides it, or else moved to the remainder.  Contributions
+    land only on smaller terms, so each term is handled once and the
+    remainder's keys come out in descending order.
+    """
+    work = dict(vec)
+    heap = [(pos, -mono_deg(m), m[2], m[1], m) for pos, m in work]
+    heapq.heapify(heap)
     remainder = {}
-    while work:
-        m = max(work, key=grevlex_key)
-        c = work.pop(m)
-        hit = None
-        for lm, lc, g in reducers:
-            if mono_divides(lm, m):
-                hit = (lm, lc, g)
-                break
-        if hit is None:
-            remainder[m] = c
+    while heap:
+        pos, _, _, _, m = heapq.heappop(heap)
+        c = work.pop((pos, m), 0)
+        if not c:
             continue
-        lm, lc, g = hit
-        factor = field.mul(c, field.inv(lc))
+        for rpos, lm, inv_lc, tail in reducers:
+            if rpos == pos and mono_divides(lm, m):
+                break
+        else:
+            remainder[(pos, m)] = c
+            continue
+        factor = field.mul(c, inv_lc)
         shift = mono_div(m, lm)
-        for gm, gc in g.terms.items():
+        for gpos, gm, gc in tail:
             mm = mono_mul(gm, shift)
-            s = field.sub(work.get(mm, 0), field.mul(factor, gc))
-            if mm == m:
-                continue
+            tt = (gpos, mm)
+            prev = work.get(tt, 0)
+            s = field.sub(prev, field.mul(factor, gc))
             if s:
-                work[mm] = s
-            else:
-                work.pop(mm, None)
-    return Polynomial(field, remainder)
+                if not prev:
+                    heapq.heappush(heap,
+                                   (gpos, -mono_deg(mm), mm[2], mm[1], mm))
+                work[tt] = s
+            elif prev:
+                del work[tt]
+    return remainder
 
 
-def _s_poly(f, g):
-    field = f.field
-    lf, lg = f.leading_monomial(), g.leading_monomial()
-    l = mono_lcm(lf, lg)
-    cf = field.inv(f.leading_coeff_code())
-    cg = field.inv(g.leading_coeff_code())
-    return f.term_mul(mono_div(l, lf), cf) - g.term_mul(mono_div(l, lg), cg)
+def buchberger_module(vectors, field):
+    """Reduced module Groebner basis, position-over-term degrevlex.
 
+    The result is monic, inter-reduced and sorted by ascending vkey of the
+    leading term.  Each basis vector is compiled into a reducer once, when
+    it joins the basis; `reducers` stays index-aligned with `basis`.
+    Pairs are selected by lowest lcm degree; no pair-skipping criteria
+    beyond equal leading position: the product criterion is not valid for
+    modules.
+    """
+    basis = [vec_monic(v, field) for v in vectors if v]
+    basis.sort(key=lambda v: vkey(vec_lt(v)), reverse=True)
+    # drop exact duplicates
+    seen = set()
+    uniq = []
+    for v in basis:
+        key = tuple(sorted(v.items()))
+        if key not in seen:
+            seen.add(key)
+            uniq.append(v)
+    basis = uniq
+    reducers = [vec_reducer(g, field) for g in basis]
+    pairs = []
 
-def _interreduce(basis):
-    basis = [g.monic() for g in basis if g]
+    def push_pairs(k):
+        pk, mk = reducers[k][:2]
+        for i in range(k):
+            pi, mi = reducers[i][:2]
+            if pi == pk:
+                heapq.heappush(pairs, (mono_deg(mono_lcm(mi, mk)), i, k))
+
+    for k in range(1, len(basis)):
+        push_pairs(k)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        gi, gj = basis[i], basis[j]
+        _, mi, inv_i, _ = reducers[i]
+        _, mj, inv_j, _ = reducers[j]
+        l = mono_lcm(mi, mj)
+        s = vec_sub(vec_term_mul(gi, mono_div(l, mi), inv_i, field),
+                    vec_term_mul(gj, mono_div(l, mj), inv_j, field),
+                    field)
+        r = vec_nf(s, reducers, field)
+        if r:
+            basis.append(vec_monic(r, field))
+            reducers.append(vec_reducer(basis[-1], field))
+            push_pairs(len(basis) - 1)
+    # full inter-reduction
     changed = True
     while changed:
         changed = False
         out = []
+        out_red = []
         for i, g in enumerate(basis):
-            others = out + basis[i + 1:]
-            r = normal_form(g, others)
-            if r.terms != g.terms:
+            r = vec_nf(g, out_red + reducers[i + 1:], field)
+            same = r == g
+            if not same:
                 changed = True
             if r:
-                out.append(r.monic())
-        basis = out
-    basis.sort(key=lambda g: grevlex_key(g.leading_monomial()))
+                out.append(vec_monic(r, field))
+                out_red.append(reducers[i] if same
+                               else vec_reducer(out[-1], field))
+        basis, reducers = out, out_red
+    basis.sort(key=lambda v: vkey(vec_lt(v)))
     return basis
 
 
-def buchberger(gens) -> list:
-    """The reduced Groebner basis, degrevlex x > y > z.
+def _rank1(f: Polynomial):
+    return {(0, m): c for m, c in f.terms.items()}
 
-    Normal selection by lowest lcm degree (sugar for homogeneous input),
-    the coprimality criterion for pair skipping, and full inter-reduction
-    at the end.  Output is monic and sorted by descending leading monomial.
+
+def _from_rank1(vec, field) -> Polynomial:
+    return Polynomial(field, {m: c for (_, m), c in vec.items()})
+
+
+def normal_form(f: Polynomial, basis) -> Polynomial:
+    """Unique remainder of f on division by a (Groebner) basis.
+
+    `vec_nf` at rank 1: every term is reduced by the first reducer in the
+    given ordering, so the result is deterministic; for a reduced Groebner
+    basis it is the canonical normal form.
     """
-    basis = [g.monic() for g in gens if g]
-    basis.sort(key=lambda g: grevlex_key(g.leading_monomial()), reverse=True)
-    if not basis:
+    field = f.field
+    reducers = [vec_reducer(_rank1(g), field) for g in basis if g]
+    return _from_rank1(vec_nf(_rank1(f), reducers, field), field)
+
+
+def buchberger(gens) -> list:
+    """The reduced Groebner basis of the ideal, degrevlex x > y > z.
+
+    `buchberger_module` at rank 1.  The output is monic and sorted by
+    ascending leading monomial.
+    """
+    gens = [g for g in gens if g]
+    if not gens:
         return []
-    pairs = []
-
-    def push_pairs(k):
-        for i in range(k):
-            lf = basis[i].leading_monomial()
-            lg = basis[k].leading_monomial()
-            l = mono_lcm(lf, lg)
-            if l == mono_mul(lf, lg):  # coprime leading monomials
-                continue
-            pairs.append((mono_deg(l), i, k))
-
-    for k in range(1, len(basis)):
-        push_pairs(k)
-    pairs.sort()
-    while pairs:
-        _, i, j = pairs.pop(0)
-        s = _s_poly(basis[i], basis[j])
-        r = normal_form(s, basis)
-        if r:
-            basis.append(r.monic())
-            push_pairs(len(basis) - 1)
-            pairs.sort()
-    return _interreduce(basis)
+    field = gens[0].field
+    return [_from_rank1(v, field)
+            for v in buchberger_module([_rank1(g) for g in gens], field)]
 
 
 def ideal_contains_variable_powers(gb) -> bool:
@@ -538,20 +643,14 @@ def hasse_invariant_of(F: Polynomial, field: Field):
     return FieldElem(field, power.terms.get((e, e, e), 0))
 
 
-def hasse_invariant(curve: "CubicCurve"):
-    """(Hasse invariant, supersingular flag) of a smooth plane cubic."""
-    return curve.hasse, curve.supersingular
-
-
 class CubicCurve:
     """A smooth plane cubic over a finite field, with its cone R = S/(F).
 
-    Carries the reduced Groebner basis of (F) (just the monic F), F as a
-    reducer (lt(F) and the negated tail, for `nf`) and caches the monomial
-    bases of the graded pieces of R.
+    Carries the monic F as a reducer (lt(F) and the negated tail, for `nf`)
+    and caches the monomial bases of the graded pieces of R.
     """
 
-    __slots__ = ("F", "field", "gb", "_reducer", "_hasse", "_piece_cache",
+    __slots__ = ("F", "field", "_reducer", "_hasse", "_piece_cache",
                  "_index_cache")
 
     def __init__(self, F: Polynomial, field: Field, check_smooth: bool = True):
@@ -563,7 +662,6 @@ class CubicCurve:
             raise ValueError("cubic is singular")
         self.F = F.monic()
         self.field = field
-        self.gb = (self.F,)
         lt = self.F.leading_monomial()
         self._reducer = (lt, tuple((m, field.neg(c)) for m, c
                                    in self.F.terms.items() if m != lt))
@@ -708,14 +806,19 @@ class IdealData:
             if g.degree() < 1:
                 raise ValueError("generators must have positive degree")
             degrees.append(g.degree())
-        if check_primary and not is_irrelevant_primary(gens, curve.F):
-            raise ValueError("ideal is not primary to the irrelevant ideal")
+        gb = None
+        if check_primary:
+            # the basis of (gens, F) is the ideal's `gb`: same ideal as
+            # (nf(gens), F), and a reduced basis is unique
+            gb = tuple(buchberger(gens + [curve.F]))
+            if not ideal_contains_variable_powers(gb):
+                raise ValueError("ideal is not primary to the irrelevant ideal")
         self.curve = curve
         self.gens = tuple(curve.nf(g) for g in gens)
         if any(g.is_zero() for g in self.gens):
             raise ValueError("generator is a multiple of the curve equation")
         self.degrees = tuple(degrees)
-        self._gb = None
+        self._gb = gb
 
     @property
     def n(self):

@@ -3,8 +3,7 @@ import pytest
 
 from tcone.bundle import (SyzygyBundle, cohomology_dims,
                           component_class_vanishes, decompose_bundle,
-                          end_algebra, forcing_data, primitive_idempotents,
-                          syzygy_bundle)
+                          end_algebra, forcing_data, syzygy_bundle)
 from tcone.field import make_field
 from tcone.gradedmod import ModuleHom, free_module, hom_space
 from tcone.linalg import as_matrix, solve
@@ -34,12 +33,12 @@ def test_end_algebra_dimensions(fermat5):
 
 
 def test_primitive_idempotents_counts(fermat5):
-    A1 = end_algebra(syzygy_bundle(ideal_of(fermat5, "x", "y"), 2))
-    assert len(primitive_idempotents(A1)) == 1
-    A2 = end_algebra(syzygy_bundle(ideal_of(fermat5, "x^2", "y^2", "z^2"), 3))
-    assert len(primitive_idempotents(A2)) == 1
-    A3 = end_algebra(syzygy_bundle(ideal_of(fermat5, "x^2", "y^2", "x^2"), 3))
-    assert len(primitive_idempotents(A3)) == 2
+    B1 = syzygy_bundle(ideal_of(fermat5, "x", "y"), 2)
+    assert len(decompose_bundle(B1)) == 1
+    B2 = syzygy_bundle(ideal_of(fermat5, "x^2", "y^2", "z^2"), 3)
+    assert len(decompose_bundle(B2)) == 1
+    B3 = syzygy_bundle(ideal_of(fermat5, "x^2", "y^2", "x^2"), 3)
+    assert len(decompose_bundle(B3)) == 2
 
 
 def test_decompose_examples(fermat5):
