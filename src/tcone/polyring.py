@@ -6,8 +6,9 @@ certificate is taken with respect to this one order, which keeps all
 outputs bit-reproducible.
 
 It also holds the library's one Groebner engine, for vectors of a free
-module over K[x, y, z] (`buchberger_module`, `vec_nf`); `buchberger` and
-`normal_form` run polynomial ideals through it at rank 1.
+module over K[x, y, z] (`buchberger_module`, with the Gebauer-Moeller
+pair criteria, and `vec_nf`); `buchberger` and `normal_form` run
+polynomial ideals through it at rank 1.
 
 Alongside the ring arithmetic this module carries the curve-level checks:
 smoothness of a plane cubic, the irrelevant-primary test for ideals in the
@@ -486,13 +487,13 @@ def vec_nf(vec, reducers, field):
         else:
             remainder[(pos, m)] = c
             continue
-        factor = field.mul(c, inv_lc)
+        nfactor = field.neg(field.mul(c, inv_lc))
         shift = mono_div(m, lm)
         for gpos, gm, gc in tail:
             mm = mono_mul(gm, shift)
             tt = (gpos, mm)
             prev = work.get(tt, 0)
-            s = field.sub(prev, field.mul(factor, gc))
+            s = field.add(prev, field.mul(nfactor, gc))
             if s:
                 if not prev:
                     heapq.heappush(heap,
@@ -509,35 +510,64 @@ def buchberger_module(vectors, field):
     The result is monic, inter-reduced and sorted by ascending vkey of the
     leading term.  Each basis vector is compiled into a reducer once, when
     it joins the basis; `reducers` stays index-aligned with `basis`.
-    Pairs are selected by lowest lcm degree; no pair-skipping criteria
-    beyond equal leading position: the product criterion is not valid for
-    modules.
+
+    Pairs are popped by (lcm degree, i, j) and only equal-position pairs
+    are formed.  When vector k joins with leading term (pos_k, m_k), the
+    Gebauer-Moeller update prunes them:
+
+    * B_k: a queued pair (i, j) at pos_k goes when m_k divides lcm_ij and
+      neither lcm(m_i, m_k) nor lcm(m_j, m_k) equals lcm_ij;
+    * M: a new pair (i, k) goes when another new pair's lcm strictly
+      divides its lcm;
+    * F: of the new pairs with equal lcm only the first (lowest i) stays.
+
+    These are chain criteria and hold for submodules of free modules; the
+    product criterion does not, so it is not used, at rank 1 either.  The
+    inter-reduction is one pass: drop the vectors whose leading term is
+    divisible by another's at the same position (of equal ones the earlier
+    stays), then reduce each survivor once by the others.
     """
     basis = [vec_monic(v, field) for v in vectors if v]
     basis.sort(key=lambda v: vkey(vec_lt(v)), reverse=True)
     # drop exact duplicates
     seen = set()
-    uniq = []
+    inputs = []
     for v in basis:
         key = tuple(sorted(v.items()))
         if key not in seen:
             seen.add(key)
-            uniq.append(v)
-    basis = uniq
-    reducers = [vec_reducer(g, field) for g in basis]
-    pairs = []
+            inputs.append(v)
+    basis, reducers = [], []
+    pairs = []      # heap of (deg lcm, i, j); dropped pairs are skipped
+    live = {}       # (i, j) -> (position, lcm) of the pairs still queued
 
-    def push_pairs(k):
+    def add(g):
+        k = len(basis)
+        basis.append(g)
+        reducers.append(vec_reducer(g, field))
         pk, mk = reducers[k][:2]
-        for i in range(k):
-            pi, mi = reducers[i][:2]
-            if pi == pk:
-                heapq.heappush(pairs, (mono_deg(mono_lcm(mi, mk)), i, k))
+        for (i, j), (pos, l) in list(live.items()):
+            if (pos == pk and mono_divides(mk, l)
+                    and mono_lcm(reducers[i][1], mk) != l
+                    and mono_lcm(reducers[j][1], mk) != l):
+                del live[(i, j)]
+        new = [(mono_lcm(mi, mk), i)
+               for i, (pi, mi, _, _) in enumerate(reducers[:k]) if pi == pk]
+        kept = {}
+        for l, i in new:
+            if l not in kept and not any(
+                    l2 != l and mono_divides(l2, l) for l2, _ in new):
+                kept[l] = i
+        for l, i in kept.items():
+            live[(i, k)] = (pk, l)
+            heapq.heappush(pairs, (mono_deg(l), i, k))
 
-    for k in range(1, len(basis)):
-        push_pairs(k)
+    for g in inputs:
+        add(g)
     while pairs:
         _, i, j = heapq.heappop(pairs)
+        if live.pop((i, j), None) is None:
+            continue
         gi, gj = basis[i], basis[j]
         _, mi, inv_i, _ = reducers[i]
         _, mj, inv_j, _ = reducers[j]
@@ -547,25 +577,15 @@ def buchberger_module(vectors, field):
                     field)
         r = vec_nf(s, reducers, field)
         if r:
-            basis.append(vec_monic(r, field))
-            reducers.append(vec_reducer(basis[-1], field))
-            push_pairs(len(basis) - 1)
-    # full inter-reduction
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        out_red = []
-        for i, g in enumerate(basis):
-            r = vec_nf(g, out_red + reducers[i + 1:], field)
-            same = r == g
-            if not same:
-                changed = True
-            if r:
-                out.append(vec_monic(r, field))
-                out_red.append(reducers[i] if same
-                               else vec_reducer(out[-1], field))
-        basis, reducers = out, out_red
+            add(vec_monic(r, field))
+    # minimal basis, then one reduction of each survivor by the others
+    keep = [k for k, (pk, mk, _, _) in enumerate(reducers)
+            if not any(pi == pk and mono_divides(mi, mk)
+                       and (mi != mk or i < k)
+                       for i, (pi, mi, _, _) in enumerate(reducers) if i != k)]
+    red = [reducers[k] for k in keep]
+    basis = [vec_monic(vec_nf(basis[k], red[:n] + red[n + 1:], field), field)
+             for n, k in enumerate(keep)]
     basis.sort(key=lambda v: vkey(vec_lt(v)))
     return basis
 

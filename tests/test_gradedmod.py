@@ -1,19 +1,24 @@
+import heapq
+
 import numpy as np
 import pytest
 
 import tcone.gradedmod as gradedmod
+import tcone.polyring as polyring
 from tcone.bundle import decompose_bundle, forcing_data, syzygy_bundle
 from tcone.closure import _ideal_piece_rows
 from tcone.field import embed, make_field
 from tcone.gradedmod import (GradedMap, HomModule, ModuleHom, PieceFrame,
                              PresentedModule, TwistedFree, buchberger_module,
-                             free_module, hom_space, image_presentation,
-                             syzygy_of_map, vec_from_polys, vec_lt, vec_nf,
-                             vec_reducer, vkey)
+                             closing_relations, free_module, hom_space,
+                             image_presentation, syzygy_of_map, vec_from_polys,
+                             vec_lt, vec_nf, vec_reducer, vkey)
 from tcone.linalg import as_matrix
-from tcone.polyring import (CubicCurve, Polynomial, format_polynomial,
-                            mono_deg, mono_div, mono_divides, mono_mul,
-                            monomials_of_degree)
+from tcone.polyring import (CubicCurve, IdealData, Polynomial,
+                            format_polynomial, mono_deg, mono_div,
+                            mono_divides, mono_lcm, mono_mul,
+                            monomials_of_degree, vec_monic, vec_sub,
+                            vec_term_mul)
 
 from .conftest import (ideal_of, pp, random_homogeneous, random_primary_ideal,
                        seeded)
@@ -364,6 +369,65 @@ def _reference_vec_nf(vec, basis, field):
     return remainder
 
 
+def _reference_buchberger_module(vectors, field):
+    """Every equal-position pair reduced, then inter-reduction repeated until
+    a pass changes nothing.  Calls go through `polyring.vec_nf`, so a
+    counter patched onto it sees them."""
+    basis = [vec_monic(v, field) for v in vectors if v]
+    basis.sort(key=lambda v: vkey(vec_lt(v)), reverse=True)
+    seen = set()
+    uniq = []
+    for v in basis:
+        key = tuple(sorted(v.items()))
+        if key not in seen:
+            seen.add(key)
+            uniq.append(v)
+    basis = uniq
+    reducers = [vec_reducer(g, field) for g in basis]
+    pairs = []
+
+    def push_pairs(k):
+        pk, mk = reducers[k][:2]
+        for i in range(k):
+            pi, mi = reducers[i][:2]
+            if pi == pk:
+                heapq.heappush(pairs, (mono_deg(mono_lcm(mi, mk)), i, k))
+
+    for k in range(1, len(basis)):
+        push_pairs(k)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        gi, gj = basis[i], basis[j]
+        _, mi, inv_i, _ = reducers[i]
+        _, mj, inv_j, _ = reducers[j]
+        l = mono_lcm(mi, mj)
+        s = vec_sub(vec_term_mul(gi, mono_div(l, mi), inv_i, field),
+                    vec_term_mul(gj, mono_div(l, mj), inv_j, field),
+                    field)
+        r = polyring.vec_nf(s, reducers, field)
+        if r:
+            basis.append(vec_monic(r, field))
+            reducers.append(vec_reducer(basis[-1], field))
+            push_pairs(len(basis) - 1)
+    changed = True
+    while changed:
+        changed = False
+        out = []
+        out_red = []
+        for i, g in enumerate(basis):
+            r = polyring.vec_nf(g, out_red + reducers[i + 1:], field)
+            same = r == g
+            if not same:
+                changed = True
+            if r:
+                out.append(vec_monic(r, field))
+                out_red.append(reducers[i] if same
+                               else vec_reducer(out[-1], field))
+        basis, reducers = out, out_red
+    basis.sort(key=lambda v: vkey(vec_lt(v)))
+    return basis
+
+
 def _random_vec(rng, field, npos, degrees, nterms):
     """Random module vector with nonzero coefficients, in random key order;
     each term has a degree drawn from `degrees`."""
@@ -564,3 +628,95 @@ def test_nonlinear_hilbert_values_name_degrees(fermat5, monkeypatch):
     h2 = [t * t for t in range(2 * base, 2 * base + 3)]
     assert f"{h} at t = {base}..{base + 2}" in msg
     assert f"{h2} at t = {2 * base}..{2 * base + 2}" in msg
+
+
+def _same_bases(got, want):
+    """Same vectors in the same order, each with the same term-key order."""
+    assert [list(g.items()) for g in got] == [list(g.items()) for g in want]
+
+
+def _lift_inputs(curve, gens, m):
+    """The buchberger_module inputs that syzygy_bundle builds (its LiftBasis)."""
+    calls = []
+    real = gradedmod.buchberger_module
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gradedmod, "buchberger_module",
+                   lambda vecs, field: calls.append(
+                       [dict(v) for v in vecs]) or real(vecs, field))
+        syzygy_bundle(IdealData(curve, [pp(g, curve.field) for g in gens]), m)
+    assert calls
+    return calls
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (2, 2), (7, 4)])
+def test_buchberger_module_matches_every_pair_reference(p, k):
+    field = make_field(p, k)
+    F = pp("x^3 + y^3 + z^3", field)
+    rng = seeded(300 + p * 10 + k)
+    for trial in range(24):
+        rank = rng.randint(1, 3)
+        if trial % 2:
+            twists = [rng.randint(-1, 1) for _ in range(rank)]
+            inputs = [_homogeneous_vec(rng, field, twists, rng.randint(1, 3),
+                                       rng.randint(1, 4))
+                      for _ in range(rng.randint(1, 4))]
+        else:
+            inputs = [_random_vec(rng, field, rank, (1, 2, 3),
+                                  rng.randint(1, 3))
+                      for _ in range(rng.randint(1, 3))]
+        for extra in ([], closing_relations(F, rank)):
+            vecs = inputs + extra
+            _same_bases(buchberger_module(vecs, field),
+                        _reference_buchberger_module(vecs, field))
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (2, 2), (7, 4)])
+def test_buchberger_module_reference_edge_cases(p, k):
+    field = make_field(p, k)
+    a = field.q - 1
+    v = {(0, (2, 0, 0)): 1, (0, (0, 1, 1)): a, (1, (0, 0, 1)): 1}
+    w = {(0, (2, 0, 0)): 1, (0, (1, 0, 1)): 1}            # equal lead to v
+    u = {(1, (0, 1, 0)): 1, (0, (1, 1, 0)): a}
+    scaled = {t: field.mul(c, a) for t, c in v.items()}  # a rescaled copy
+    cases = [[], [{}], [{}, {}], [v, {}], [v, dict(v)], [v, scaled],
+             [v, w], [w, v, scaled, {}], [v, w, u, dict(u)],
+             [u, v, w, closing_relations(pp("x^3 + y^3 + z^3", field), 2)[1]]]
+    for vecs in cases:
+        _same_bases(buchberger_module(vecs, field),
+                    _reference_buchberger_module(vecs, field))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_buchberger_module_reference_on_lift_inputs(p):
+    field = make_field(p)
+    curve = CubicCurve(pp("x^3 + y^3 + z^3", field), field)
+    for vecs in _lift_inputs(curve, ["x^2", "y^2", "z^2"], 3):
+        _same_bases(buchberger_module(vecs, field),
+                    _reference_buchberger_module(vecs, field))
+
+
+def test_buchberger_module_pair_criteria_save_reductions():
+    """vec_nf calls on syzygy_bundle's LiftBasis inputs, Fermat cubic."""
+    problems = [(5, ["x^2", "y^2", "z^2"], 3, 40, 70),
+                (7, ["x^3", "y^3", "z^3", "x*y*z"], 4, 61, 115)]
+    total = total_ref = 0
+    for p, gens, m, want, want_ref in problems:
+        field = make_field(p)
+        curve = CubicCurve(pp("x^3 + y^3 + z^3", field), field)
+        inputs = _lift_inputs(curve, gens, m)
+        calls = []
+        real = polyring.vec_nf
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyring, "vec_nf",
+                       lambda *a: calls.append(1) or real(*a))
+            for vecs in inputs:
+                buchberger_module(vecs, field)
+            count = len(calls)
+            calls.clear()
+            for vecs in inputs:
+                _reference_buchberger_module(vecs, field)
+            count_ref = len(calls)
+        assert (count, count_ref) == (want, want_ref)
+        total += count
+        total_ref += count_ref
+    assert 3 * total <= 2 * total_ref
