@@ -1,14 +1,18 @@
 """Finite-dimensional associative algebras over small finite fields.
 
 Supplies the decomposition machinery for endomorphism algebras of graded
-modules: radical computation by the characteristic-p chain of iterated
-characteristic-polynomial trace forms, refinement of the semisimple
+modules: radical computation by the characteristic-p chain of trace forms
+(level 0 is the ordinary trace form Tr(L_ab), read off the structure
+constants with two matrix products; levels p^i <= dim A use iterated
+characteristic-polynomial coefficients), refinement of the semisimple
 quotient into a complete system of orthogonal primitive idempotents
 (extending the base field when a simple factor is not split), and Newton
 lifting of idempotents through the radical.
 
 Elements are coordinate vectors over a fixed basis; the multiplication
-table is the only structural input.  Everything is deterministic.
+table is the only structural input.  A table built from products in a
+larger algebra (`FiniteAlgebra.on_basis`) is one elimination, whatever
+its size.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +24,19 @@ from .linalg import as_matrix, nullspace, reduce_against, rref, solve
 
 
 class UndecidedError(RuntimeError):
-    """Decomposition could not be certified within the configured bounds."""
+    """Decomposition could not be certified within the configured bounds.
+
+    `stage` names the step that gave up and `size` the measure of its input
+    that stopped it: the dimension of the algebra or corner being split,
+    the extension degree a splitting needs, or the number of candidate
+    lines of a closure-window degree.  The message text is unchanged by
+    them.
+    """
+
+    def __init__(self, message, *, stage=None, size=None):
+        super().__init__(message)
+        self.stage = stage
+        self.size = size
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +242,28 @@ class FiniteAlgebra:
             (self.dim,) * 3)
         self.unit = np.array(unit, dtype=np.int64)
 
+    @classmethod
+    def on_basis(cls, field: Field, basis_cols, products, unit,
+                 product_error: str, unit_error: str):
+        """The algebra spanned by the columns of basis_cols in a larger one.
+
+        products lists the products of basis elements i and j at index
+        i * dim + j, and unit is the identity, all in the larger algebra's
+        coordinates.  Their coordinates on the basis, the structure
+        constants, come from one elimination (a 2-D `solve`).  A product or
+        a unit outside the span raises ArithmeticError with the matching
+        message.
+        """
+        dim = basis_cols.shape[1]
+        coords = solve(basis_cols, np.stack(list(products) + [unit], axis=1),
+                       field)
+        if any(c is None for c in coords[:-1]):
+            raise ArithmeticError(product_error)
+        if coords[-1] is None:
+            raise ArithmeticError(unit_error)
+        return cls(field, np.stack(coords[:-1]).reshape(dim, dim, dim),
+                   coords[-1])
+
     # -- element arithmetic on coordinate vectors --------------------------------
 
     def zero(self):
@@ -313,22 +351,39 @@ class FiniteAlgebra:
 
     # -- radical -----------------------------------------------------------------
 
-    def radical(self):
-        """Basis of the Jacobson radical (rows), by the characteristic-p
-        chain of iterated characteristic-polynomial trace forms.
+    def trace_form(self):
+        """Matrix T[a, b] = Tr(L_{b_a b_b}) of the regular trace form.
 
-        The chain starts from the ordinary trace form of the left regular
-        representation and refines with the coefficient of index p^i of the
-        characteristic polynomial, linearised through p^i-th roots.  The
-        result is verified: nilpotency of the span and vanishing radical of
-        the quotient.
+        The trace is linear, so Tr(L_{b_a b_b}) = Σ_k c_ab^k τ_k with
+        τ_k = Tr(L_{b_k}) = Σ_i c_ki^i: two matrix products on the
+        structure constants, no characteristic polynomial.
         """
         f = self.field
         n = self.dim
-        # current subspace basis, rows
-        current = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            current[i, i] = 1
+        diag = np.arange(n)
+        tau = f.matmul(self.table[:, diag, diag],
+                       np.ones((n, 1), dtype=np.int64))
+        return f.matmul(self.table.reshape(n * n, n), tau).reshape(n, n)
+
+    def radical(self):
+        """Basis of the Jacobson radical (rows), by the characteristic-p
+        chain of trace forms.
+
+        Level 0 is the ordinary trace form Tr(L_ab) of the left regular
+        representation (`trace_form`, with no `charpoly`); by Dickson's
+        criterion it is the whole chain when p > dim A (Cohen, Ivanyos and
+        Wales 1997).  Each level p^i <= dim A from level 1 on refines with
+        the coefficient of index p^i of the characteristic polynomial,
+        linearised through p^i-th roots.  The result is verified:
+        nilpotency of the span and vanishing radical of the quotient.
+        """
+        f = self.field
+        n = self.dim
+        # level 0 on the identity basis: the charpoly coefficient is
+        # cond[b][a] = -Tr(L_{b_a b_b}), whose kernel (sum_a x_a cond[b][a]
+        # = 0 for all b) is that of the trace form's transpose
+        ker = nullspace(self.trace_form().T, f)
+        current, _ = rref(ker, f)
         regs = {}
 
         def reg(coords):
@@ -339,8 +394,8 @@ class FiniteAlgebra:
                 regs[key] = m
             return m
 
-        level = 0
-        qexp = 1  # p^level
+        level = 1
+        qexp = f.p  # p^level
         while qexp <= n:
             basis = [current[i] for i in range(current.shape[0])]
             if not basis:
@@ -359,7 +414,6 @@ class FiniteAlgebra:
                         c = _proot(c, f)
                     row.append(c)
                 cond.append(row)
-            # solve sum_j x_j * cond[b][j] = 0 for all b
             mat = as_matrix(cond, len(basis))
             ker = nullspace(mat, f)
             current, _ = rref(f.matmul(ker, current), f)
@@ -452,21 +506,11 @@ class _Corner:
         return self.rows.shape[0]
 
     def algebra(self):
-        table = []
-        f = self.parent.field
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                prod = self.parent.mul(self.rows[i], self.rows[j])
-                coords = solve(self.rows.T.copy(), prod, f)
-                if coords is None:
-                    raise ArithmeticError("corner is not closed under product")
-                row.append(coords)
-            table.append(row)
-        unit = solve(self.rows.T.copy(), self.e, f)
-        if unit is None:
-            raise ArithmeticError("corner unit missing")
-        return FiniteAlgebra(f, table, unit)
+        rows, mul = self.rows, self.parent.mul
+        return FiniteAlgebra.on_basis(
+            self.parent.field, rows.T,
+            [mul(a, b) for a in rows for b in rows], self.e,
+            "corner is not closed under product", "corner unit missing")
 
     def to_parent(self, coords):
         return self.parent.field.matmul(coords[None, :], self.rows)[0]
@@ -650,7 +694,8 @@ def semisimple_primitive_idempotents(B: FiniteAlgebra, ext_bound: int = 4):
     while work:
         guard += 1
         if guard > 64 * max(B.dim, 1):
-            raise UndecidedError("idempotent refinement did not terminate")
+            raise UndecidedError("idempotent refinement did not terminate",
+                                 stage="idempotent refinement", size=B.dim)
         e = work.pop(0)
         corner = _Corner(B, e)
         if corner.dim == 1:
@@ -667,7 +712,9 @@ def semisimple_primitive_idempotents(B: FiniteAlgebra, ext_bound: int = 4):
                 continue
             idems, _ = _split_by_element(CB, z)
             if idems is None:
-                raise UndecidedError("fixed-subalgebra splitter failed")
+                raise UndecidedError("fixed-subalgebra splitter failed",
+                                     stage="fixed-subalgebra splitter",
+                                     size=corner.dim)
             for ie in idems:
                 work.append(corner.to_parent(ie))
             continue
@@ -676,16 +723,9 @@ def semisimple_primitive_idempotents(B: FiniteAlgebra, ext_bound: int = 4):
         split_done = False
         if zc.shape[0] > 1:
             # centre is a commutative semisimple subalgebra containing 1
-            table = []
-            for i in range(zc.shape[0]):
-                row = []
-                for j in range(zc.shape[0]):
-                    prod = CB.mul(zc[i], zc[j])
-                    coords = solve(zc.T.copy(), prod, f)
-                    row.append(coords)
-                table.append(row)
-            unit = solve(zc.T.copy(), CB.unit, f)
-            ZA = FiniteAlgebra(f, table, unit)
+            ZA = FiniteAlgebra.on_basis(
+                f, zc.T, [CB.mul(a, b) for a in zc for b in zc], CB.unit,
+                "centre is not closed under product", "centre unit missing")
             z = _commutative_splitter(ZA)
             if z is not None:
                 idems, _ = _split_by_element(ZA, z)
@@ -699,7 +739,8 @@ def semisimple_primitive_idempotents(B: FiniteAlgebra, ext_bound: int = 4):
         found = _find_splitter_scan(CB)
         if found is None:
             raise UndecidedError(
-                "could not split a noncommutative simple corner")
+                "could not split a noncommutative simple corner",
+                stage="noncommutative corner", size=corner.dim)
         _kind, idems = found
         for ie in idems:
             work.append(corner.to_parent(ie))

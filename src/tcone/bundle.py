@@ -54,25 +54,39 @@ class SyzygyBundle:
         d_sum = sum(self.ideal.degrees)
         return n - 1, -3 * (d_sum - (n - 1) * self.m)
 
+    def twisted(self, s: int) -> "SyzygyBundle":
+        """The bundle at total degree m + s, the twist of this one by s.
+
+        Its module is `module.twisted(s)`, with no new Groebner basis; rank
+        and degree are counted on it afresh and checked against the degree
+        formula, as `syzygy_bundle` does.
+        """
+        return _checked_bundle(self.ideal, self.m + s, self.module.twisted(s))
+
     def __repr__(self):
         return (f"SyzygyBundle(m={self.m}, rank={self.rank}, "
                 f"degree={self.degree})")
 
 
-def syzygy_bundle(ideal: IdealData, m: int) -> SyzygyBundle:
-    """Build the syzygy module of the ideal at total degree m."""
-    curve = ideal.curve
-    source = TwistedFree([m - d for d in ideal.degrees])
-    target = TwistedFree([m])
-    phi = GradedMap(source, target, [list(ideal.gens)])
-    module = syzygy_of_map(phi, curve)
+def _checked_bundle(ideal: IdealData, m: int,
+                    module: PresentedModule) -> SyzygyBundle:
+    """The bundle of a degree-m syzygy module, its invariants checked."""
     rank, degree = module.rank_and_degree()
-    want = SyzygyBundle(ideal, m, module, rank, degree).expected_rank_degree()
+    bundle = SyzygyBundle(ideal, m, module, rank, degree)
+    want = bundle.expected_rank_degree()
     if (rank, degree) != want:
         raise ArithmeticError(
             f"syzygy bundle invariants {rank, degree} disagree with the "
             f"degree formula {want}")
-    return SyzygyBundle(ideal, m, module, rank, degree)
+    return bundle
+
+
+def syzygy_bundle(ideal: IdealData, m: int) -> SyzygyBundle:
+    """Build the syzygy module of the ideal at total degree m."""
+    source = TwistedFree([m - d for d in ideal.degrees])
+    target = TwistedFree([m])
+    phi = GradedMap(source, target, [list(ideal.gens)])
+    return _checked_bundle(ideal, m, syzygy_of_map(phi, ideal.curve))
 
 
 # ---------------------------------------------------------------------------
@@ -119,25 +133,15 @@ def end_algebra(bundle: SyzygyBundle) -> EndAlgebra:
     M = bundle.module
     field = bundle.field
     homs = hom_space(M, M, 0)
-    dim = len(homs)
-    if dim == 0:
+    if not homs:
         raise ArithmeticError("endomorphism algebra without identity")
     basis_T = np.stack([_hom_coords(M, h.images) for h in homs], axis=1)
-    table = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            comp = homs[i].compose(homs[j])
-            coords = solve(basis_T, _hom_coords(M, comp.images), field)
-            if coords is None:
-                raise ArithmeticError("endomorphism product left the basis span")
-            row.append(coords)
-        table.append(row)
-    ident = ModuleHom(M, M, list(M.gens))
-    unit = solve(basis_T, _hom_coords(M, ident.images), field)
-    if unit is None:
-        raise ArithmeticError("identity endomorphism missing from Hom basis")
-    algebra = FiniteAlgebra(field, table, unit)
+    algebra = FiniteAlgebra.on_basis(
+        field, basis_T,
+        [_hom_coords(M, a.compose(b).images) for a in homs for b in homs],
+        _hom_coords(M, M.gens),
+        "endomorphism product left the basis span",
+        "identity endomorphism missing from Hom basis")
     radical_rows = algebra.radical()
     return EndAlgebra(bundle, homs, algebra, radical_rows)
 
@@ -179,16 +183,20 @@ class Decomposition:
     Iterates and indexes as the list of summands.  When splitting the
     endomorphism algebra required a base extension, `ideal`, `bundle` and
     every summand live over `field`, an extension of the input field, and
-    `embed_code` maps input-field coefficient codes into it.
+    `embed_code` maps input-field coefficient codes into it.  `base_bundle`
+    is the decomposed bundle over the input field (`bundle` itself when no
+    extension was needed).
     """
 
     def __init__(self, bundle: SyzygyBundle, summands, field: Field,
-                 extension_degree: int, embed_code):
+                 extension_degree: int, embed_code,
+                 base_bundle: SyzygyBundle):
         self.bundle = bundle
         self.summands = list(summands)
         self.field = field
         self.extension_degree = extension_degree
         self.embed_code = embed_code
+        self.base_bundle = base_bundle
 
     @property
     def ideal(self):
@@ -205,6 +213,30 @@ class Decomposition:
 
     def shape(self):
         return [(s.rank, s.degree) for s in self.summands]
+
+    def twisted(self, m: int) -> "Decomposition":
+        """The decomposition of the bundle twisted by m, at degree bundle.m + m.
+
+        Twisting keeps each summand indecomposable and shifts its degree by
+        3 * rank * m.  Projections keep their generator images, modules
+        become `PresentedModule.twisted(m)`, and the summands are sorted
+        again; no End algebra is built.  The base bundle's twist is
+        checked against the degree formula (`SyzygyBundle.twisted`).
+        """
+        base = self.base_bundle.twisted(m)
+        bundle = base
+        if self.bundle is not self.base_bundle:
+            bundle = SyzygyBundle(self.ideal, base.m,
+                                  self.bundle.module.twisted(m),
+                                  base.rank, base.degree)
+        M = bundle.module
+        summands = [Summand(ModuleHom(M, M, s.projection.images),
+                            s.module.twisted(m), s.rank,
+                            s.degree + 3 * s.rank * m)
+                    for s in self.summands]
+        summands.sort(key=lambda s: s.sort_key())
+        return Decomposition(bundle, summands, self.field,
+                             self.extension_degree, self.embed_code, base)
 
     def __repr__(self):
         return f"Decomposition({self.shape()}, over {self.field})"
@@ -270,7 +302,8 @@ def decompose_bundle(bundle: SyzygyBundle, ext_bound: int = 4,
         if rel_ext > ext_bound:
             raise UndecidedError(
                 f"splitting the endomorphism algebra needs a degree-"
-                f"{rel_ext} extension, beyond the bound {ext_bound}")
+                f"{rel_ext} extension, beyond the bound {ext_bound}",
+                stage="splitting extension", size=rel_ext)
     lifted = lift_idempotents(alg_x, rad, qidems, proj, sect)
     field_x = ideal_x.curve.field
     summands = []
@@ -288,7 +321,7 @@ def decompose_bundle(bundle: SyzygyBundle, ext_bound: int = 4,
     bundle_x = (bundle if rel_ext == 1 else
                 SyzygyBundle(ideal_x, bundle.m, module_x, bundle.rank,
                              bundle.degree))
-    return Decomposition(bundle_x, summands, field_x, rel_ext, emb)
+    return Decomposition(bundle_x, summands, field_x, rel_ext, emb, bundle)
 
 
 # ---------------------------------------------------------------------------

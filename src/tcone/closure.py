@@ -219,7 +219,12 @@ def slope_and_threshold(ideal: IdealData, ext_bound: int = 4) -> SlopeReport:
     The summand slopes are the negated slopes of the twist-zero syzygy
     summands; semistable means one slope.  Exact rational arithmetic.
     """
-    dec = decompose_bundle(syzygy_bundle(ideal, 0), ext_bound=ext_bound)
+    return _slope_report(ideal, decompose_bundle(syzygy_bundle(ideal, 0),
+                                                 ext_bound=ext_bound))
+
+
+def _slope_report(ideal: IdealData, dec) -> SlopeReport:
+    """The slope report of the twist-zero decomposition dec."""
     mus = [Fraction(-s.degree, s.rank) for s in dec]
     n = ideal.n
     return SlopeReport(
@@ -236,14 +241,16 @@ def _ceil_fraction(x: Fraction) -> int:
 _LINE_LIMIT = 100_000
 
 
-def _criterion_piece(ideal: IdealData, m: int, ext_bound: int,
-                     ideal_span: SpanBasis) -> SpanBasis:
+def _criterion_piece(ideal: IdealData, m: int, ideal_span: SpanBasis,
+                     dec0) -> SpanBasis:
     """Degree-m piece of the tight closure in the criterion window.
 
     The piece is a subspace of R_m containing the ideal piece (ideal_span,
     left unchanged); it is reconstructed exactly by testing one
     representative of every line of the quotient space with the summand
-    criterion (reusing one bundle decomposition for the whole degree).
+    criterion.  The degree-m bundle and its summands are the twist by m of
+    the twist-zero decomposition dec0 (`Decomposition.twisted`), so no End
+    algebra is built here.
     """
     curve = ideal.curve
     field = curve.field
@@ -258,9 +265,8 @@ def _criterion_piece(ideal: IdealData, m: int, ext_bound: int,
     if n_lines > _LINE_LIMIT:
         raise UndecidedError(
             f"degree {m}: quotient has {n_lines} candidate lines, beyond "
-            f"the testing limit")
-    bundle = syzygy_bundle(ideal, m)
-    dec = decompose_bundle(bundle, ext_bound=ext_bound)
+            f"the testing limit", stage="closure window", size=n_lines)
+    dec = dec0.twisted(m)
     negatives = [s for s in dec if s.degree < 0]
     closure_span = SpanBasis(width, field)
     for row in ideal_span.rows:
@@ -279,7 +285,7 @@ def _criterion_piece(ideal: IdealData, m: int, ext_bound: int,
             if closure_span.contains(vec):
                 # already known to be in the closure piece
                 continue
-            fd = forcing_data(ideal, frame.polys(vec)[0], bundle)
+            fd = forcing_data(ideal, frame.polys(vec)[0], dec.base_bundle)
             if all(component_class_vanishes(fd, s) for s in negatives):
                 closure_span.add(vec)
     return closure_span
@@ -295,7 +301,8 @@ def tight_closure_ideal(ideal: IdealData, ext_bound: int = 4) -> ClosureIdeal:
     """
     curve = ideal.curve
     field = curve.field
-    slope = slope_and_threshold(ideal, ext_bound=ext_bound)
+    dec0 = decompose_bundle(syzygy_bundle(ideal, 0), ext_bound=ext_bound)
+    slope = _slope_report(ideal, dec0)
     bound = _ceil_fraction(slope.mu_max / 3)
     bound = max(bound, 1)
     per_degree = []
@@ -310,7 +317,7 @@ def tight_closure_ideal(ideal: IdealData, ext_bound: int = 4) -> ClosureIdeal:
             rows = ideal_span.matrix()
         else:
             regime = "criterion"
-            rows = _criterion_piece(ideal, m, ext_bound, ideal_span).matrix()
+            rows = _criterion_piece(ideal, m, ideal_span, dec0).matrix()
         piece_rows[m] = rows
         per_degree.append(DegreeRegime(m, regime, ideal_span.dim,
                                        rows.shape[0]))

@@ -477,6 +477,22 @@ class PresentedModule:
         other._rank_degree = self._rank_degree
         return other
 
+    def twisted(self, s: int) -> "PresentedModule":
+        """M(s): the same generator vectors in ⊕ R(a_i + s).
+
+        The order `vkey` is position over term with no twist weights, so
+        the lift basis and the leading-term table are those of M; where M
+        has built them they are shared, not rebuilt.  Rank and degree are
+        left to be counted (`rank_and_degree`); graded-piece caches start
+        empty.
+        """
+        other = PresentedModule(self.curve, TwistedFree(
+            a + s for a in self.ambient.twists), ())
+        other.vectors = self.vectors
+        other._lift = self._lift
+        other._leads = self._leads
+        return other
+
     def __repr__(self):
         return (f"PresentedModule(ambient={self.ambient!r}, "
                 f"{len(self.vectors)} vectors)")

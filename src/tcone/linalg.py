@@ -76,18 +76,30 @@ def nullspace(mat: np.ndarray, field: Field) -> np.ndarray:
 
 
 def solve(mat: np.ndarray, rhs: np.ndarray, field: Field):
-    """One solution x of mat @ x = rhs, or None; canonical (free vars zero)."""
+    """One solution x of mat @ x = rhs, or None; canonical (free vars zero).
+
+    A 2-D rhs holds one system per column, and the result is the list of
+    their answers, all read off one rref of [mat | rhs]: the rows below
+    mat's rank are zero on mat's columns, so column j is consistent exactly
+    when it is zero there, and then the rows above hold its canonical
+    solution, as in the rref of [mat | rhs[:, j]].
+    """
     rows, cols = mat.shape
-    aug = np.zeros((rows, cols + 1), dtype=np.int64)
+    block = rhs.reshape(rows, 1) if rhs.ndim == 1 else rhs
+    aug = np.zeros((rows, cols + block.shape[1]), dtype=np.int64)
     aug[:, :cols] = mat
-    aug[:, cols] = rhs
+    aug[:, cols:] = block
     red, pivots = rref(aug, field)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r, cols]
-    return x
+    rank = sum(1 for pc in pivots if pc < cols)
+    out = []
+    for j in range(cols, aug.shape[1]):
+        if red[rank:, j].any():
+            out.append(None)
+            continue
+        x = np.zeros(cols, dtype=np.int64)
+        x[pivots[:rank]] = red[:rank, j]
+        out.append(x)
+    return out[0] if rhs.ndim == 1 else out
 
 
 def reduce_against(red: np.ndarray, pivots, vec: np.ndarray, field: Field):

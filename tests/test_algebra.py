@@ -257,3 +257,97 @@ def test_ufactor_known_split():
     # t^2 + 1 is irreducible over F7
     F7 = make_field(7)
     assert len(ufactor([1, 0, 1], F7)) == 1
+
+
+# -- level 0 of the radical chain: the trace form against charpolys -----------
+
+def _level0_by_charpoly(A):
+    """Level 0 the way it was computed before the trace form:
+    cond[b][a] = coefficient of t^(n-1) in charpoly(L_{b_a b_b})."""
+    n = A.dim
+    eye = np.eye(n, dtype=np.int64)
+    return [[A.charpoly(A.left_regular(A.mul(eye[a], eye[b])))[n - 1]
+             for a in range(n)] for b in range(n)]
+
+
+def _radical_by_charpoly_chain(A):
+    """The radical chain with every level, level 0 included, read off
+    characteristic polynomials (the route before the trace form)."""
+    from tcone.algebra import _proot
+    from tcone.linalg import nullspace, rref
+    f, n = A.field, A.dim
+    current = np.eye(n, dtype=np.int64)
+    level, qexp = 0, 1
+    while qexp <= n and current.shape[0]:
+        cond = []
+        for b in current:
+            row = []
+            for a in current:
+                cp = A.charpoly(A.left_regular(A.mul(a, b)))
+                idx = len(cp) - 1 - qexp
+                c = cp[idx] if idx >= 0 else 0
+                for _ in range(level):
+                    c = _proot(c, f)
+                row.append(c)
+            cond.append(row)
+        ker = nullspace(np.array(cond, dtype=np.int64), f)
+        current, _ = rref(f.matmul(ker, current), f)
+        level += 1
+        qexp *= f.p
+    return current
+
+
+def _triangular_algebra(field, n):
+    """Upper triangular n x n matrices on the basis e_ij, i <= j."""
+    labels = [(i, j) for i in range(n) for j in range(i, n)]
+    idx = {lab: k for k, lab in enumerate(labels)}
+    table = [[[1 if j == k and idx[(i, l)] == c else 0
+               for c in range(len(labels))]
+              for (k, l) in labels] for (i, j) in labels]
+    unit = [1 if i == j else 0 for (i, j) in labels]
+    return FiniteAlgebra(field, table, unit)
+
+
+def _associative_algebras(field, rng):
+    """Quotient rings field[t]/(g^2 h) with random monic g and h, upper
+    triangular algebras and M_2; each has a known associative table."""
+    out = [_triangular_algebra(field, 2), _triangular_algebra(field, 3),
+           _matrix_units_algebra(field, 2)]
+    for _ in range(4):
+        g = [rng.randrange(field.q) for _ in range(rng.randint(1, 2))] + [1]
+        h = [rng.randrange(field.q) for _ in range(rng.randint(0, 2))] + [1]
+        out.append(_quotient_ring_algebra(field, tuple(umul(umul(g, g, field),
+                                                            h, field))))
+    return out
+
+
+@pytest.mark.parametrize("pk", [(2, 1), (2, 2), (5, 1), (7, 1), (5, 2)],
+                         ids=lambda pk: f"F{pk[0]}^{pk[1]}")
+def test_trace_form_matches_charpoly_level_zero(pk):
+    import random
+    field = make_field(*pk)
+    rng = random.Random(f"trace-form:{field.q}")
+    algebras = _associative_algebras(field, rng)
+    # extend_scalars algebras: from the prime field up to F_{p^2}
+    if field.k == 2:
+        algebras += [B.extend_scalars(field)[0]
+                     for B in _associative_algebras(make_field(field.p), rng)]
+    for A in algebras:
+        assert field.vneg(A.trace_form().T).tolist() == _level0_by_charpoly(A)
+        assert A.radical().tolist() == _radical_by_charpoly_chain(A).tolist()
+    # the identity is linear algebra on the table, so it holds for any
+    # bilinear table, associative or not
+    for n in (1, 2, 4, 6):
+        table = [[[rng.randrange(field.q) for _ in range(n)]
+                  for _ in range(n)] for _ in range(n)]
+        A = FiniteAlgebra(field, table, [1] + [0] * (n - 1))
+        assert field.vneg(A.trace_form().T).tolist() == _level0_by_charpoly(A)
+
+
+def test_radical_beyond_the_characteristic_uses_charpolys():
+    # F_2[t]/(t^4) has dim 4 >= p^2, so levels 1 and 2 run; the trace form
+    # alone is zero here (every Tr(L_ab) vanishes in characteristic 2)
+    F2 = make_field(2)
+    A = _quotient_ring_algebra(F2, (0, 0, 0, 0, 1))
+    assert not A.trace_form().any()
+    assert A.radical().tolist() == [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]

@@ -287,3 +287,115 @@ def test_decomposition_reuses_end_algebra_radical(fermat5, monkeypatch):
     assert dec.extension_degree == 1
     assert dec.shape() == [(1, 3), (1, -3)]
     assert calls == [8, 2]
+
+
+# the End algebra of this ideal's twist-0 bundle splits only over F_25
+QUADRATIC_EXTENSION_IDEAL = ("3*x^2 + 3*x*y + 2*y^2 + y*z",
+                             "2*x^2 + 3*x*y + y^2 + 4*x*z + z^2",
+                             "x^2 + 4*x*y + 4*x*z + 2*y*z")
+
+
+def _assert_same_decomposition(got, want):
+    assert got.shape() == want.shape()
+    assert got.field == want.field
+    assert got.extension_degree == want.extension_degree
+    assert got.bundle.m == want.bundle.m
+    assert (got.bundle.rank, got.bundle.degree) == \
+        (want.bundle.rank, want.bundle.degree)
+    assert got.base_bundle.module.ambient == want.base_bundle.module.ambient
+    for s, t in zip(got, want):
+        assert s.projection.images == t.projection.images
+        assert s.module.ambient == t.module.ambient
+        assert s.module.gens == t.module.gens
+
+
+def test_twisted_decomposition_matches_direct(fermat5):
+    """Decomposition.twisted(m) against decompose_bundle at degree m, at
+    every degree up to two past the closure bound (the criterion window
+    included) of the acceptance and window ideals, and of one ideal whose
+    End algebra needs a quadratic extension.  Past its bound, the rank-2
+    and rank-1 summands of the duplicated (x^2, y^2, z^2) change places."""
+    from tcone.closure import _ceil_fraction, _slope_report
+    cases = [(("x^2", "y^2", "z^2"), False), (("x^2", "y^2", "x^2"), True),
+             (("x", "y", "z^3"), True), (("x^2", "y^2", "z^2", "x^2"), True),
+             (QUADRATIC_EXTENSION_IDEAL, False)]
+    for gens, has_window in cases:
+        ideal = ideal_of(fermat5, *gens)
+        dec0 = decompose_bundle(syzygy_bundle(ideal, 0))
+        slope = _slope_report(ideal, dec0)
+        bound = _ceil_fraction(slope.mu_max / 3)
+        window = [m for m in range(1, bound + 1)
+                  if slope.mu_min / 3 <= m < slope.mu_max / 3]
+        assert bool(window) == has_window
+        for m in range(1, bound + 3):
+            _assert_same_decomposition(
+                dec0.twisted(m), decompose_bundle(syzygy_bundle(ideal, m)))
+        if gens is QUADRATIC_EXTENSION_IDEAL:
+            assert dec0.extension_degree == 2
+            assert dec0.bundle is not dec0.base_bundle
+            assert dec0.base_bundle.field == fermat5.field
+
+
+def test_twisted_bundle_checks_the_degree_formula(fermat5, monkeypatch):
+    B = syzygy_bundle(ideal_of(fermat5, "x", "y", "z^3"), 0)
+    B2 = B.twisted(2)
+    assert (B2.m, B2.rank, B2.degree) == (2, 2, B.degree + 3 * 2 * 2)
+    assert B2.module.lift is B.module.lift
+    # a wrong count at the twisted degree is caught there
+    from tcone.gradedmod import PresentedModule
+    monkeypatch.setattr(PresentedModule, "rank_and_degree",
+                        lambda self: (2, 0))
+    with pytest.raises(ArithmeticError, match="degree formula"):
+        B.twisted(1)
+
+
+def test_end_algebra_table_is_one_elimination(fermat5, monkeypatch):
+    """All dim^2 products and the unit are solved by one 2-D solve, which
+    runs one rref."""
+    import tcone.algebra as algebra
+    import tcone.linalg as linalg
+    rrefs, solves = [], []
+    real_rref, real_solve = linalg.rref, algebra.solve
+
+    def counting_rref(mat, field):
+        rrefs.append(mat.shape)
+        return real_rref(mat, field)
+
+    def counting_solve(mat, rhs, field):
+        before = len(rrefs)
+        out = real_solve(mat, rhs, field)
+        solves.append((rhs.shape, len(rrefs) - before))
+        return out
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(algebra, "solve", counting_solve)
+    ea = end_algebra(syzygy_bundle(ideal_of(fermat5, "x^2", "y^2", "x^2"), 3))
+    assert ea.dim == 8
+    assert len(solves) == 1
+    (shape, n_rref), = solves
+    assert shape[1] == ea.dim ** 2 + 1 and n_rref == 1
+
+
+def test_radical_below_the_characteristic_runs_no_charpoly(fermat7,
+                                                           monkeypatch):
+    """An F_7 End algebra of dim 5 < 7: the trace form is the whole radical
+    chain, so no characteristic polynomial is computed."""
+    from tcone.algebra import FiniteAlgebra
+    calls = []
+    real = FiniteAlgebra.charpoly
+    monkeypatch.setattr(FiniteAlgebra, "charpoly",
+                        lambda self, mat: calls.append(mat.shape) or
+                        real(self, mat))
+    ea = end_algebra(syzygy_bundle(ideal_of(fermat7, "x", "y", "z^3"), 0))
+    assert (ea.dim, ea.radical_rows.shape[0]) == (5, 3)
+    assert calls == []
+
+
+def test_splitting_bound_names_stage_and_size(fermat5):
+    from tcone.algebra import UndecidedError
+    B = syzygy_bundle(ideal_of(fermat5, *QUADRATIC_EXTENSION_IDEAL), 0)
+    with pytest.raises(UndecidedError) as info:
+        decompose_bundle(B, ext_bound=1)
+    assert str(info.value) == ("splitting the endomorphism algebra needs a "
+                               "degree-2 extension, beyond the bound 1")
+    assert (info.value.stage, info.value.size) == ("splitting extension", 2)

@@ -246,3 +246,31 @@ def test_certificate_invariant(fermat5):
         n = ideal.n
         assert cert.formula_degree == \
             -3 * (sum(ideal.degrees) - (n - 1) * f0.degree())
+
+
+def test_closure_ideal_decomposes_once(fermat5, monkeypatch):
+    """The window degrees twist the twist-0 decomposition: one
+    decompose_bundle and one End algebra per ideal, however many criterion
+    degrees there are."""
+    import tcone.bundle as bundle
+    calls = []
+    real_dec, real_end = closure.decompose_bundle, bundle.end_algebra
+    monkeypatch.setattr(closure, "decompose_bundle",
+                        lambda b, **kw: calls.append(("dec", b.m)) or
+                        real_dec(b, **kw))
+    monkeypatch.setattr(bundle, "end_algebra",
+                        lambda b: calls.append(("end", b.m)) or real_end(b))
+    ci = tight_closure_ideal(ideal_of(fermat5, "x^2", "y^2", "x^2"))
+    assert any(d.regime == "criterion" for d in ci.per_degree)
+    assert calls == [("dec", 0), ("end", 0)]
+
+
+def test_line_limit_names_stage_and_size(fermat5, monkeypatch):
+    monkeypatch.setattr(closure, "_LINE_LIMIT", 5)
+    with pytest.raises(closure.UndecidedError) as info:
+        tight_closure_ideal(ideal_of(fermat5, "x^2", "y^2", "x^2"))
+    exc = info.value
+    assert exc.stage == "closure window"
+    assert exc.size > 5
+    assert str(exc).endswith(f"quotient has {exc.size} candidate lines, "
+                             f"beyond the testing limit")

@@ -617,6 +617,32 @@ def test_embedded_module_reuses_lead_table(fermat5, F5, monkeypatch):
     assert calls == []
 
 
+def test_twisted_module_is_the_shifted_module(fermat5, monkeypatch):
+    """M.twisted(s) has the pieces of M shifted by s, against the module
+    built at the shifted twists from scratch, and builds no Groebner
+    basis."""
+    for gens in (["x^2", "y^2", "x^2"], ["x", "y", "z^3"]):
+        M = syzygy_of_map(syz_map(fermat5, gens, 0), fermat5)
+        rank, degree = M.rank_and_degree()
+        direct = {s: syzygy_of_map(syz_map(fermat5, gens, s), fermat5)
+                  for s in (-1, 2, 3)}
+        calls = []
+        real = gradedmod.buchberger_module
+        monkeypatch.setattr(gradedmod, "buchberger_module",
+                            lambda *a: calls.append(1) or real(*a))
+        for s, D in direct.items():
+            T = M.twisted(s)
+            assert T.gens == D.gens and T.ambient == D.ambient
+            assert T.lift is M.lift and T._lead_table() is M._lead_table()
+            assert T.rank_and_degree() == (rank, degree + 3 * rank * s)
+            for t in range(-2, 6):
+                assert T.piece_dim(t) == M.piece_dim(t + s)
+                assert T.piece_matrix(t).tolist() == \
+                    D.piece_matrix(t).tolist()
+        assert calls == []
+        monkeypatch.undo()
+
+
 def test_nonlinear_hilbert_values_name_degrees(fermat5, monkeypatch):
     M = syzygy_of_map(syz_map(fermat5, ["x^2", "y^2", "z^2"], 3), fermat5)
     base = max(M.gen_degrees()) + M.ambient.rank + 3

@@ -208,6 +208,37 @@ def test_solve_and_row_space_contains(field):
                                       field) == inside
 
 
+def test_solve_columns_match_one_column_solves(field):
+    """A 2-D right-hand side gives, column by column, what solve gives for
+    that column alone: the same canonical solution or the same None.  Zero,
+    zero-row, rank-deficient and full-rank matrices; consistent columns,
+    random (mostly inconsistent) ones and zero columns side by side."""
+    rng = random.Random(f"solve-2d:{field.q}")
+    for mat in matrices(field, 4):
+        rows, cols = mat.shape
+        consistent = random_matrix(rng, (rows, 3), field) if cols == 0 else \
+            np.array(ref_matmul(mat, random_matrix(rng, (cols, 3), field),
+                                field), dtype=np.int64).reshape(rows, 3)
+        if cols == 0:
+            consistent[:] = 0
+        rhs = np.concatenate([consistent[:, :2],
+                              random_matrix(rng, (rows, 3), field),
+                              np.zeros((rows, 1), dtype=np.int64),
+                              consistent[:, 2:]], axis=1)
+        got = solve(mat, rhs, field)
+        assert len(got) == rhs.shape[1]
+        for j in range(rhs.shape[1]):
+            one = solve(mat, rhs[:, j].copy(), field)
+            assert (got[j] is None) == (one is None)
+            if one is not None:
+                assert got[j].tolist() == one.tolist()
+        for j in (0, 1, 5, 6):
+            assert got[j] is not None
+    assert solve(np.zeros((0, 3), dtype=np.int64),
+                 np.zeros((0, 2), dtype=np.int64), field)[1].tolist() \
+        == [0, 0, 0]
+
+
 def test_span_basis_matches_reference(field):
     for mat in matrices(field, 3):
         rows, cols = mat.shape
