@@ -17,9 +17,11 @@ its size.  Everything is deterministic.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .field import Field, embed
+from .field import Field, code_embedding
 from .linalg import as_matrix, nullspace, reduce_against, rref, solve
 
 
@@ -446,14 +448,7 @@ class FiniteAlgebra:
             """Coordinates in the quotient basis (reduce by rad, take free)."""
             return reduce_against(red, pivots, vec, f)[free]
 
-        m = len(free)
-        table = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                prod = self.mul(section_rows[i], section_rows[j])
-                row.append(project(prod))
-            table.append(row)
+        table = [[project(self.table[i, j]) for j in free] for i in free]
         quot = FiniteAlgebra(f, table, project(self.unit))
         return quot, project, section_rows
 
@@ -461,22 +456,14 @@ class FiniteAlgebra:
         """Row basis of the centre."""
         f = self.field
         n = self.dim
-        conds = []
-        for j in range(n):
-            e = np.zeros(n, dtype=np.int64)
-            e[j] = 1
-            cols = []
-            for i in range(n):
-                ei = np.zeros(n, dtype=np.int64)
-                ei[i] = 1
-                cols.append(self.sub(self.mul(ei, e), self.mul(e, ei)))
-            conds.append(np.stack(cols, axis=1))
-        mat = np.concatenate(conds, axis=0)
-        return nullspace(mat, f)
+        # z is central when sum_i z_i (b_i b_j - b_j b_i) = 0 for every j:
+        # row (j, k), column i holds coordinate k of b_i b_j - b_j b_i
+        comm = f.vsub(self.table, self.table.transpose(1, 0, 2))
+        return nullspace(comm.transpose(1, 2, 0).reshape(n * n, n), f)
 
     def extend_scalars(self, target: Field):
         """The same structure constants over a larger field."""
-        emb = lambda code: embed(self.field.from_code(int(code)), target).code
+        emb = code_embedding(self.field, target)
         to_target = np.vectorize(emb, otypes=[np.int64])
         return (FiniteAlgebra(target, to_target(self.table),
                               to_target(self.unit)), emb)
@@ -581,15 +568,7 @@ def _commutative_splitter(B: FiniteAlgebra):
 
 
 def _is_commutative(B: FiniteAlgebra):
-    for i in range(B.dim):
-        ei = np.zeros(B.dim, dtype=np.int64)
-        ei[i] = 1
-        for j in range(i + 1, B.dim):
-            ej = np.zeros(B.dim, dtype=np.int64)
-            ej[j] = 1
-            if not np.array_equal(B.mul(ei, ej), B.mul(ej, ei)):
-                return False
-    return True
+    return np.array_equal(B.table, B.table.transpose(1, 0, 2))
 
 
 def _idempotent_from_nilpotent(B: FiniteAlgebra, nu):
@@ -631,27 +610,25 @@ def _idempotent_from_nilpotent(B: FiniteAlgebra, nu):
     return e
 
 
-def _find_splitter_scan(B: FiniteAlgebra, limit=4000):
-    """Deterministic scan for an element splitting a simple corner."""
+# candidates _find_splitter_scan tries before giving up
+_SCAN_LIMIT = 4000
+
+
+def _find_splitter_scan(B: FiniteAlgebra):
+    """Deterministic scan for an element splitting a simple corner: its
+    orthogonal idempotents, or None."""
     f = B.field
-    candidates = []
-    for i in range(B.dim):
-        e = np.zeros(B.dim, dtype=np.int64)
-        e[i] = 1
-        candidates.append(e)
+    eye = np.eye(B.dim, dtype=np.int64)
+    candidates = list(eye)
     for i in range(B.dim):
         for j in range(B.dim):
             if i != j:
-                ei = np.zeros(B.dim, dtype=np.int64)
-                ei[i] = 1
-                ej = np.zeros(B.dim, dtype=np.int64)
-                ej[j] = 1
-                candidates.append(B.add(ei, ej))
-                candidates.append(B.mul(ei, ej))
+                candidates.append(eye[i] + eye[j])
+                candidates.append(B.table[i, j].copy())
     state = 0x9E3779B97F4A7C15
     tried = 0
     idx = 0
-    while tried < limit:
+    while tried < _SCAN_LIMIT:
         if idx < len(candidates):
             z = candidates[idx]
             idx += 1
@@ -667,19 +644,18 @@ def _find_splitter_scan(B: FiniteAlgebra, limit=4000):
             continue
         idems, fac = _split_by_element(B, z)
         if idems is not None:
-            return ("crt", idems)
+            return idems
         if fac and fac[0][1] >= 2:
             g, _m = fac[0]
             nu = ueval_in_algebra(g, z, B)
             if nu.any():
                 e = _idempotent_from_nilpotent(B, nu)
                 if e is not None:
-                    comp = B.sub(B.unit, e)
-                    return ("peirce", [e, comp])
+                    return [e, B.sub(B.unit, e)]
     return None
 
 
-def semisimple_primitive_idempotents(B: FiniteAlgebra, ext_bound: int = 4):
+def semisimple_primitive_idempotents(B: FiniteAlgebra):
     """Complete orthogonal primitive idempotents of a semisimple algebra.
 
     Returns (idempotents, residue_degree_lcm); residue_degree_lcm > 1 means
@@ -736,24 +712,14 @@ def semisimple_primitive_idempotents(B: FiniteAlgebra, ext_bound: int = 4):
                     split_done = True
         if split_done:
             continue
-        found = _find_splitter_scan(CB)
-        if found is None:
+        idems = _find_splitter_scan(CB)
+        if idems is None:
             raise UndecidedError(
                 "could not split a noncommutative simple corner",
                 stage="noncommutative corner", size=corner.dim)
-        _kind, idems = found
         for ie in idems:
             work.append(corner.to_parent(ie))
-    need = 1
-    for r in residues:
-        need = need * r // _gcd(need, r)
-    return primitive, need
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    return primitive, math.lcm(*residues)
 
 
 def lift_idempotents(A: FiniteAlgebra, rad, quotient_idems, project, section_rows):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import (FiniteAlgebra, UndecidedError, lift_idempotents,
                       semisimple_primitive_idempotents)
-from .field import Field, embed, make_field
+from .field import Field, code_embedding, make_field
 from .gradedmod import (GradedMap, ModuleHom, PresentedModule, TwistedFree,
                         combine_vectors, hom_space, image_conditions,
                         image_presentation, syzygy_of_map, vector_degree)
@@ -279,7 +279,7 @@ def decompose_bundle(bundle: SyzygyBundle, ext_bound: int = 4,
         if ext == 1:
             return ideal, module, homs0, alg0, (lambda c: c), ea.radical_rows
         K = make_field(base_field.p, base_field.k * ext)
-        emb = lambda code: embed(base_field.from_code(code), K).code
+        emb = code_embedding(base_field, K)
         ideal2 = ideal.embedded(K, emb)
         module2 = module.embedded(ideal2.curve, emb)
         homs2 = [ModuleHom(module2, module2,
@@ -403,7 +403,7 @@ def component_class_vanishes(forcing: ForcingData, summand: Summand) -> bool:
     """
     field = summand.field
     if field != forcing.field:
-        forcing = forcing.embedded(field, _embed_code_fn(forcing.field, field))
+        forcing = forcing.embedded(field, code_embedding(forcing.field, field))
     Mp = forcing.syz_prime
     Mj = summand.module
     proj = summand.projection
@@ -442,10 +442,6 @@ def component_class_vanishes(forcing: ForcingData, summand: Summand) -> bool:
     mat = np.concatenate(rows, axis=0)
     rhs = np.concatenate(rhs_parts, axis=0)
     return solve(mat, rhs, field) is not None
-
-
-def _embed_code_fn(source: Field, target: Field):
-    return lambda code: embed(source.from_code(code), target).code
 
 
 def cohomology_dims(M: PresentedModule, j: int):

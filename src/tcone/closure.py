@@ -28,8 +28,8 @@ import numpy as np
 from .algebra import UndecidedError
 from .bundle import (component_class_vanishes, decompose_bundle,
                      forcing_data, syzygy_bundle)
-from .gradedmod import PieceFrame
-from .linalg import SpanBasis, row_space_contains
+from .gradedmod import PieceFrame, TwistedFree, _minimal_generators
+from .linalg import reduce_against, row_space_contains, rref
 from .polyring import (CubicCurve, IdealData, Polynomial,
                        format_polynomial, grevlex_key, ideal_membership)
 
@@ -159,14 +159,6 @@ def _ideal_piece_rows(curve: CubicCurve, gens, D: int) -> np.ndarray:
     return PieceFrame(curve, (0,), D).multiples([(g,) for g in gens])
 
 
-def _ideal_piece_span(curve: CubicCurve, gens, D: int) -> SpanBasis:
-    """Span of the degree-D piece of the R-ideal generated by gens."""
-    span = SpanBasis(curve.piece_dim(D), curve.field)
-    for row in _ideal_piece_rows(curve, gens, D):
-        span.add(row)
-    return span
-
-
 def frobenius_member(ideal: IdealData, f0: Polynomial,
                      e_max: int = 4) -> FrobeniusResult:
     """Smallest e <= e_max with f0^(p^e) in the p^e-th power ideal.
@@ -241,25 +233,25 @@ def _ceil_fraction(x: Fraction) -> int:
 _LINE_LIMIT = 100_000
 
 
-def _criterion_piece(ideal: IdealData, m: int, ideal_span: SpanBasis,
-                     dec0) -> SpanBasis:
+def _criterion_piece(ideal: IdealData, m: int, ideal_piece, dec0):
     """Degree-m piece of the tight closure in the criterion window.
 
-    The piece is a subspace of R_m containing the ideal piece (ideal_span,
-    left unchanged); it is reconstructed exactly by testing one
-    representative of every line of the quotient space with the summand
-    criterion.  The degree-m bundle and its summands are the twist by m of
-    the twist-zero decomposition dec0 (`Decomposition.twisted`), so no End
-    algebra is built here.
+    The piece is a subspace of R_m containing the ideal piece, both given
+    as (rows, pivots) of their canonical rref; it is reconstructed exactly
+    by testing one representative of every line of the quotient space with
+    the summand criterion.  The degree-m bundle and its summands are the
+    twist by m of the twist-zero decomposition dec0
+    (`Decomposition.twisted`), so no End algebra is built here.
     """
     curve = ideal.curve
     field = curve.field
     frame = PieceFrame(curve, (0,), m)
     width = frame.width
-    free_cols = [c for c in range(width) if c not in ideal_span.pivots]
+    rows, pivots = ideal_piece
+    free_cols = [c for c in range(width) if c not in pivots]
     t = len(free_cols)
     if t == 0:
-        return ideal_span
+        return ideal_piece
     q = field.q
     n_lines = (q ** t - 1) // (q - 1)
     if n_lines > _LINE_LIMIT:
@@ -268,9 +260,6 @@ def _criterion_piece(ideal: IdealData, m: int, ideal_span: SpanBasis,
             f"the testing limit", stage="closure window", size=n_lines)
     dec = dec0.twisted(m)
     negatives = [s for s in dec if s.degree < 0]
-    closure_span = SpanBasis(width, field)
-    for row in ideal_span.rows:
-        closure_span.add(row.copy())
     # canonical line representatives: leading coordinate 1
     for lead in range(t):
         tail = t - lead - 1
@@ -282,13 +271,13 @@ def _criterion_piece(ideal: IdealData, m: int, ideal_span: SpanBasis,
                 c //= q
             vec = np.zeros(width, dtype=np.int64)
             vec[free_cols] = coeffs
-            if closure_span.contains(vec):
+            if not reduce_against(rows, pivots, vec, field).any():
                 # already known to be in the closure piece
                 continue
             fd = forcing_data(ideal, frame.polys(vec)[0], dec.base_bundle)
             if all(component_class_vanishes(fd, s) for s in negatives):
-                closure_span.add(vec)
-    return closure_span
+                rows, pivots = rref(np.vstack([rows, vec]), field)
+    return rows, pivots
 
 
 def tight_closure_ideal(ideal: IdealData, ext_bound: int = 4) -> ClosureIdeal:
@@ -297,42 +286,35 @@ def tight_closure_ideal(ideal: IdealData, ext_bound: int = 4) -> ClosureIdeal:
     Three regimes per degree m: below mu_min/3 the closure piece equals the
     ideal piece; from mu_max/3 on it is all of R_m; in between it is cut
     out by the vanishing of the class components on the negative summands
-    of the degree-m syzygy sheaf.
+    of the degree-m syzygy sheaf.  The pieces' rref rows, in degree order,
+    are pruned to minimal generators by graded Nakayama
+    (`gradedmod._minimal_generators`).
     """
     curve = ideal.curve
-    field = curve.field
     dec0 = decompose_bundle(syzygy_bundle(ideal, 0), ext_bound=ext_bound)
     slope = _slope_report(ideal, dec0)
     bound = _ceil_fraction(slope.mu_max / 3)
     bound = max(bound, 1)
     per_degree = []
-    piece_rows = {}
+    candidates = []
     for m in range(1, bound + 1):
-        ideal_span = _ideal_piece_span(curve, list(ideal.gens), m)
+        ideal_piece = rref(_ideal_piece_rows(curve, ideal.gens, m),
+                           curve.field)
         if m >= slope.mu_max / 3:
             regime = "all"
             rows = np.eye(curve.piece_dim(m), dtype=np.int64)
         elif m < slope.mu_min / 3:
             regime = "ideal"
-            rows = ideal_span.matrix()
+            rows = ideal_piece[0]
         else:
             regime = "criterion"
-            rows = _criterion_piece(ideal, m, ideal_span, dec0).matrix()
-        piece_rows[m] = rows
-        per_degree.append(DegreeRegime(m, regime, ideal_span.dim,
-                                       rows.shape[0]))
-    # minimal generators: peel each degree against R_1 times the previous piece
-    gens = []
-    prev = []
-    for m in range(1, bound + 1):
+            rows = _criterion_piece(ideal, m, ideal_piece, dec0)[0]
         frame = PieceFrame(curve, (0,), m)
-        grown = SpanBasis(frame.width, field)
-        for row in frame.multiples(prev):
-            grown.add(row)
-        prev = [frame.polys(row) for row in piece_rows[m]]
-        for row, vec in zip(piece_rows[m], prev):
-            if grown.add(row):
-                gens.append(vec[0])
+        candidates += [frame.polys(row) for row in rows]
+        per_degree.append(DegreeRegime(m, regime, len(ideal_piece[1]),
+                                       rows.shape[0]))
+    gens = [v[0] for v in _minimal_generators(curve, TwistedFree((0,)),
+                                               candidates)]
     gens.sort(key=lambda g: (g.degree(),
                              tuple(grevlex_key(g.leading_monomial()))),
               reverse=False)

@@ -17,6 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .linalg import nullspace
+
 
 class FieldError(ValueError):
     """Invalid field construction or incompatible field operation."""
@@ -493,48 +495,22 @@ def _root_of_modulus(source: Field, target: Field) -> int:
 
     The roots form a subset of the fixed field of Frobenius^source.k, an
     F_p-subspace of the target enumerated through a nullspace basis, so the
-    search space is p^source.k elements rather than the whole target.
+    search space is p^source.k elements rather than the whole target.  The
+    minimum is over the whole subspace, so it does not depend on the basis.
     """
     p, ks, kt = source.p, source.k, target.k
     if p ** ks > 4_000_000:
         raise FieldError("embedding search space too large for desk scale")
-    # matrix of Frobenius^ks - id on the target, over F_p
+    # Frobenius^ks - id on the target, over F_p: column i is the image of
+    # the i-th power-basis element
     cols = []
     for i in range(kt):
         e = target._encode([0] * i + [1] + [0] * (kt - i - 1))
-        img = target.pow(e, p ** ks)
-        col = target._decode(img)
+        col = target._decode(target.pow(e, p ** ks))
         col[i] = (col[i] - 1) % p
         cols.append(col)
-    # F_p nullspace by Gaussian elimination on the kt x kt matrix
-    mat = [[cols[j][i] for j in range(kt)] for i in range(kt)]
-    pivots = {}
-    row = 0
-    for col in range(kt):
-        piv = None
-        for r in range(row, kt):
-            if mat[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = pow(mat[row][col], -1, p)
-        mat[row] = [x * inv % p for x in mat[row]]
-        for r in range(kt):
-            if r != row and mat[r][col] % p:
-                f = mat[r][col]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[row])]
-        pivots[col] = row
-        row += 1
-    free_cols = [c for c in range(kt) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [0] * kt
-        vec[fc] = 1
-        for c, r in pivots.items():
-            vec[c] = (-mat[r][fc]) % p
-        basis.append(target._encode(vec))
+    kernel = nullspace(np.array(cols, dtype=np.int64).T, make_field(p))
+    basis = [target._encode([int(c) for c in row]) for row in kernel]
     # enumerate the fixed subfield, collect roots of the source modulus
     root = None
     mod = source.modulus
@@ -583,3 +559,8 @@ def embed(x: FieldElem, target: Field) -> FieldElem:
     for c in reversed(source._decode(x.code)):
         acc = target.add(target.mul(acc, root), c)
     return FieldElem(target, acc)
+
+
+def code_embedding(source: Field, target: Field):
+    """`embed` on element codes: a map from source codes to target codes."""
+    return lambda code: embed(source.from_code(int(code)), target).code

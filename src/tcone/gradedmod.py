@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SpanBasis, nullspace, rref
+from .linalg import nullspace, rref
 from .polyring import (CubicCurve, Polynomial, buchberger_module,
                        mono_divides, mono_mul, vec_lt, vec_nf, vec_reducer,
                        vkey)
@@ -235,21 +235,28 @@ def _minimal_generators(curve, ambient, vectors):
     """Prune a sorted homogeneous generator list to a minimal one.
 
     Graded Nakayama: a generator is redundant exactly when it lies in the
-    span, at its own degree, of multiples of the generators kept so far.
+    span, at its own degree, of multiples of the generators kept so far and
+    of the earlier generators of that degree.  Per degree that is one rref
+    of the transposed stack [multiples; generators]: a generator is kept
+    exactly when its column is a pivot, i.e. lies outside the span of the
+    columns before it.
     """
     kept = []
     i = 0
     while i < len(vectors):
         d = vector_degree(vectors[i], ambient.twists)
+        j = i
+        while j < len(vectors) and \
+                vector_degree(vectors[j], ambient.twists) == d:
+            j += 1
         frame = PieceFrame(curve, ambient.twists, d)
-        span = SpanBasis(frame.width, curve.field)
-        for row in frame.multiples(kept):
-            span.add(row)
-        while i < len(vectors) and \
-                vector_degree(vectors[i], ambient.twists) == d:
-            if span.add(frame.coords(vectors[i])):
-                kept.append(vectors[i])
-            i += 1
+        multiples = frame.multiples(kept)
+        group = vectors[i:j]
+        stack = np.vstack([multiples] + [frame.coords(v) for v in group])
+        pivots = set(rref(stack.T, curve.field)[1])
+        kept += [v for k, v in enumerate(group, len(multiples))
+                 if k in pivots]
+        i = j
     return kept
 
 

@@ -1,16 +1,21 @@
 """Exact linear algebra over the finite fields of :mod:`tcone.field`.
 
 Matrices are numpy int64 arrays of element codes.  Elimination is written
-once, on the array ops of :class:`tcone.field.Field`, which alone know how
-an element is stored.  All routines are deterministic: reduced row echelon
-form is canonical, and nullspace bases are ordered by free column.
+once, in `_eliminate`, on the array ops of :class:`tcone.field.Field`, which
+alone know how an element is stored; a graded-piece span is the
+(rows, pivots) pair of its `rref`.  All routines are deterministic: reduced
+row echelon form is canonical, and nullspace bases are ordered by free
+column.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .field import Field
+if TYPE_CHECKING:
+    from .field import Field
 
 
 def as_matrix(rows, ncols: int) -> np.ndarray:
@@ -125,9 +130,9 @@ def row_space_contains(rows: np.ndarray, vec: np.ndarray, field: Field) -> bool:
 class SpanBasis:
     """Incrementally maintained row space in reduced echelon form.
 
-    Supports adding spanning vectors and testing membership; used for
-    degree-by-degree ideal piece accumulation where full re-elimination
-    would be wasteful.
+    The pipeline no longer uses it: graded-piece spans are `rref` matrices.
+    It is kept only because the benchmark's corpus builds one and its
+    tracer counts `SpanBasis.add` by name.
     """
 
     def __init__(self, ncols: int, field: Field):

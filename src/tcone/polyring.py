@@ -260,6 +260,18 @@ class PolynomialSyntaxError(ValueError):
     pass
 
 
+# The parser refuses a product or power of higher degree before expanding
+# it: the cost of a normal form grows steeply with the degree, and an
+# exponent like x^99999999999999999999 would never finish.
+_MAX_PARSE_DEGREE = 64
+
+
+def _check_degree(degree):
+    if degree > _MAX_PARSE_DEGREE:
+        raise PolynomialSyntaxError(
+            f"degree {degree} exceeds the bound {_MAX_PARSE_DEGREE}")
+
+
 class _Parser:
     def __init__(self, text, field):
         self.toks = self._lex(text)
@@ -317,7 +329,9 @@ class _Parser:
         acc = self.factor()
         while self.peek() == "*":
             self.take()
-            acc = acc * self.factor()
+            other = self.factor()
+            _check_degree(acc.degree() + other.degree())
+            acc = acc * other
         return acc
 
     def factor(self):
@@ -325,6 +339,7 @@ class _Parser:
         if self.peek() == "^":
             self.take()
             e = self.take("int")[1]
+            _check_degree(base.degree() * e)
             base = base ** e
         return base
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -261,3 +262,23 @@ candidate = "t*x*y*z"
     doc = json.loads(out)
     assert doc["verdict"] == "member"
     assert code == 0
+
+
+@pytest.mark.parametrize("candidate", ["x^99999999999999999999",
+                                       "(x+y+z)^100000"])
+def test_huge_degree_is_refused_before_expansion(tmp_path, capsys, candidate):
+    f = tmp_path / "problem.tc"
+    f.write_text(FERMAT_CHECK.replace('"x*y*z"', f'"{candidate}"'))
+    start = time.perf_counter()
+    assert main(["check", str(f)]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert "E_SYNTAX" in err
+    assert "exceeds the bound 64" in err
+    with pytest.raises(ProblemError) as info:
+        parse_problem(FERMAT_CHECK.replace('"x*y*z"', '"x^40*y^25"'))
+    assert info.value.code == E_SYNTAX
+    assert "degree 65" in str(info.value)
+    # the bound itself is still parsed
+    assert parse_problem(FERMAT_CHECK.replace('"x*y*z"',
+                                              '"x^32*y^32"')).candidate

@@ -8,7 +8,8 @@ from tcone.closure import (FrobeniusResult, frobenius_member,
                            slope_and_threshold, tight_closure_ideal,
                            tight_closure_member, _ideal_piece_rows)
 from tcone.field import make_field
-from tcone.linalg import rref
+from tcone.gradedmod import PieceFrame
+from tcone.linalg import SpanBasis, rref
 from tcone.polyring import (CubicCurve, IdealData, Polynomial,
                             format_polynomial, ideal_membership,
                             parse_polynomial)
@@ -274,3 +275,59 @@ def test_line_limit_names_stage_and_size(fermat5, monkeypatch):
     assert exc.size > 5
     assert str(exc).endswith(f"quotient has {exc.size} candidate lines, "
                              f"beyond the testing limit")
+
+
+def _reference_peel(curve, pieces, bound):
+    """Minimal generators as the closure used to find them: degree by
+    degree, a piece row is a generator when it grows the SpanBasis of R_1
+    times the previous piece."""
+    gens, prev = [], []
+    for m in range(1, bound + 1):
+        frame = PieceFrame(curve, (0,), m)
+        grown = SpanBasis(frame.width, curve.field)
+        for row in frame.multiples(prev):
+            grown.add(row)
+        prev = pieces.get(m, [])
+        for vec in prev:
+            if grown.add(frame.coords(vec)):
+                gens.append(vec[0])
+    return gens
+
+
+@pytest.mark.parametrize("p, gens", [
+    (5, ("x^2", "y^2", "z^2")), (5, ("x^2", "y^2", "x^2")), (5, ("x", "y")),
+    (5, ("x", "y", "z")), (5, ("x^2", "y^2")), (2, ("x^2", "y^2", "z^2")),
+    (7, ("x^2", "y^2", "z^2"))])
+def test_closure_generators_match_peel_reference(p, gens, monkeypatch):
+    field = make_field(p)
+    curve = CubicCurve(pp("x^3 + y^3 + z^3", field), field)
+    seen = {}
+    real = closure._minimal_generators
+
+    def recording(curve, ambient, vectors):
+        seen["candidates"] = vectors
+        seen["kept"] = real(curve, ambient, vectors)
+        return seen["kept"]
+
+    monkeypatch.setattr(closure, "_minimal_generators", recording)
+    ci = tight_closure_ideal(ideal_of(curve, *gens))
+    pieces = {}
+    for vec in seen["candidates"]:
+        pieces.setdefault(vec[0].degree(), []).append(vec)
+    assert [d.dim_closure for d in ci.per_degree] == \
+        [len(pieces.get(m, [])) for m in range(1, ci.bound_degree + 1)]
+    want = _reference_peel(curve, pieces, ci.bound_degree)
+    assert [v[0] for v in seen["kept"]] == want
+    assert sorted(format_polynomial(g) for g in ci.generators) == \
+        sorted(format_polynomial(g) for g in want)
+
+
+def test_closure_ideal_adds_no_span_basis_rows(fermat5, monkeypatch):
+    calls = []
+    real = SpanBasis.add
+    monkeypatch.setattr(SpanBasis, "add",
+                        lambda self, vec: calls.append(1) or real(self, vec))
+    ci = tight_closure_ideal(ideal_of(fermat5, "x^2", "y^2", "z^2"))
+    assert sorted(format_polynomial(g) for g in ci.generators) == \
+        ["x*y*z", "x^2", "y^2", "z^2"]
+    assert calls == []

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcone.field import (Field, FieldElem, FieldError, embed,
-                         find_irreducible, make_field)
+from tcone.field import (Field, FieldElem, FieldError, _root_of_modulus,
+                         embed, find_irreducible, make_field)
 
 
 # -- independent oracle: smallest irreducible by exhaustive trial division --
@@ -201,6 +201,22 @@ def test_embed_is_ring_embedding(p, ks, kt):
             assert embed(x + y, tgt) == embed(x, tgt) + embed(y, tgt)
     images = {embed(src.from_code(a), tgt).code for a in rng_codes}
     assert len(images) == src.q  # injective
+
+
+@pytest.mark.parametrize("p,ks,kt", [(2, 2, 4), (2, 2, 8), (5, 2, 4),
+                                     (3, 2, 6), (2, 3, 6), (7, 2, 4)])
+def test_root_of_modulus_is_smallest_root_in_whole_target(p, ks, kt):
+    src, tgt = make_field(p, ks), make_field(p, kt)
+
+    def value_at(code):
+        x, acc = tgt.from_code(code), tgt.zero()
+        for c in reversed(src.modulus):
+            acc = acc * x + tgt.elem(c)
+        return acc
+
+    roots = [code for code in range(tgt.q) if value_at(code).is_zero()]
+    assert len(roots) == ks
+    assert _root_of_modulus(src, tgt) == min(roots)
 
 
 def test_embed_is_deterministic_within_process():

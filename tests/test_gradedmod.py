@@ -13,7 +13,7 @@ from tcone.gradedmod import (GradedMap, HomModule, ModuleHom, PieceFrame,
                              closing_relations, free_module, hom_space,
                              image_presentation, syzygy_of_map, vec_from_polys,
                              vec_lt, vec_nf, vec_reducer, vkey)
-from tcone.linalg import as_matrix
+from tcone.linalg import SpanBasis, as_matrix
 from tcone.polyring import (CubicCurve, IdealData, Polynomial,
                             format_polynomial, mono_deg, mono_div,
                             mono_divides, mono_lcm, mono_mul,
@@ -304,6 +304,62 @@ def test_piece_frame_matches_reference(p, k):
         assert np.array_equal(got, want)
         seen_rows += got.shape[0]
     assert seen_rows > 20
+
+
+def _reference_minimal_generators(curve, ambient, vectors):
+    """Graded Nakayama one row at a time: a generator is kept when adding
+    it grows the SpanBasis of the multiples of the generators kept below its
+    degree and of the generators before it."""
+    kept = []
+    i = 0
+    while i < len(vectors):
+        d = gradedmod.vector_degree(vectors[i], ambient.twists)
+        frame = PieceFrame(curve, ambient.twists, d)
+        span = SpanBasis(frame.width, curve.field)
+        for row in frame.multiples(kept):
+            span.add(row)
+        while i < len(vectors) and \
+                gradedmod.vector_degree(vectors[i], ambient.twists) == d:
+            if span.add(frame.coords(vectors[i])):
+                kept.append(vectors[i])
+            i += 1
+    return kept
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (2, 2), (7, 4)])
+def test_minimal_generators_match_span_basis_reference(p, k):
+    field = make_field(p, k)
+    curve = CubicCurve(pp("x^3 + y^3 + z^3", field), field)
+    rng = seeded(600 + p * 10 + k)
+    pruned = 0
+    for twists in [(0,), (0, 1), (-1, 0, 2)]:
+        ambient = TwistedFree(twists)
+        vectors = []
+        for d in (1, 1, 2, 2, 3):
+            v = _random_piece_vector(curve, twists, d, rng)
+            if not any(v):
+                continue
+            earlier = list(vectors)
+            vectors.append(v)
+            # a duplicate and a scalar multiple of a generator
+            vectors.append(rng.choice(vectors))
+            c = rng.randrange(1, field.q)
+            vectors.append(tuple(q.scale(c) for q in rng.choice(vectors)))
+            # a multiple of a lower-degree generator plus a same-degree one
+            lower = [w for w in earlier
+                     if gradedmod.vector_degree(w, twists) < d]
+            if lower:
+                w = rng.choice(lower)
+                mu = rng.choice(curve.piece_monomials(
+                    d - gradedmod.vector_degree(w, twists)))
+                vectors.append(tuple(curve.nf(q.term_mul(mu, 1)) + r
+                                     for q, r in zip(w, v)))
+        vectors = [v for v in vectors if any(v)]
+        vectors.sort(key=lambda v: gradedmod.vector_degree(v, twists))
+        got = gradedmod._minimal_generators(curve, ambient, vectors)
+        assert got == _reference_minimal_generators(curve, ambient, vectors)
+        pruned += len(vectors) - len(got)
+    assert pruned > 0
 
 
 def _reference_ideal_piece_rows(curve, gens, D):

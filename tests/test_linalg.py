@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from tcone.algebra import FiniteAlgebra
+from tcone.algebra import FiniteAlgebra, _is_commutative
 from tcone.field import _TABLE_LIMIT, make_field
 from tcone.linalg import (SpanBasis, _eliminate, nullspace,
                           row_space_contains, rref, solve)
@@ -291,6 +291,33 @@ def test_algebra_mul_matches_reference(field):
                 e[j] = 1
                 assert L[:, j].tolist() == \
                     A.mul(np.array(a, dtype=np.int64), e).tolist()
+
+
+def test_algebra_table_reads_match_one_hot_products(field):
+    """_is_commutative, center and quotient read products of basis
+    elements from the table; the one-hot `mul` route gives the same."""
+    rng = random.Random(f"table:{field.q}")
+    for n in (1, 2, 3, 4):
+        A, table = random_algebra(field, n, rng)
+        sym = [[table[min(i, j)][max(i, j)] for j in range(n)]
+               for i in range(n)]
+        for B in (A, FiniteAlgebra(field, sym, A.unit)):
+            eye = np.eye(n, dtype=np.int64)
+            prods = [[B.mul(eye[i], eye[j]) for j in range(n)]
+                     for i in range(n)]
+            assert _is_commutative(B) == all(
+                np.array_equal(prods[i][j], prods[j][i])
+                for i in range(n) for j in range(n))
+            conds = [np.stack([B.sub(prods[i][j], prods[j][i])
+                               for i in range(n)], axis=1) for j in range(n)]
+            assert np.array_equal(B.center(),
+                                  nullspace(np.concatenate(conds), field))
+            rad = random_matrix(rng, (1, n), field)
+            quot, project, section = B.quotient(rad)
+            want = [[project(B.mul(a, b)) for b in section] for a in section]
+            assert np.array_equal(quot.table,
+                                  np.array(want, dtype=np.int64).reshape(
+                                      quot.table.shape))
 
 
 def test_charpoly_matches_reference_determinant(field):
