@@ -21,7 +21,8 @@ import math
 
 import numpy as np
 
-from .field import Field, code_embedding
+from .field import (Field, code_embedding, udivmod, ugcd, umonic, umul,
+                    upowmod, usub, ustrip)
 from .linalg import as_matrix, nullspace, reduce_against, rref, solve
 
 
@@ -42,80 +43,12 @@ class UndecidedError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over an arbitrary Field, little-endian code lists
+# univariate polynomials over a Field beyond field.py's arithmetic:
+# derivative, p-th roots, squarefree decomposition and factoring
 # ---------------------------------------------------------------------------
-
-def ustrip(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def usub(a, b, f):
-    n = max(len(a), len(b))
-    return ustrip([f.sub(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-                   for i in range(n)])
-
-
-def umul(a, b, f):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = f.add(out[i + j], f.mul(ai, bj))
-    return ustrip(out)
-
-
-def umonic(a, f):
-    if not a:
-        return a
-    inv = f.inv(a[-1])
-    return [f.mul(inv, c) for c in a]
-
-
-def udivmod(a, b, f):
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    db = len(b) - 1
-    inv = f.inv(b[-1])
-    q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = f.mul(a[-1], inv)
-        off = len(a) - 1 - db
-        q[off] = c
-        for i, bi in enumerate(b):
-            a[off + i] = f.sub(a[off + i], f.mul(c, bi))
-        a.pop()
-    return ustrip(q), ustrip(a)
-
-
-def ugcd(a, b, f):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, udivmod(a, b, f)[1]
-    return umonic(a, f)
-
 
 def uderiv(a, f):
     return ustrip([f.mul(c, i % f.p) for i, c in enumerate(a)][1:])
-
-
-def upowmod(a, e, m, f):
-    result = [1]
-    a = udivmod(a, m, f)[1]
-    while e:
-        if e & 1:
-            result = udivmod(umul(result, a, f), m, f)[1]
-        a = udivmod(umul(a, a, f), m, f)[1]
-        e >>= 1
-    return result
 
 
 def _proot(code, f):
@@ -125,10 +58,7 @@ def _proot(code, f):
 
 def _upth_root(a, f):
     """p-th root of a polynomial all of whose exponents are multiples of p."""
-    out = []
-    for i in range(0, len(a), f.p):
-        out.append(_proot(a[i], f))
-    return ustrip(out)
+    return ustrip([_proot(a[i], f) for i in range(0, len(a), f.p)])
 
 
 def usquarefree_decomposition(a, f):

@@ -21,8 +21,9 @@ from .algebra import (FiniteAlgebra, UndecidedError, lift_idempotents,
                       semisimple_primitive_idempotents)
 from .field import Field, code_embedding, make_field
 from .gradedmod import (GradedMap, ModuleHom, PresentedModule, TwistedFree,
-                        combine_vectors, hom_space, image_conditions,
-                        image_presentation, syzygy_of_map, vector_degree)
+                        combine_vectors, hom_space, hom_system,
+                        image_conditions, image_presentation, syzygy_of_map,
+                        vector_degree)
 from .linalg import solve
 from .polyring import IdealData, Polynomial
 
@@ -132,7 +133,7 @@ def end_algebra(bundle: SyzygyBundle) -> EndAlgebra:
     """Degree-0 Hom basis of the bundle module with multiplication table."""
     M = bundle.module
     field = bundle.field
-    homs = hom_space(M, M, 0)
+    homs = hom_space(M, M)
     if not homs:
         raise ArithmeticError("endomorphism algebra without identity")
     basis_T = np.stack([_hom_coords(M, h.images) for h in homs], axis=1)
@@ -249,20 +250,20 @@ def _combine_hom(M: PresentedModule, homs, coords) -> ModuleHom:
                             for l in range(len(M.gens))])
 
 
-def decompose_bundle(bundle: SyzygyBundle, ext_bound: int = 4,
-                     min_extension: int = 1) -> Decomposition:
+# largest relative degree of the base extension that splitting an
+# endomorphism algebra may take before the decomposition is refused
+_EXT_BOUND = 4
+
+
+def decompose_bundle(bundle: SyzygyBundle) -> Decomposition:
     """Split the bundle into indecomposable summands.
 
     Computes primitive idempotents of the endomorphism algebra modulo its
     radical, extending the base field until every simple factor is split
-    (relative degree at most ext_bound, else the computation is refused as
+    (relative degree at most _EXT_BOUND, else the computation is refused as
     undecided), lifts them through the radical, and realises the summands
     as images.  Summands are ordered by (degree, rank) descending with a
     deterministic tiebreak on the projection data.
-
-    min_extension forces at least that base extension first; it exists so
-    the stability of the answer under enlarging the splitting field can be
-    exercised directly.
     """
     base_field = bundle.field
     ideal = bundle.ideal
@@ -289,7 +290,7 @@ def decompose_bundle(bundle: SyzygyBundle, ext_bound: int = 4,
         alg2, _ = alg0.extend_scalars(K)
         return ideal2, module2, homs2, alg2, emb, alg2.radical()
 
-    rel_ext = max(1, min_extension)
+    rel_ext = 1
     while True:
         ideal_x, module_x, homs_x, alg_x, emb, rad = build_over(rel_ext)
         quot, proj, sect = alg_x.quotient(rad)
@@ -299,10 +300,10 @@ def decompose_bundle(bundle: SyzygyBundle, ext_bound: int = 4,
         if need == 1:
             break
         rel_ext *= need
-        if rel_ext > ext_bound:
+        if rel_ext > _EXT_BOUND:
             raise UndecidedError(
                 f"splitting the endomorphism algebra needs a degree-"
-                f"{rel_ext} extension, beyond the bound {ext_bound}",
+                f"{rel_ext} extension, beyond the bound {_EXT_BOUND}",
                 stage="splitting extension", size=rel_ext)
     lifted = lift_idempotents(alg_x, rad, qidems, proj, sect)
     field_x = ideal_x.curve.field
@@ -337,7 +338,8 @@ class ForcingData:
     first coordinate.
     """
 
-    __slots__ = ("ideal", "f0", "m", "syz_prime", "bundle_module")
+    __slots__ = ("ideal", "f0", "m", "syz_prime", "bundle_module",
+                 "_embedded")
 
     def __init__(self, ideal: IdealData, f0: Polynomial, m: int,
                  syz_prime: PresentedModule, bundle_module: PresentedModule):
@@ -346,18 +348,26 @@ class ForcingData:
         self.m = m
         self.syz_prime = syz_prime
         self.bundle_module = bundle_module
+        self._embedded = {}
 
     @property
     def field(self):
         return self.ideal.curve.field
 
-    def embedded(self, target_field: Field, embed_code) -> "ForcingData":
-        ideal2 = self.ideal.embedded(target_field, embed_code)
-        curve2 = ideal2.curve
-        f02 = self.f0.map_coefficients(target_field, embed_code)
-        syz2 = self.syz_prime.embedded(curve2, embed_code)
-        bm2 = self.bundle_module.embedded(curve2, embed_code)
-        return ForcingData(ideal2, f02, self.m, syz2, bm2)
+    def embedded(self, target_field: Field) -> "ForcingData":
+        """The same data over an extension field, built once per field, so
+        the embedded syz_prime's lift serves every summand tested over it."""
+        other = self._embedded.get(target_field)
+        if other is None:
+            emb = code_embedding(self.field, target_field)
+            ideal2 = self.ideal.embedded(target_field, emb)
+            curve2 = ideal2.curve
+            other = ForcingData(
+                ideal2, self.f0.map_coefficients(target_field, emb), self.m,
+                self.syz_prime.embedded(curve2, emb),
+                self.bundle_module.embedded(curve2, emb))
+            self._embedded[target_field] = other
+        return other
 
     def __repr__(self):
         return f"ForcingData(f0={self.f0!r}, m={self.m})"
@@ -403,40 +413,28 @@ def component_class_vanishes(forcing: ForcingData, summand: Summand) -> bool:
     """
     field = summand.field
     if field != forcing.field:
-        forcing = forcing.embedded(field, code_embedding(forcing.field, field))
+        forcing = forcing.embedded(field)
     Mp = forcing.syz_prime
     Mj = summand.module
     proj = summand.projection
-    gdegs = Mp.gen_degrees()
-    blocks = [Mj.piece_basis(d) for d in gdegs]
+    # homomorphism conditions from the generating syzygies of syz_prime
+    blocks, rows = hom_system(Mp, Mj)
     if not any(blocks):
         # every hom out of the enlarged module is zero; the projection must be
         return all(not p for img in proj.images for p in img)
-    rows = []
-    rhs_parts = []
-
-    def add_condition(coeffs, target_degree, rhs_vec):
-        """Condition sum_u coeffs[u] * w_u = rhs at the given degree."""
-        block = image_conditions(Mj, coeffs, blocks, target_degree)
-        if block.shape[0]:
-            rows.append(block)
-            rhs_parts.append(Mj.frame(target_degree).coords(rhs_vec))
-
-    # homomorphism conditions from the generating syzygies of syz_prime,
-    # which lie in ⊕ R(-deg g_l)
-    rel_twists = [-dg for dg in gdegs]
-    zero = Polynomial.zero(field)
-    for rel in Mp.relations():
-        rel_deg = vector_degree(rel, rel_twists)
-        if rel_deg is not None:
-            add_condition(rel, rel_deg, [zero] * Mj.ambient.rank)
+    rhs_parts = [np.zeros(block.shape[0], dtype=np.int64) for block in rows]
     # restriction conditions: psi(iota(g_l)) = projection(g_l)
+    zero = Polynomial.zero(field)
     for g, img in zip(forcing.bundle_module.gens, proj.images):
         iota = (zero,) + tuple(g)
         coeffs = Mp.express(iota)
         if coeffs is None:
             raise ArithmeticError("inclusion image escaped the enlarged module")
-        add_condition(coeffs, vector_degree(iota, Mp.ambient.twists), img)
+        t = vector_degree(iota, Mp.ambient.twists)
+        block = image_conditions(Mj, coeffs, blocks, t)
+        if block.shape[0]:
+            rows.append(block)
+            rhs_parts.append(Mj.frame(t).coords(img))
     if not rows:
         return True
     mat = np.concatenate(rows, axis=0)

@@ -107,8 +107,7 @@ class ClosureIdeal:
     per_degree: tuple                 # of DegreeRegime
 
 
-def tight_closure_member(ideal: IdealData, f0: Polynomial,
-                         ext_bound: int = 4) -> ClosureCertificate:
+def tight_closure_member(ideal: IdealData, f0: Polynomial) -> ClosureCertificate:
     """Decide tight-closure membership of a homogeneous candidate.
 
     Builds the syzygy bundle at the candidate degree, decomposes it, and
@@ -124,7 +123,7 @@ def tight_closure_member(ideal: IdealData, f0: Polynomial,
     m = f0.degree()
     in_ideal = ideal_membership(f0, ideal)
     bundle = syzygy_bundle(ideal, m)
-    decomposition = decompose_bundle(bundle, ext_bound=ext_bound)
+    decomposition = decompose_bundle(bundle)
     fd = forcing_data(ideal, f0, bundle)
     evidence = []
     obstructed = False
@@ -205,14 +204,13 @@ def frobenius_member(ideal: IdealData, f0: Polynomial,
 # slopes, thresholds, and the full closure ideal
 # ---------------------------------------------------------------------------
 
-def slope_and_threshold(ideal: IdealData, ext_bound: int = 4) -> SlopeReport:
+def slope_and_threshold(ideal: IdealData) -> SlopeReport:
     """Slopes of the dual syzygy sheaf at twist zero, with the threshold k.
 
     The summand slopes are the negated slopes of the twist-zero syzygy
     summands; semistable means one slope.  Exact rational arithmetic.
     """
-    return _slope_report(ideal, decompose_bundle(syzygy_bundle(ideal, 0),
-                                                 ext_bound=ext_bound))
+    return _slope_report(ideal, decompose_bundle(syzygy_bundle(ideal, 0)))
 
 
 def _slope_report(ideal: IdealData, dec) -> SlopeReport:
@@ -280,7 +278,7 @@ def _criterion_piece(ideal: IdealData, m: int, ideal_piece, dec0):
     return rows, pivots
 
 
-def tight_closure_ideal(ideal: IdealData, ext_bound: int = 4) -> ClosureIdeal:
+def tight_closure_ideal(ideal: IdealData) -> ClosureIdeal:
     """Minimal homogeneous generators of the tight closure, degree by degree.
 
     Three regimes per degree m: below mu_min/3 the closure piece equals the
@@ -291,7 +289,7 @@ def tight_closure_ideal(ideal: IdealData, ext_bound: int = 4) -> ClosureIdeal:
     (`gradedmod._minimal_generators`).
     """
     curve = ideal.curve
-    dec0 = decompose_bundle(syzygy_bundle(ideal, 0), ext_bound=ext_bound)
+    dec0 = decompose_bundle(syzygy_bundle(ideal, 0))
     slope = _slope_report(ideal, dec0)
     bound = _ceil_fraction(slope.mu_max / 3)
     bound = max(bound, 1)

@@ -43,68 +43,76 @@ def _is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over F_p, as little-endian coefficient tuples;
-# only what the irreducibility search needs
+# univariate polynomials over a Field, as little-endian lists of codes
 # ---------------------------------------------------------------------------
 
-def _pstrip(a):
+def ustrip(a):
     while a and a[-1] == 0:
-        a = a[:-1]
+        a.pop()
     return a
 
 
-def _pmul(a, b, p):
+def usub(a, b, f):
+    n = max(len(a), len(b))
+    return ustrip([f.sub(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
+                   for i in range(n)])
+
+
+def umul(a, b, f):
     if not a or not b:
-        return ()
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pstrip(tuple(out))
+                if bj:
+                    out[i + j] = f.add(out[i + j], f.mul(ai, bj))
+    return ustrip(out)
 
 
-def _pmod(a, m, p):
+def umonic(a, f):
+    if not a:
+        return a
+    inv = f.inv(a[-1])
+    return [f.mul(inv, c) for c in a]
+
+
+def udivmod(a, b, f):
     a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    while len(a) - 1 >= dm and a:
+    if not b:
+        raise ZeroDivisionError("univariate division by zero")
+    db = len(b) - 1
+    inv = f.inv(b[-1])
+    q = [0] * max(len(a) - db, 0)
+    while len(a) - 1 >= db and a:
         if a[-1] == 0:
             a.pop()
             continue
-        q = a[-1] * inv_lead % p
-        off = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[off + i] = (a[off + i] - q * mi) % p
+        c = f.mul(a[-1], inv)
+        off = len(a) - 1 - db
+        q[off] = c
+        for i, bi in enumerate(b):
+            a[off + i] = f.sub(a[off + i], f.mul(c, bi))
         a.pop()
-    return _pstrip(tuple(a))
+    return ustrip(q), ustrip(a)
 
 
-def _ppowmod(a, e, m, p):
-    result = (1,)
-    a = _pmod(a, m, p)
+def ugcd(a, b, f):
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, udivmod(a, b, f)[1]
+    return umonic(a, f)
+
+
+def upowmod(a, e, m, f):
+    result = [1]
+    a = udivmod(a, m, f)[1]
     while e:
         if e & 1:
-            result = _pmod(_pmul(result, a, p), m, p)
-        a = _pmod(_pmul(a, a, p), m, p)
+            result = udivmod(umul(result, a, f), m, f)[1]
+        a = udivmod(umul(a, a, f), m, f)[1]
         e >>= 1
     return result
-
-
-def _pgcd(a, b, p):
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _pstrip(tuple(out))
 
 
 def _prime_factors(n: int):
@@ -132,11 +140,12 @@ def _is_irreducible(f, p):
         return False
     if k == 1:
         return True
-    x = (0, 1)
-    if _pmod(_psub(_ppowmod(x, p ** k, f, p), x, p), f, p):
+    Fp = make_field(p)
+    x = [0, 1]
+    if usub(upowmod(x, p ** k, f, Fp), x, Fp):
         return False
     for ell in _prime_factors(k):
-        g = _pgcd(f, _psub(_ppowmod(x, p ** (k // ell), f, p), x, p), p)
+        g = ugcd(f, usub(upowmod(x, p ** (k // ell), f, Fp), x, Fp), Fp)
         if len(g) - 1 != 0:
             return False
     return True
@@ -234,9 +243,9 @@ class Field:
             return (a * b) % self.p
         if self._mul_table is not None:
             return int(self._mul_table[a, b])
-        prod = _pmod(_pmul(tuple(self._decode(a)), tuple(self._decode(b)), self.p),
-                     self.modulus, self.p)
-        return self._encode(list(prod) + [0] * (self.k - len(prod)))
+        Fp = make_field(self.p)
+        return self._encode(udivmod(umul(self._decode(a), self._decode(b), Fp),
+                                    self.modulus, Fp)[1])
 
     def inv(self, a: int) -> int:
         if a == 0:

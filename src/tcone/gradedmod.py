@@ -534,16 +534,16 @@ def free_module(curve: CubicCurve, twists) -> PresentedModule:
 
 
 class ModuleHom:
-    """A degree-d homomorphism between presented modules, by generator images."""
+    """A degree-zero homomorphism between presented modules, by generator
+    images; one of degree d into N is a degree-zero one into N.twisted(d)."""
 
-    __slots__ = ("domain", "codomain", "images", "degree")
+    __slots__ = ("domain", "codomain", "images")
 
     def __init__(self, domain: PresentedModule, codomain: PresentedModule,
-                 images, degree: int = 0):
+                 images):
         self.domain = domain
         self.codomain = codomain
         self.images = tuple(images)
-        self.degree = degree
 
     def apply(self, polys):
         """Image of an ambient vector lying in the domain."""
@@ -564,12 +564,10 @@ class ModuleHom:
     def compose(self, other: "ModuleHom") -> "ModuleHom":
         """self after other (other's codomain must be self's domain)."""
         images = [self.apply(img) for img in other.images]
-        return ModuleHom(other.domain, self.codomain, images,
-                         self.degree + other.degree)
+        return ModuleHom(other.domain, self.codomain, images)
 
     def __repr__(self):
-        return (f"ModuleHom(deg {self.degree}, "
-                f"{len(self.images)} generator images)")
+        return f"ModuleHom({len(self.images)} generator images)"
 
 
 def image_conditions(N: PresentedModule, coeffs, blocks, t: int) -> np.ndarray:
@@ -608,38 +606,46 @@ def combine_vectors(N: PresentedModule, coeffs, vectors):
     return tuple(N.curve.nf(p) for p in acc)
 
 
-def hom_space(M: PresentedModule, N: PresentedModule, degree: int = 0):
-    """K-basis of the degree-d homomorphisms M -> N.
+def hom_system(M: PresentedModule, N: PresentedModule):
+    """(blocks, rows): the linear system of degree-zero homs M -> N.
 
-    A homomorphism is a choice of images of M's generators in the matching
-    graded pieces of N, compatible with every generating syzygy of M; the
-    compatible choices form the nullspace of one exact linear system.
+    The image of M's generator l ranges over blocks[l], a basis of N in
+    that generator's degree; rows holds the nonempty condition matrices
+    (`image_conditions`) for M's generating syzygies to map to zero.  No
+    syzygy is computed when every block is empty.
     """
+    gdegs = M.gen_degrees()
+    blocks = [N.piece_basis(dg) for dg in gdegs]
+    rows = []
+    if any(blocks):
+        rel_twists = [-dg for dg in gdegs]
+        for rel in M.relations():
+            rel_deg = vector_degree(rel, rel_twists)
+            if rel_deg is not None:
+                block = image_conditions(N, rel, blocks, rel_deg)
+                if block.shape[0]:
+                    rows.append(block)
+    return blocks, rows
+
+
+def hom_space(M: PresentedModule, N: PresentedModule):
+    """K-basis of the degree-zero homomorphisms M -> N: the nullspace of
+    `hom_system`.  Hom(M, N)_d is hom_space(M, N.twisted(d))."""
     if M.curve is not N.curve and M.curve.F != N.curve.F:
         raise ValueError("modules live over different cones")
-    field = M.field
-    gdegs = M.gen_degrees()
-    # per generator: basis of N_(deg + d)
-    blocks = [N.piece_basis(dg + degree) for dg in gdegs]
+    blocks, rows = hom_system(M, N)
     total = sum(len(b) for b in blocks)
     if total == 0:
         return []
-    # a generating syzygy of M lies in ⊕ R(-deg g_l); its image must vanish
-    rel_twists = [-dg for dg in gdegs]
-    conditions = [np.zeros((0, total), dtype=np.int64)]
-    for rel in M.relations():
-        rel_deg = vector_degree(rel, rel_twists)
-        if rel_deg is not None:
-            conditions.append(image_conditions(N, rel, blocks,
-                                               rel_deg + degree))
     homs = []
-    for sol in nullspace(np.concatenate(conditions), field):
+    for sol in nullspace(np.concatenate(
+            [np.zeros((0, total), dtype=np.int64)] + rows), M.field):
         images = []
         j = 0
         for block in blocks:
             images.append(combine_vectors(N, sol[j:j + len(block)], block))
             j += len(block)
-        homs.append(ModuleHom(M, N, images, degree))
+        homs.append(ModuleHom(M, N, images))
     return homs
 
 
@@ -649,7 +655,7 @@ class HomModule:
     def __init__(self, M: PresentedModule, N: PresentedModule):
         self.domain = M
         self.codomain = N
-        self.degree0 = hom_space(M, N, 0)
+        self.degree0 = hom_space(M, N)
         self._module = None
 
     @property

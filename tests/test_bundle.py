@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import tcone.bundle as bundle_module
+import tcone.gradedmod as gradedmod
 from tcone.bundle import (SyzygyBundle, cohomology_dims,
                           component_class_vanishes, decompose_bundle,
                           end_algebra, forcing_data, syzygy_bundle)
-from tcone.field import make_field
+from tcone.field import code_embedding, make_field
 from tcone.gradedmod import ModuleHom, free_module, hom_space
 from tcone.linalg import as_matrix, solve
 from tcone.polyring import Polynomial, ideal_membership
@@ -164,7 +166,7 @@ def _extends_to_enlarged(fd, xi):
     curve = Mp.curve
     field = curve.field
     R = free_module(curve, [0])
-    homs = hom_space(Mp, R, 0)
+    homs = hom_space(Mp, R)
     zero = Polynomial.zero(field)
     include = lambda polys: (zero,) + tuple(polys)
     gens = fd.bundle_module.gens
@@ -202,7 +204,7 @@ def _extends_to_enlarged(fd, xi):
 def _dual_class_vanishes(fd, summand):
     curve = summand.module.curve
     R = free_module(curve, [0])
-    thetas = hom_space(summand.module, R, 0)
+    thetas = hom_space(summand.module, R)
     for theta in thetas:
         xi = theta.compose(summand.projection)
         if not _extends_to_enlarged(fd, xi):
@@ -235,6 +237,8 @@ def test_component_class_agrees_with_dual_route(fermat5):
 
 
 def test_verdict_stable_under_base_extension(fermat5, F5):
+    F25 = make_field(5, 2)
+    emb = code_embedding(F5, F25)
     for gens, cand in [(("x^2", "y^2", "z^2"), "x*y*z"),
                        (("x^2", "y^2", "x^2"), "x*y*z"),
                        (("x", "y", "z^3"), "z^2")]:
@@ -242,8 +246,10 @@ def test_verdict_stable_under_base_extension(fermat5, F5):
         f0 = pp(cand, F5)
         B = syzygy_bundle(ideal, f0.degree())
         base = decompose_bundle(B)
-        ext = decompose_bundle(B, min_extension=2)
-        assert ext.extension_degree >= 2
+        # the same bundle computed over F_25 from the embedded ideal
+        ideal25 = ideal.embedded(F25, emb)
+        ext = decompose_bundle(syzygy_bundle(ideal25, f0.degree()))
+        assert ext.field == F25
         assert sorted((s.rank, s.degree) for s in base) == \
             sorted((s.rank, s.degree) for s in ext)
         fd = forcing_data(ideal, f0, B)
@@ -391,11 +397,31 @@ def test_radical_below_the_characteristic_runs_no_charpoly(fermat7,
     assert calls == []
 
 
-def test_splitting_bound_names_stage_and_size(fermat5):
+def test_splitting_bound_names_stage_and_size(fermat5, monkeypatch):
     from tcone.algebra import UndecidedError
+    monkeypatch.setattr(bundle_module, "_EXT_BOUND", 1)
     B = syzygy_bundle(ideal_of(fermat5, *QUADRATIC_EXTENSION_IDEAL), 0)
     with pytest.raises(UndecidedError) as info:
-        decompose_bundle(B, ext_bound=1)
+        decompose_bundle(B)
     assert str(info.value) == ("splitting the endomorphism algebra needs a "
                                "degree-2 extension, beyond the bound 1")
     assert (info.value.stage, info.value.size) == ("splitting extension", 2)
+
+
+def test_extension_class_tests_share_one_embedded_lift(fermat5, F5,
+                                                       monkeypatch):
+    """Over F_25 the forcing data is embedded once for both summands: the
+    membership check makes 7 module Groebner runs, not one more per
+    extra summand tested over the extension."""
+    from tcone.closure import tight_closure_member
+    fields = []
+    real = gradedmod.buchberger_module
+    monkeypatch.setattr(gradedmod, "buchberger_module",
+                        lambda vectors, field: fields.append(field) or
+                        real(vectors, field))
+    ideal = ideal_of(fermat5, *QUADRATIC_EXTENSION_IDEAL)
+    cert = tight_closure_member(ideal, pp("x*y*z", F5))
+    assert (cert.verdict, cert.extension_degree) == ("member", 2)
+    assert len(cert.summands) == 2
+    F25 = make_field(5, 2)
+    assert fields == [F5, F5, F25, F25, F5, F5, F25]

@@ -50,7 +50,8 @@ def test_h1_against_dual_hom_route(fermat5):
     for M in cases:
         for j in (0, 1):
             _h0, h1 = cohomology_dims(M, j)
-            assert h1 == len(hom_space(M, R0, -j))
+            # Hom(M, R)_(-j) is the degree-zero Hom into R(-j)
+            assert h1 == len(hom_space(M, R0.twisted(-j)))
 
 
 def test_hom_module_presentation_matches_direct_solver(fermat5):
@@ -60,7 +61,8 @@ def test_hom_module_presentation_matches_direct_solver(fermat5):
     for dom, cod in ((M, M), (M, N), (N, M)):
         H = HomModule(dom, cod)
         for d in (0, 1):
-            assert H.module.piece_dim(d) == len(hom_space(dom, cod, d))
+            # Hom(dom, cod)_d is the degree-zero Hom into cod(d)
+            assert H.module.piece_dim(d) == len(hom_space(dom, cod.twisted(d)))
 
 
 def test_pipeline_over_extension_base_field():

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -153,6 +156,143 @@ def test_tables_match_scalar_reference(p, k):
             assert F._mul_table[a, b] == code(_naive_rem(prod, F.modulus, p))
         if a:
             assert F._mul_table[a, F._inv_table[a]] == 1
+    assert F._inv_table[0] == 0
+
+
+# -- reference: the tuple-based F_p[t] arithmetic field.py used to keep ------
+#
+# Kept verbatim as an independent oracle for the shared univariate helpers
+# that now carry the irreducibility search and the table-less multiply.
+
+def _pstrip(a):
+    while a and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def _pmul(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _pstrip(tuple(out))
+
+
+def _pmod(a, m, p):
+    a = list(a)
+    dm = len(m) - 1
+    inv_lead = pow(m[-1], -1, p)
+    while len(a) - 1 >= dm and a:
+        if a[-1] == 0:
+            a.pop()
+            continue
+        q = a[-1] * inv_lead % p
+        off = len(a) - 1 - dm
+        for i, mi in enumerate(m):
+            a[off + i] = (a[off + i] - q * mi) % p
+        a.pop()
+    return _pstrip(tuple(a))
+
+
+def _ppowmod(a, e, m, p):
+    result = (1,)
+    a = _pmod(a, m, p)
+    while e:
+        if e & 1:
+            result = _pmod(_pmul(result, a, p), m, p)
+        a = _pmod(_pmul(a, a, p), m, p)
+        e >>= 1
+    return result
+
+
+def _pgcd(a, b, p):
+    while b:
+        a, b = b, _pmod(a, b, p)
+    return a
+
+
+def _psub(a, b, p):
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i in range(n):
+        ai = a[i] if i < len(a) else 0
+        bi = b[i] if i < len(b) else 0
+        out[i] = (ai - bi) % p
+    return _pstrip(tuple(out))
+
+
+def _ref_is_irreducible(f, p):
+    k = len(f) - 1
+    if k == 1:
+        return True
+    x = (0, 1)
+    if _pmod(_psub(_ppowmod(x, p ** k, f, p), x, p), f, p):
+        return False
+    for ell in (l for l in range(2, k + 1)
+                if k % l == 0 and all(l % d for d in range(2, l))):
+        g = _pgcd(f, _psub(_ppowmod(x, p ** (k // ell), f, p), x, p), p)
+        if len(g) - 1 != 0:
+            return False
+    return True
+
+
+def _ref_find_irreducible(p, k):
+    for code in range(p ** k):
+        coeffs, c = [], code
+        for _ in range(k):
+            coeffs.append(c % p)
+            c //= p
+        f = tuple(coeffs) + (1,)
+        if _ref_is_irreducible(f, p):
+            return f
+    raise AssertionError("no irreducible found")
+
+
+def _ref_mul(F, a, b):
+    """a * b in F by the reference product and remainder, on codes."""
+    prod = _pmod(_pmul(tuple(F._decode(a)), tuple(F._decode(b)), F.p),
+                 F.modulus, F.p)
+    return sum(c * F.p ** i for i, c in enumerate(prod))
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5, 7, 11, 13)
+                                 for k in range(1, 13) if p ** k <= 5000])
+def test_find_irreducible_matches_reference_arithmetic(p, k):
+    assert find_irreducible(p, k) == _ref_find_irreducible(p, k)
+
+
+@pytest.mark.parametrize("p,k", [(7, 4), (2, 11), (3, 7)])
+def test_tableless_mul_matches_reference(p, k):
+    F = make_field(p, k)
+    assert F._mul_table is None  # beyond the table limit
+    rng = random.Random(p * 100 + k)
+    for _ in range(300):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        assert F.mul(a, b) == _ref_mul(F, a, b)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 4), (5, 2), (7, 2), (5, 4)])
+def test_tables_match_reference_multiply(p, k):
+    """The add, neg, mul and inv tables equal tables built from the
+    reference multiply.  Multiplication by a is F_p-linear, so row a of the
+    mul table is the digit matrix of b times the reference products of a
+    with the power basis t^0, ..., t^(k-1)."""
+    F = make_field(p, k)
+    q = F.q
+    place = p ** np.arange(k)
+    digits = np.arange(q)[:, None] // place % p
+    assert np.array_equal(F._add_table,
+                          (digits[:, None, :] + digits[None, :, :]) % p @ place)
+    assert np.array_equal(F._neg_table, -digits % p @ place)
+    for a in range(q):
+        by_a = np.array([F._decode(_ref_mul(F, a, p ** j)) for j in range(k)])
+        row = digits @ by_a % p @ place
+        assert np.array_equal(F._mul_table[a], row)
+        if a:
+            assert F._inv_table[a] == np.flatnonzero(row == 1)[0]
     assert F._inv_table[0] == 0
 
 

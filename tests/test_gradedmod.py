@@ -159,7 +159,7 @@ def test_hom_module_module_part(fermat5):
 
 def test_homs_respect_module_structure(fermat5, F5):
     M = syzygy_of_map(syz_map(fermat5, ["x^2", "y^2", "z^2"], 3), fermat5)
-    homs = hom_space(M, M, 0)
+    homs = hom_space(M, M)
     rng = seeded(31)
     for h in homs:
         # psi(a * g) == a * psi(g) for generator multiples
@@ -627,7 +627,7 @@ def test_piece_dim_counts_match_rref_reference(p, k):
     ideal = ideal_of(curve, "x^2", "y^2", "x^2 + x*y")
     syz = syzygy_of_map(syz_map(curve, ["x^2", "y^2", "x^2 + x*y"], 3), curve)
     modules.append(syz)
-    modules += [image_presentation(h, syz) for h in hom_space(syz, syz, 0)]
+    modules += [image_presentation(h, syz) for h in hom_space(syz, syz)]
     modules.append(forcing_data(ideal, pp("x*y*z", field)).syz_prime)
     nonzero = sum(_check_piece_dims(M) for M in modules)
     assert nonzero > 40
