@@ -7,10 +7,13 @@ base field when the algebra is not split), and tests, for a candidate
 element, whether the component of its obstruction class on a summand
 vanishes.
 
-Class-component vanishing is decided without any cohomology machinery: the
-component on a summand is zero exactly when the projection onto that
-summand extends, as a degree-zero homomorphism, from the syzygy module to
-the enlarged syzygy module of the candidate.
+Class-component vanishing is decided here without any cohomology
+machinery: the component on a summand is zero exactly when the projection
+onto that summand extends, as a degree-zero homomorphism, from the syzygy
+module to the enlarged syzygy module of the candidate.  The pipeline
+(`tcone.closure`) decides it by Cech cocycles instead; `forcing_data` and
+`component_class_vanishes` are the paper's own formulation, kept as the
+independent reference route.
 """
 
 from __future__ import annotations

@@ -7,6 +7,19 @@ total degree m.  In positive characteristic tight closure and (graded)
 plus closure agree for these ideals, so every certificate carries that
 equality note.
 
+The class is computed by Cech cohomology on a system of parameters
+(Brodmann-Sharp, Local Cohomology, ch. 5).  Linear forms l, l' through a
+K-point off the curve C cut out no point of C, so D(l), D(l') cover it and
+l, l' are a regular sequence on R, on Syz = ker(⊕ R(m - d_i) -> R(m)) and
+on each summand (depth 2, as I is primary).  With I_(m+N) = R_(m+N),
+solve sum g_i f_i = l^N f0 and sum h_i f_i = l'^N f0; then c = l'^N g -
+l^N h is a syzygy of degree 2N, and [c / (l l')^N] is the class of f0 in
+H^1(Syz(m)) = H^2_m(Syz)_0.  By regularity it vanishes exactly when c lies
+in l^N Syz_N + l'^N Syz_N, and its component on a summand S_j vanishes
+exactly when c lies in that plus the other summands' degree-2N pieces.
+The class is K-linear in f0, so a whole graded piece is decided by one
+solve and one kernel (`_obstruction_map`, `_criterion_piece`).
+
 Degree thresholds: with k = (d_1 + ... + d_n)/(n - 1) and the slopes of
 the dual syzygy sheaf at twist zero, everything of degree at least
 mu_max/3 is in the closure and nothing new appears below mu_min/3; the
@@ -20,18 +33,19 @@ criterion.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .algebra import UndecidedError
-from .bundle import (component_class_vanishes, decompose_bundle,
-                     forcing_data, syzygy_bundle)
+from .bundle import decompose_bundle, syzygy_bundle
 from .gradedmod import PieceFrame, TwistedFree, _minimal_generators
-from .linalg import reduce_against, row_space_contains, rref
+from .linalg import nullspace, row_space_contains, rref, solve
 from .polyring import (CubicCurve, IdealData, Polynomial,
-                       format_polynomial, grevlex_key, ideal_membership)
+                       format_polynomial, grevlex_key, ideal_membership,
+                       mono_divides)
 
 
 @dataclass(frozen=True)
@@ -84,7 +98,7 @@ class FrobeniusResult:
             e, D = self.inconclusive_at
             return (f"inconclusive: stopped at e = {e}, D = {D}, where the "
                     f"membership matrix would exceed "
-                    f"{_ORACLE_MATRIX_BYTES >> 20} MiB")
+                    f"{_MATRIX_BYTES >> 20} MiB")
         return f"not found for e <= {self.e_max}"
 
 
@@ -111,8 +125,9 @@ def tight_closure_member(ideal: IdealData, f0: Polynomial) -> ClosureCertificate
     """Decide tight-closure membership of a homogeneous candidate.
 
     Builds the syzygy bundle at the candidate degree, decomposes it, and
-    tests the class component on every summand; only negative-degree
-    summands can obstruct.
+    tests the class component on every summand by the candidate's Cech
+    cocycle (`_obstruction_map`); only negative-degree summands can
+    obstruct.
     """
     curve = ideal.curve
     if not f0.is_homogeneous():
@@ -122,13 +137,18 @@ def tight_closure_member(ideal: IdealData, f0: Polynomial) -> ClosureCertificate
         raise ValueError("candidate must be nonzero in the cone")
     m = f0.degree()
     in_ideal = ideal_membership(f0, ideal)
-    bundle = syzygy_bundle(ideal, m)
-    decomposition = decompose_bundle(bundle)
-    fd = forcing_data(ideal, f0, bundle)
+    dec = decompose_bundle(syzygy_bundle(ideal, m))
+    C, cob, t = _obstruction_map(
+        ideal, dec, PieceFrame(curve, (0,), m).coords((f0,))[None, :],
+        "class test")
+    pieces = [s.module.piece_matrix(t) for s in dec]
     evidence = []
     obstructed = False
-    for s in decomposition:
-        vanishes = component_class_vanishes(fd, s)
+    for j, s in enumerate(dec):
+        # the class component on S_j vanishes iff c lies in the
+        # coboundaries plus the other summands' degree-t pieces
+        vanishes = row_space_contains(
+            np.vstack([cob] + pieces[:j] + pieces[j + 1:]), C[0], dec.field)
         evidence.append(SummandEvidence(s.rank, s.degree, vanishes))
         if s.degree < 0 and not vanishes:
             obstructed = True
@@ -141,7 +161,7 @@ def tight_closure_member(ideal: IdealData, f0: Polynomial) -> ClosureCertificate
         verdict=verdict, in_ideal=in_ideal, summands=tuple(evidence),
         formula_degree=formula_degree, m=m,
         candidate=format_polynomial(f0),
-        extension_degree=decomposition.extension_degree)
+        extension_degree=dec.extension_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +169,9 @@ def tight_closure_member(ideal: IdealData, f0: Polynomial) -> ClosureCertificate
 # ---------------------------------------------------------------------------
 
 # The oracle refuses a degree whose dense membership matrix (int64 codes)
-# would take more than this; it is allocated once and eliminated in place.
-_ORACLE_MATRIX_BYTES = 512 << 20
+# would take more than this, and the obstruction map a degree whose solve
+# or span-test matrix would; each size is predicted before allocation.
+_MATRIX_BYTES = 512 << 20
 
 
 def _ideal_piece_rows(curve: CubicCurve, gens, D: int) -> np.ndarray:
@@ -188,7 +209,7 @@ def frobenius_member(ideal: IdealData, f0: Polynomial,
         q = p ** e
         D = q * m
         n_rows = sum(curve.piece_dim(D - q * g.degree()) for g in gens)
-        if n_rows * curve.piece_dim(D) * 8 > _ORACLE_MATRIX_BYTES:
+        if n_rows * curve.piece_dim(D) * 8 > _MATRIX_BYTES:
             return FrobeniusResult(False, None, e_max, inconclusive_at=(e, D))
         target = curve.nf(f0.frobenius_power(e))
         powered = [curve.nf(g.frobenius_power(e)) for g in gens]
@@ -228,54 +249,155 @@ def _ceil_fraction(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-_LINE_LIMIT = 100_000
+def _evaluate(poly: Polynomial, point) -> int:
+    """The code of poly at a point given by coordinate codes."""
+    f = poly.field
+    acc = 0
+    for mono, c in poly.terms.items():
+        for v, e in zip(point, mono):
+            c = f.mul(c, f.pow(v, e))
+        acc = f.add(acc, c)
+    return acc
+
+
+def _parameter_forms(curve: CubicCurve):
+    """Linear forms l, l' through the first K-point P off the curve.
+
+    Points are tried in the fixed order (0:0:1), (0:1:c), (1:b:c), codes
+    ascending; with P's first nonzero coordinate i equal to 1 the forms are
+    x_j - P_j x_i for the two other coordinates j.  Such a point exists,
+    since #C(F_q) <= q + 1 + 2 sqrt(q) < q^2 + q + 1.
+    """
+    field = curve.field
+    q = field.q
+    points = itertools.chain([(0, 0, 1)], ((0, 1, c) for c in range(q)),
+                             ((1, b, c) for b in range(q) for c in range(q)))
+    xs = [Polynomial.variable(field, v) for v in "xyz"]
+    for point in points:
+        if _evaluate(curve.F, point):
+            i = point.index(1)
+            return [xs[j] - xs[i].scale(point[j]) for j in range(3) if j != i]
+    raise ArithmeticError("every K-point of the plane lies on the curve")
+
+
+def _full_degree(ideal: IdealData) -> int:
+    """Smallest D with I_D = R_D.
+
+    I_D = R_D exactly when no basis monomial of R_D is standard for the
+    ideal's Groebner basis; as R is generated in degree 1, this then holds
+    in every higher degree too.
+    """
+    curve = ideal.curve
+    leads = [g.leading_monomial() for g in ideal.gb]
+    D = 1
+    while any(not any(mono_divides(lm, mu) for lm in leads)
+              for mu in curve.piece_monomials(D)):
+        D += 1
+    return D
+
+
+def _embedding_table(dec) -> np.ndarray:
+    """dec.embed_code as an array indexed by the input field's codes."""
+    return np.array([dec.embed_code(c)
+                     for c in range(dec.base_bundle.field.q)], dtype=np.int64)
+
+
+def _obstruction_map(ideal: IdealData, dec, cands: np.ndarray, stage: str):
+    """Cech cocycles of candidates, with the coboundaries they are tested by.
+
+    dec is the decomposition of the syzygy bundle at total degree m and
+    cands holds candidates' coordinates in R_m, one per row.  With N =
+    `_full_degree` - m (at least 0) and l, l' the `_parameter_forms`, one
+    2-D `solve` gives g, h with sum g_i f_i = l^N f0 and sum h_i f_i =
+    l'^N f0 for every row f0; its cocycle c = l'^N g - l^N h is a syzygy of
+    degree t = 2N.  Returns (C, coboundaries, t): the rows c, and rows
+    spanning l^N Syz_N + l'^N Syz_N, both over dec.field.  The two matrices
+    that dominate, the solve's and the span test's, are predicted first;
+    past `_MATRIX_BYTES` the map is refused as undecided at the stage named.
+    """
+    curve = ideal.curve
+    field = curve.field
+    module = dec.base_bundle.module
+    m = dec.bundle.m
+    N = max(_full_degree(ideal) - m, 0)
+    D = m + N
+    k = cands.shape[0]
+    frame_N, frame_t = module.frame(N), module.frame(2 * N)
+    n_rows = sum(curve.piece_dim(D - d) for d in ideal.degrees)
+    size = 8 * max(curve.piece_dim(D) * (n_rows + 2 * k),
+                   frame_t.width * (k + 2 * module.piece_dim(N)
+                                    + module.piece_dim(2 * N)))
+    if size > _MATRIX_BYTES:
+        raise UndecidedError(
+            f"degree {m}: the obstruction map's matrices would take {size} "
+            f"bytes, beyond {_MATRIX_BYTES >> 20} MiB", stage=stage,
+            size=size)
+    l1, l2 = (curve.nf(form ** N) for form in _parameter_forms(curve))
+    base = PieceFrame(curve, (0,), m)
+    rhs = np.vstack([field.matmul(cands, base.times(l1)),
+                     field.matmul(cands, base.times(l2))])
+    # the rows of R_D's ideal piece are the coordinates of frame_N
+    sols = solve(_ideal_piece_rows(curve, ideal.gens, D).T, rhs.T, field)
+    if any(x is None for x in sols):
+        raise ArithmeticError(f"l^{N} R_{m} is not in the ideal")
+    G, H = np.array(sols[:k]), np.array(sols[k:])
+    T1, T2 = frame_N.times(l1), frame_N.times(l2)
+    C = field.vsub(field.matmul(G, T2), field.matmul(H, T1))
+    syz = module.piece_matrix(N)
+    cob = np.vstack([field.matmul(syz, T1), field.matmul(syz, T2)])
+    if dec.extension_degree > 1:
+        table = _embedding_table(dec)
+        C, cob = table[C], table[cob]
+    return C, cob, 2 * N
 
 
 def _criterion_piece(ideal: IdealData, m: int, ideal_piece, dec0):
     """Degree-m piece of the tight closure in the criterion window.
 
-    The piece is a subspace of R_m containing the ideal piece, both given
-    as (rows, pivots) of their canonical rref; it is reconstructed exactly
-    by testing one representative of every line of the quotient space with
-    the summand criterion.  The degree-m bundle and its summands are the
+    The piece contains the ideal piece, both given as (rows, pivots) of
+    their canonical rref.  The degree-m bundle and its summands are the
     twist by m of the twist-zero decomposition dec0
-    (`Decomposition.twisted`), so no End algebra is built here.
+    (`Decomposition.twisted`), so no End algebra is built here.  f0 is in
+    the closure exactly when its cocycle lies in the span V of the
+    coboundaries and the degree-t pieces of the summands of degree >= 0
+    (`_obstruction_map`); with C the cocycles of R_m's basis, the piece is
+    the first dim R_m coordinates of nullspace([C; V]^T), in rref.  Over an
+    extension field that rref is rational over the base field (the piece
+    is), and its codes are pulled back.
+
+    Cross-check: f0 -> [c] embeds R_m / I_m into H^1(Syz(m)), and an
+    indecomposable bundle of positive degree has h^1 = 0, one of degree 0
+    has h^1 = h^0 (Atiyah).  So dim I*_m - dim I_m is at most the sum of
+    h^0 over the degree-0 summands, with equality when m > max d_i, where
+    the embedding is onto.
     """
     curve = ideal.curve
-    field = curve.field
-    frame = PieceFrame(curve, (0,), m)
-    width = frame.width
-    rows, pivots = ideal_piece
-    free_cols = [c for c in range(width) if c not in pivots]
-    t = len(free_cols)
-    if t == 0:
+    width = curve.piece_dim(m)
+    pivots = ideal_piece[1]
+    if len(pivots) == width:
         return ideal_piece
-    q = field.q
-    n_lines = (q ** t - 1) // (q - 1)
-    if n_lines > _LINE_LIMIT:
-        raise UndecidedError(
-            f"degree {m}: quotient has {n_lines} candidate lines, beyond "
-            f"the testing limit", stage="closure window", size=n_lines)
     dec = dec0.twisted(m)
-    negatives = [s for s in dec if s.degree < 0]
-    # canonical line representatives: leading coordinate 1
-    for lead in range(t):
-        tail = t - lead - 1
-        for code in range(q ** tail):
-            coeffs = [0] * lead + [1]
-            c = code
-            for _ in range(tail):
-                coeffs.append(c % q)
-                c //= q
-            vec = np.zeros(width, dtype=np.int64)
-            vec[free_cols] = coeffs
-            if not reduce_against(rows, pivots, vec, field).any():
-                # already known to be in the closure piece
-                continue
-            fd = forcing_data(ideal, frame.polys(vec)[0], dec.base_bundle)
-            if all(component_class_vanishes(fd, s) for s in negatives):
-                rows, pivots = rref(np.vstack([rows, vec]), field)
-    return rows, pivots
+    field = dec.field
+    C, cob, t = _obstruction_map(ideal, dec, np.eye(width, dtype=np.int64),
+                                 "closure window")
+    span = [s.module.piece_matrix(t) for s in dec if s.degree >= 0]
+    kernel = nullspace(np.vstack([C, cob] + span).T, field)
+    rows, piece_pivots = rref(kernel[:, :width], field)
+    if dec.extension_degree > 1:
+        back = np.full(field.q, -1, dtype=np.int64)
+        back[_embedding_table(dec)] = np.arange(curve.field.q)
+        rows = back[rows]
+        if (rows < 0).any():
+            raise ArithmeticError(
+                f"degree {m}: the closure piece is not defined over "
+                f"{curve.field}")
+    gain = len(piece_pivots) - len(pivots)
+    h0 = sum(s.module.piece_dim(0) for s in dec if s.degree == 0)
+    if gain > h0 or (m > max(ideal.degrees) and gain != h0):
+        raise ArithmeticError(
+            f"degree {m}: the closure piece gains {gain} over the ideal, "
+            f"against h^0 = {h0} of the degree-0 summands")
+    return rows, piece_pivots
 
 
 def tight_closure_ideal(ideal: IdealData) -> ClosureIdeal:

@@ -13,6 +13,7 @@ root" choices elsewhere in the library refer to it.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -493,9 +494,17 @@ class FieldElem:
         return " + ".join(parts) if parts else "0"
 
 
-@lru_cache(maxsize=None)
 def make_field(p: int, k: int = 1) -> Field:
-    """Build (or fetch) F_{p^k} with the canonical smallest modulus."""
+    """Build (or fetch) F_{p^k} with the canonical smallest modulus.
+
+    The cache is keyed on the normalised pair (p, k), so every call with
+    equal parameters, k passed or defaulted, returns the same object.
+    """
+    return _cached_field(operator.index(p), operator.index(k))
+
+
+@lru_cache(maxsize=None)
+def _cached_field(p: int, k: int) -> Field:
     return Field(p, k)
 
 

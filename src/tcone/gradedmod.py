@@ -230,6 +230,24 @@ class PieceFrame:
                 r += 1
         return rows
 
+    def times(self, form: Polynomial) -> np.ndarray:
+        """Matrix of multiplication by a homogeneous form, row by row.
+
+        Row r is nf(form * e_r) for the r-th basis vector e_r of this frame
+        (monomial mu in position i), in the coordinates of the frame of
+        degree t + deg(form) on the same twists.
+        """
+        curve = self.curve
+        target = PieceFrame(curve, self.twists, self.t + form.degree())
+        out = np.zeros((self.width, target.width), dtype=np.int64)
+        r = 0
+        for off, index, ms in zip(target.offsets, target.index, self.monos):
+            for mu in ms:
+                for m, c in curve.nf(form.term_mul(mu, 1)).terms.items():
+                    out[r, off + index[m]] = c
+                r += 1
+        return out
+
 
 def _minimal_generators(curve, ambient, vectors):
     """Prune a sorted homogeneous generator list to a minimal one.

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from tcone import closure
+from tcone.bundle import (component_class_vanishes, decompose_bundle,
+                          forcing_data, syzygy_bundle)
 from tcone.closure import (FrobeniusResult, frobenius_member,
                            slope_and_threshold, tight_closure_ideal,
                            tight_closure_member, _ideal_piece_rows)
 from tcone.field import make_field
 from tcone.gradedmod import PieceFrame
-from tcone.linalg import SpanBasis, rref
+from tcone.linalg import SpanBasis, reduce_against, rref
 from tcone.polyring import (CubicCurve, IdealData, Polynomial,
                             format_polynomial, ideal_membership,
                             parse_polynomial)
@@ -205,7 +207,6 @@ def test_indecomposable_numerical_equivalence(fermat5):
     # with an indecomposable syzygy sheaf the verdict is numerical:
     # non-member iff sum(d_i) - (n-1) m > 0 and the candidate is outside
     rng = seeded(59)
-    from tcone.bundle import decompose_bundle, syzygy_bundle
     tested = 0
     while tested < 6:
         ideal = random_primary_ideal(fermat5, rng, n_max=3)
@@ -266,15 +267,29 @@ def test_closure_ideal_decomposes_once(fermat5, monkeypatch):
     assert calls == [("dec", 0), ("end", 0)]
 
 
-def test_line_limit_names_stage_and_size(fermat5, monkeypatch):
-    monkeypatch.setattr(closure, "_LINE_LIMIT", 5)
+def test_obstruction_budget_names_stage_and_size(fermat5, F5, monkeypatch):
+    # the window's matrices are predicted before any is built: past the
+    # budget, the refusal names the stage and the size in bytes, and the
+    # degree-D rows of the cocycle solve are never built
+    built = []
+    real = closure._ideal_piece_rows
+    monkeypatch.setattr(closure, "_ideal_piece_rows",
+                        lambda c, gens, D: built.append(D) or real(c, gens, D))
+    monkeypatch.setattr(closure, "_MATRIX_BYTES", 1000)
     with pytest.raises(closure.UndecidedError) as info:
         tight_closure_ideal(ideal_of(fermat5, "x^2", "y^2", "x^2"))
     exc = info.value
     assert exc.stage == "closure window"
-    assert exc.size > 5
-    assert str(exc).endswith(f"quotient has {exc.size} candidate lines, "
-                             f"beyond the testing limit")
+    assert exc.size > 1000 and exc.size % 8 == 0
+    assert str(exc) == (f"degree 2: the obstruction map's matrices would "
+                        f"take {exc.size} bytes, beyond 0 MiB")
+    assert built == [1, 2]         # the ideal pieces, no solve rows
+    built.clear()
+    with pytest.raises(closure.UndecidedError) as info:
+        tight_closure_member(ideal_of(fermat5, "x^2", "y^2", "x^2"),
+                             pp("x*y*z", F5))
+    assert info.value.stage == "class test"
+    assert built == []
 
 
 def _reference_peel(curve, pieces, bound):
@@ -331,3 +346,198 @@ def test_closure_ideal_adds_no_span_basis_rows(fermat5, monkeypatch):
     assert sorted(format_polynomial(g) for g in ci.generators) == \
         ["x*y*z", "x^2", "y^2", "z^2"]
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the Cech obstruction map against the reference route
+# ---------------------------------------------------------------------------
+
+def _enumerated_piece(ideal, m, ideal_piece, dec0):
+    """Reference for the closure window: the degree-m piece of the tight
+    closure reconstructed by testing one representative of every line of
+    the quotient R_m / I_m with forcing_data and component_class_vanishes
+    on the negative summands (the line enumeration the window ran before
+    the Cech map)."""
+    curve = ideal.curve
+    field = curve.field
+    frame = PieceFrame(curve, (0,), m)
+    width = frame.width
+    rows, pivots = ideal_piece
+    free_cols = [c for c in range(width) if c not in pivots]
+    t = len(free_cols)
+    if t == 0:
+        return ideal_piece
+    q = field.q
+    assert (q ** t - 1) // (q - 1) <= 200, "too many lines for a test"
+    dec = dec0.twisted(m)
+    negatives = [s for s in dec if s.degree < 0]
+    # canonical line representatives: leading coordinate 1
+    for lead in range(t):
+        tail = t - lead - 1
+        for code in range(q ** tail):
+            coeffs = [0] * lead + [1]
+            c = code
+            for _ in range(tail):
+                coeffs.append(c % q)
+                c //= q
+            vec = np.zeros(width, dtype=np.int64)
+            vec[free_cols] = coeffs
+            if not reduce_against(rows, pivots, vec, field).any():
+                # already known to be in the closure piece
+                continue
+            fd = forcing_data(ideal, frame.polys(vec)[0], dec.base_bundle)
+            if all(component_class_vanishes(fd, s) for s in negatives):
+                rows, pivots = rref(np.vstack([rows, vec]), field)
+    return rows, pivots
+
+
+def _fermat(p, k=1):
+    return _cubic("x^3 + y^3 + z^3", p, k)
+
+
+def _cubic(text, p, k=1):
+    field = make_field(p, k)
+    return CubicCurve(pp(text, field), field)
+
+
+def _window_degrees(ideal, dec0):
+    slope = closure._slope_report(ideal, dec0)
+    return [m for m in range(1, closure._ceil_fraction(slope.mu_max / 3) + 1)
+            if slope.mu_min / 3 <= m < slope.mu_max / 3]
+
+
+# the corpus shapes (1,3,3), (1,1,4) and (2,2,3) over F_2, F_4, F_5, F_7,
+# some with a binomial generator; (x^3, y^3, x^2*y) has a window degree
+# m = 4 > max d_i with a degree-0 summand, where dim I*_4 - dim I_4 = h^0 = 1;
+# the last ideal's End algebra splits only over F_25, so its window runs
+# over the extension and pulls the piece back
+WINDOW_CASES = [
+    (2, 1, ("x", "y^3 + x*y^2", "z^3")), (2, 1, ("x", "y", "z^4")),
+    (2, 1, ("x^2 + x*y", "y^2", "z^3")), (2, 1, ("x^3", "y^3", "x^2*y")),
+    (2, 2, ("x", "y^3", "(t + 1)*z^3 + x*z^2")), (2, 2, ("x", "y", "t*z^4")),
+    (2, 2, ("x^2", "t*y^2", "z^3")),
+    (5, 1, ("2*x", "y^3", "3*z^3")), (5, 1, ("x", "y", "z^4")),
+    (5, 1, ("x^2", "3*y^2", "z^3")),
+    (7, 1, ("x", "y^3 + 3*x*y^2", "z^3")), (7, 1, ("x", "y", "z^4")),
+    (5, 1, ("x*y + x*z + 4*y*z + 2*z^2", "2*y^2", "2*y^2", "x^2 + 4*x*y")),
+]
+
+
+@pytest.mark.parametrize("p, k, gens", WINDOW_CASES)
+def test_window_matches_line_enumeration(p, k, gens, monkeypatch):
+    ideal = ideal_of(_fermat(p, k), *gens)
+    curve = ideal.curve
+    dec0 = decompose_bundle(syzygy_bundle(ideal, 0))
+    degrees = _window_degrees(ideal, dec0)
+    assert degrees
+    if gens == WINDOW_CASES[-1][2]:
+        assert dec0.extension_degree == 2
+    pieces = {}
+    for m in degrees:
+        ideal_piece = rref(_ideal_piece_rows(curve, ideal.gens, m),
+                           curve.field)
+        got = closure._criterion_piece(ideal, m, ideal_piece, dec0)
+        want = _enumerated_piece(ideal, m, ideal_piece, dec0)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        pieces[m] = ideal_piece, got
+    if gens == ("x^3", "y^3", "x^2*y"):
+        assert {m: len(got[1]) - len(ip[1])
+                for m, (ip, got) in pieces.items()} == {4: 1}
+    # any N with l^N R_m inside I_(m+N) gives the same piece
+    real = closure._full_degree
+    monkeypatch.setattr(closure, "_full_degree", lambda I: real(I) + 2)
+    for m, (ideal_piece, got) in pieces.items():
+        again = closure._criterion_piece(ideal, m, ideal_piece, dec0)
+        assert np.array_equal(again[0], got[0]) and again[1] == got[1]
+
+
+def test_window_checks_the_h0_bound(monkeypatch):
+    # at m = 4 > max d_i the gain must equal h^0 of the degree-0 summand;
+    # a count of 0 there is caught
+    from tcone.gradedmod import PresentedModule
+    ideal = ideal_of(_fermat(2), "x^3", "y^3", "x^2*y")
+    dec0 = decompose_bundle(syzygy_bundle(ideal, 0))
+    ideal_piece = rref(_ideal_piece_rows(ideal.curve, ideal.gens, 4),
+                       ideal.curve.field)
+    real = PresentedModule.piece_dim
+    monkeypatch.setattr(PresentedModule, "piece_dim",
+                        lambda self, t: 0 if t == 0 else real(self, t))
+    with pytest.raises(ArithmeticError, match="gains 1 over the ideal, "
+                       "against h\\^0 = 0"):
+        closure._criterion_piece(ideal, 4, ideal_piece, dec0)
+
+
+# ideals of three conics over F_5 whose End algebras split only over F_25
+EXTENSION_IDEALS = [
+    ("3*x^2 + 3*x*y + 2*y^2 + y*z", "2*x^2 + 3*x*y + y^2 + 4*x*z + z^2",
+     "x^2 + 4*x*y + 4*x*z + 2*y*z"),
+    ("4*x^2 + 4*y^2 + x*z + 3*z^2", "x*y + z^2", "3*x*y + y^2 + 2*x*z"),
+    ("2*x^2 + 4*x*z", "2*y^2 + 3*y*z + z^2", "x*y + 4*y^2 + x*z + 3*y*z"),
+    ("2*x^2 + 3*y^2 + 2*y*z", "4*x^2 + 2*z^2", "2*x*y + 2*y^2 + 3*x*z"),
+    ("4*x*y + 3*x*z + z^2", "2*x^2 + 3*y*z + 2*z^2", "2*x^2"),
+    ("2*x^2 + x*y + 2*y*z", "3*x^2 + 4*x*y + 4*y^2",
+     "x*y + y^2 + 4*y*z + 2*z^2"),
+]
+
+
+# smooth cubics through (0:0:1) and, over F_2, through every point of x = 0
+THROUGH_ORIGIN = ("y^2*z + 4*x^3 + x*z^2", 5)
+THROUGH_LINE = ("x^3 + y^2*z + y*z^2", 2)
+
+
+@pytest.mark.parametrize("cubic, forms", [
+    (("x^3 + y^3 + z^3", 2), ["x", "y"]), (THROUGH_ORIGIN, ["x", "4*y + z"]),
+    (THROUGH_LINE, ["y", "z"])])
+def test_parameter_forms_meet_off_the_curve(cubic, forms):
+    # (0:0:1), then (0:1:c), then (1:b:c): the first point off the curve
+    curve = _cubic(*cubic)
+    got = closure._parameter_forms(curve)
+    assert [format_polynomial(f) for f in got] == forms
+
+
+def _membership_problems():
+    """Seeded problems over F_2, F_4, F_5 and F_7, on the Fermat cubic and
+    on the two cubics above, then two candidates (degrees 2 and 3) against
+    each extension ideal."""
+    rng = seeded(211)
+    curves = [_fermat(2), _fermat(2, 2), _fermat(5), _fermat(7),
+              _cubic(*THROUGH_ORIGIN), _cubic(*THROUGH_LINE)]
+    for i in range(100):
+        curve = curves[i % len(curves)]
+        ideal = random_primary_ideal(curve, rng, n_max=3, max_deg=2)
+        yield ideal, random_homogeneous(curve, rng.randint(1, 3), rng)
+    fermat5 = _fermat(5)
+    for gens in EXTENSION_IDEALS:
+        for d in (2, 3):
+            yield ideal_of(fermat5, *gens), random_homogeneous(fermat5, d, rng)
+
+
+def test_cech_class_tests_match_the_reference_route():
+    """Per summand, the Cech test of tight_closure_member agrees with
+    forcing_data + component_class_vanishes."""
+    extended = verdicts = 0
+    for ideal, f0 in _membership_problems():
+        B = syzygy_bundle(ideal, f0.degree())
+        dec = decompose_bundle(B)
+        fd = forcing_data(ideal, f0, B)
+        want = [(s.rank, s.degree, component_class_vanishes(fd, s))
+                for s in dec]
+        cert = tight_closure_member(ideal, f0)
+        assert [(s.rank, s.degree, s.class_vanishes)
+                for s in cert.summands] == want
+        extended += cert.extension_degree == 2
+        verdicts += not cert.is_member
+    assert extended >= 12
+    assert verdicts >= 10
+
+
+def test_wide_window_pieces(fermat5):
+    """(x^3, y^3, z^3, x*y*z) over F_5: the degree-3 quotient has 3906
+    lines, which the enumeration took minutes over."""
+    ci = tight_closure_ideal(ideal_of(fermat5, "x^3", "y^3", "z^3", "x*y*z"))
+    assert [(d.degree, d.regime, d.dim_ideal, d.dim_closure)
+            for d in ci.per_degree] == [
+        (1, "ideal", 0, 0), (2, "ideal", 0, 0), (3, "criterion", 3, 3),
+        (4, "criterion", 9, 9), (5, "all", 15, 15)]
+    assert [format_polynomial(g) for g in ci.generators] == \
+        ["z^3", "x*y*z", "y^3"]

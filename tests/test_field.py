@@ -95,6 +95,13 @@ def test_make_field_errors():
         make_field(65537, 1)  # past the 2^16 bound
 
 
+def test_make_field_shares_one_object_per_field():
+    # the default extension degree and an explicit k = 1 are the same field
+    assert make_field(5) is make_field(5, 1) is make_field(p=5, k=1)
+    assert make_field(2, 2) is make_field(2, k=2)
+    assert (make_field(5).one() + make_field(5, 1).one()).code == 2
+
+
 def test_modulus_of_make_field():
     assert make_field(3, 2).modulus == (1, 0, 1)
     assert make_field(2, 2).modulus == (1, 1, 1)
