@@ -1,13 +1,18 @@
 """Finite-dimensional associative algebras over small finite fields.
 
 Supplies the decomposition machinery for endomorphism algebras of graded
-modules: radical computation by the characteristic-p chain of trace forms
-(level 0 is the ordinary trace form Tr(L_ab), read off the structure
-constants with two matrix products; levels p^i <= dim A use iterated
-characteristic-polynomial coefficients), refinement of the semisimple
-quotient into a complete system of orthogonal primitive idempotents
-(extending the base field when a simple factor is not split), and Newton
-lifting of idempotents through the radical.
+modules: the radical, by the characteristic-p chain of trace forms, stopped
+at the first level that a nilpotent-ideal certificate (`is_nilpotent_ideal`,
+eliminations on the structure constants) shows to be the radical;
+refinement of the semisimple quotient into a complete system of orthogonal
+primitive idempotents (extending the base field when a simple factor is not
+split); and Newton lifting of idempotents through the radical.
+
+Level 0 of the chain is the ordinary trace form Tr(L_ab), read off the
+structure constants with two matrix products.  A level p^i <= dim A that
+still has to run reads one coefficient of the characteristic polynomials of
+all products of two basis elements, from one batched Berkowitz kernel
+(`charpolys`).
 
 Elements are coordinate vectors over a fixed basis; the multiplication
 table is the only structural input.  A table built from products in a
@@ -23,7 +28,7 @@ import numpy as np
 
 from .field import (Field, code_embedding, udivmod, ugcd, umonic, umul,
                     upowmod, usub, ustrip)
-from .linalg import as_matrix, nullspace, reduce_against, rref, solve
+from .linalg import nullspace, reduce_against, rref, solve
 
 
 class UndecidedError(RuntimeError):
@@ -31,9 +36,9 @@ class UndecidedError(RuntimeError):
 
     `stage` names the step that gave up and `size` the measure of its input
     that stopped it: the dimension of the algebra or corner being split,
-    the extension degree a splitting needs, or the number of candidate
-    lines of a closure-window degree.  The message text is unchanged by
-    them.
+    the extension degree a splitting needs, or the predicted bytes of the
+    Cech obstruction map's matrices (stage "closure window" or "class
+    test").  The message text is unchanged by them.
     """
 
     def __init__(self, message, *, stage=None, size=None):
@@ -51,9 +56,10 @@ def uderiv(a, f):
     return ustrip([f.mul(c, i % f.p) for i, c in enumerate(a)][1:])
 
 
-def _proot(code, f):
-    """p-th root in a perfect finite field: x^(p^(k-1)) when q = p^k."""
-    return f.pow(code, f.p ** (f.k - 1)) if f.k > 1 else code
+def _proot(code, f, level=1):
+    """p^level-th root in a perfect finite field: x^(p^((k-1) level))
+    when q = p^k."""
+    return f.pow(code, f.p ** ((f.k - 1) * level)) if f.k > 1 else code
 
 
 def _upth_root(a, f):
@@ -229,41 +235,55 @@ class FiniteAlgebra:
         return np.array_equal(self.mul(a, a), a)
 
     def left_regular(self, a):
-        """Matrix of left multiplication by a on the coordinate basis."""
+        """Matrix of left multiplication by a on the coordinate basis; for a
+        stack of elements (..., dim), the stack of their matrices."""
         n = self.dim
-        prods = self.field.matmul(a[None, :], self.table.reshape(n, n * n))
-        return prods.reshape(n, n).T
+        prods = self.field.matmul(a.reshape(-1, n),
+                                  self.table.reshape(n, n * n))
+        return prods.reshape(a.shape[:-1] + (n, n)).swapaxes(-1, -2)
 
-    def charpoly(self, mat):
-        """Characteristic polynomial of a square matrix, division-free.
+    def _products(self, xs, ys):
+        """All products x * y of rows xs (s, dim) and ys (r, dim), as the
+        rows (s * r, dim) with x_i * y_j at index i * r + j."""
+        # row l of left_regular(x_i) transposed is x_i * b_l
+        return self.field.matmul(
+            ys, self.left_regular(xs).swapaxes(-1, -2)).reshape(-1, self.dim)
 
-        Berkowitz' method; returns little-endian monic coefficients.
+    def charpolys(self, mats):
+        """Characteristic polynomials of a stack of square matrices
+        (count, n, n), division-free.
+
+        Berkowitz' method, run on the whole stack at once: O(n^2) array
+        operations however many matrices there are.  Row b holds the monic
+        coefficients of det(t - mats[b]), highest degree first.
         """
         f = self.field
-        n = mat.shape[0]
+        count, n = mats.shape[0], mats.shape[-1]
         if n == 0:
-            return [1]
-
-        # coefficient vectors are kept highest-degree first
-        poly = np.array([[1], [f.neg(int(mat[0, 0]))]], dtype=np.int64)
+            return np.ones((count, 1), dtype=np.int64)
+        # coefficient columns are kept highest-degree first
+        poly = np.stack([np.ones(count, dtype=np.int64),
+                         f.vneg(mats[:, 0, 0])], axis=1)[:, :, None]
         for r in range(1, n):
-            a = int(mat[r, r])
-            row = mat[r, :r].reshape(1, r)
-            col = mat[:r, r].reshape(r, 1)
-            block = mat[:r, :r]
-            # Toeplitz column: [1, -a, -row@col, -row@block@col, ...]
-            krylov = [col]
+            block = mats[:, :r, :r]
+            krylov = [mats[:, :r, r:r + 1]]
             for _ in range(r - 1):
                 krylov.append(f.matmul(block, krylov[-1]))
-            products = f.matmul(row, np.concatenate(krylov, axis=1))[0]
-            entries = [1, f.neg(a)] + [int(c) for c in f.vneg(products)]
-            toep = np.zeros((r + 2, r + 1), dtype=np.int64)
-            for j in range(r + 1):
-                for i in range(j, r + 2):
-                    toep[i, j] = entries[i - j]
+            products = f.matmul(mats[:, r:r + 1, :r],
+                                np.concatenate(krylov, axis=2))[:, 0]
+            # Toeplitz column: [1, -a, -row@col, -row@block@col, ...]
+            entries = np.concatenate(
+                [np.ones((count, 1), dtype=np.int64),
+                 f.vneg(mats[:, r, r:r + 1]), f.vneg(products)], axis=1)
+            lag = np.subtract.outer(np.arange(r + 2), np.arange(r + 1))
+            toep = np.where(lag >= 0, entries[:, np.maximum(lag, 0)], 0)
             poly = f.matmul(toep, poly)
-        coeffs = [int(c) for c in poly[:, 0]]
-        return list(reversed(coeffs))
+        return poly[:, :, 0]
+
+    def charpoly(self, mat):
+        """Characteristic polynomial of one square matrix, as little-endian
+        monic coefficients: `charpolys` on a stack of one."""
+        return [int(c) for c in self.charpolys(mat[None])[0, ::-1]]
 
     def minpoly(self, a):
         """Monic minimal polynomial of an element (little-endian codes)."""
@@ -297,71 +317,77 @@ class FiniteAlgebra:
                        np.ones((n, 1), dtype=np.int64))
         return f.matmul(self.table.reshape(n * n, n), tau).reshape(n, n)
 
-    def radical(self):
-        """Basis of the Jacobson radical (rows), by the characteristic-p
-        chain of trace forms.
+    def is_nilpotent_ideal(self, rows):
+        """Whether the span I of rows is a two-sided ideal with I^k = 0 for
+        some k.
 
-        Level 0 is the ordinary trace form Tr(L_ab) of the left regular
-        representation (`trace_form`, with no `charpoly`); by Dickson's
-        criterion it is the whole chain when p > dim A (Cohen, Ivanyos and
-        Wales 1997).  Each level p^i <= dim A from level 1 on refines with
-        the coefficient of index p^i of the characteristic polynomial,
-        linearised through p^i-th roots.  The result is verified:
-        nilpotency of the span and vanishing radical of the quotient.
+        Eliminations on the structure constants decide it: A*I + I*A lies
+        in I (one `rref`), and the powers I > I^2 > ... (one `rref` each)
+        strictly decrease until they reach 0 (once a power equals the one
+        before, every later power does).  A nilpotent two-sided ideal lies
+        in the radical.
+        """
+        f, n = self.field, self.dim
+        ideal, _ = rref(rows, f)
+        if not ideal.shape[0]:
+            return True
+        eye = np.eye(n, dtype=np.int64)
+        sides = np.concatenate([ideal, self._products(eye, ideal),
+                                self._products(ideal, eye)])
+        if rref(sides, f)[0].shape[0] > ideal.shape[0]:
+            return False
+        power = ideal
+        while power.shape[0]:
+            lower, _ = rref(self._products(power, ideal), f)
+            if lower.shape[0] == power.shape[0]:
+                return False
+            power = lower
+        return True
+
+    def _chain_level(self, current, level):
+        """Level `level` >= 1 of the radical chain, inside the ideal with
+        row basis current.
+
+        The condition on x in the span is that the coefficient of index
+        p^level of charpoly(L_{x b}), linearised by its p^level-th root,
+        vanishes for every b in the span.  The characteristic polynomials
+        of all products of two basis rows come from one `charpolys` call.
         """
         f = self.field
-        n = self.dim
-        # level 0 on the identity basis: the charpoly coefficient is
-        # cond[b][a] = -Tr(L_{b_a b_b}), whose kernel (sum_a x_a cond[b][a]
-        # = 0 for all b) is that of the trace form's transpose
-        ker = nullspace(self.trace_form().T, f)
-        current, _ = rref(ker, f)
-        regs = {}
+        r = current.shape[0]
+        products = self._products(current, current)
+        coeffs = self.charpolys(self.left_regular(products))[:, f.p ** level]
+        cond = np.array([_proot(int(c), f, level) for c in coeffs],
+                        dtype=np.int64).reshape(r, r)
+        # cond[a, b] belongs to current[a] * current[b]; x = sum x_a a
+        ker = nullspace(cond.T, f)
+        return rref(f.matmul(ker, current), f)[0]
 
-        def reg(coords):
-            key = tuple(int(c) for c in coords)
-            m = regs.get(key)
-            if m is None:
-                m = self.left_regular(np.array(key, dtype=np.int64))
-                regs[key] = m
-            return m
+    def radical(self):
+        """Basis of the Jacobson radical (rows, canonical rref), by the
+        characteristic-p chain of trace forms of Cohen, Ivanyos and Wales
+        (J. Symb. Comp. 1997), stopped by a certificate.
 
+        Every level of the chain is a two-sided ideal containing the
+        radical, so the first level that `is_nilpotent_ideal` certifies is
+        the radical itself.  Level 0 is the kernel of the ordinary trace
+        form Tr(L_ab) (`trace_form`, with no characteristic polynomial);
+        by Dickson's criterion it is the radical when p > dim A.  Each
+        further level p^i <= dim A is `_chain_level`, run only while the
+        certificate fails.  If it still fails after the last level,
+        ArithmeticError is raised.
+        """
+        f = self.field
+        current, _ = rref(nullspace(self.trace_form().T, f), f)
         level = 1
-        qexp = f.p  # p^level
-        while qexp <= n:
-            basis = [current[i] for i in range(current.shape[0])]
-            if not basis:
-                break
-            cond = []
-            for b in basis:
-                row = []
-                for a in basis:
-                    prod = self.mul(a, b)
-                    cp = self.charpoly(reg(prod))
-                    deg = len(cp) - 1
-                    idx = deg - qexp  # coefficient of t^(deg - p^level)
-                    c = cp[idx] if idx >= 0 else 0
-                    # linearise: p^level-th root
-                    for _ in range(level):
-                        c = _proot(c, f)
-                    row.append(c)
-                cond.append(row)
-            mat = as_matrix(cond, len(basis))
-            ker = nullspace(mat, f)
-            current, _ = rref(f.matmul(ker, current), f)
+        while not self.is_nilpotent_ideal(current):
+            if f.p ** level > self.dim:
+                raise ArithmeticError("radical verification failed: the "
+                                      "chain ends in an ideal that is not "
+                                      "nilpotent")
+            current = self._chain_level(current, level)
             level += 1
-            qexp *= f.p
-        rad = current
-        # verification: every radical element nilpotent, ideal property
-        for i in range(rad.shape[0]):
-            m = self.left_regular(rad[i])
-            power = m
-            for _ in range(n + 1):
-                power = f.matmul(power, m)
-            if power.any():
-                raise ArithmeticError("radical verification failed: "
-                                      "non-nilpotent element")
-        return rad
+        return current
 
     # -- quotient by the radical ---------------------------------------------------
 

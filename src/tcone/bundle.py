@@ -275,7 +275,10 @@ def decompose_bundle(bundle: SyzygyBundle) -> Decomposition:
 
     def build_over(ext):
         """(ideal, module, homs, algebra, embed, radical) over the degree-ext
-        extension; at ext = 1 the radical is the one end_algebra stored."""
+        extension.  The radical is the one end_algebra stored: over a finite
+        (perfect) field K, Rad(A (x) K) = Rad(A) (x) K, so its embedded rows
+        (still canonical rref) are only checked by the nilpotent-ideal
+        certificate."""
         nonlocal ea
         if ea is None:
             ea = end_algebra(bundle)
@@ -291,7 +294,10 @@ def decompose_bundle(bundle: SyzygyBundle) -> Decomposition:
                             for img in h.images])
                  for h in homs0]
         alg2, _ = alg0.extend_scalars(K)
-        return ideal2, module2, homs2, alg2, emb, alg2.radical()
+        rad2 = np.vectorize(emb, otypes=[np.int64])(ea.radical_rows)
+        if not alg2.is_nilpotent_ideal(rad2):
+            raise ArithmeticError("embedded radical is not a nilpotent ideal")
+        return ideal2, module2, homs2, alg2, emb, rad2
 
     rel_ext = 1
     while True:

@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .algebra import UndecidedError
 from .bundle import cohomology_dims, decompose_bundle, syzygy_bundle
@@ -344,7 +345,9 @@ def run_info(problem: ProblemFile, as_json=False):
     return text, 0
 
 
+@cache
 def _build_parser():
+    """The `tc` argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="tc",
         description="Tight closure of primary ideals in cones over smooth "

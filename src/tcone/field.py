@@ -352,20 +352,24 @@ class Field:
         return self.vsub(y, self.vmul(c, x))
 
     def matmul(self, A, B):
-        """Product of code matrices A (r x n) and B (n x c)."""
+        """Product of code matrices A (r x n) and B (n x c), or of stacks
+        of them (..., r, n) and (..., n, c), as numpy's matmul."""
         if self.k == 1:
             return A @ B % self.p
-        terms = self.vmul(A[:, :, None], B[None, :, :])
-        if terms.shape[1] == 0:
-            return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+        terms = self.vmul(A[..., :, :, None], B[..., None, :, :])
+        if terms.shape[-2] == 0:
+            return np.zeros(terms.shape[:-2] + terms.shape[-1:],
+                            dtype=np.int64)
         # sum over the inner index by pairwise folding: log2(n) array ops
-        while terms.shape[1] > 1:
-            half = terms.shape[1] // 2
-            folded = self.vadd(terms[:, :half], terms[:, half:2 * half])
-            if terms.shape[1] % 2:
-                folded[:, 0] = self.vadd(folded[:, 0], terms[:, -1])
+        while terms.shape[-2] > 1:
+            half = terms.shape[-2] // 2
+            folded = self.vadd(terms[..., :half, :],
+                               terms[..., half:2 * half, :])
+            if terms.shape[-2] % 2:
+                folded[..., 0, :] = self.vadd(folded[..., 0, :],
+                                              terms[..., -1, :])
             terms = folded
-        return terms[:, 0]
+        return terms[..., 0, :]
 
     # -- element construction --------------------------------------------------
 

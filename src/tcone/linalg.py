@@ -55,7 +55,7 @@ def _eliminate(m: np.ndarray, field: Field, reduced: bool):
         else:
             other = r + 1 + np.nonzero(m[r + 1:, c])[0]
         if other.size:
-            block = np.ix_(other, live)
+            block = other[:, None], live
             m[block] = field.axpy(m[block], m[other, c][:, None], m[r, live])
         pivots.append(c)
         r += 1

@@ -351,3 +351,100 @@ def test_radical_beyond_the_characteristic_uses_charpolys():
     A = _quotient_ring_algebra(F2, (0, 0, 0, 0, 1))
     assert not A.trace_form().any()
     assert A.radical().tolist() == [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+def _product_algebra(A, B):
+    """A x B on the concatenated bases."""
+    n, m = A.dim, B.dim
+    table = np.zeros((n + m,) * 3, dtype=np.int64)
+    table[:n, :n, :n] = A.table
+    table[n:, n:, n:] = B.table
+    return FiniteAlgebra(A.field, table, np.concatenate([A.unit, B.unit]))
+
+
+def test_radical_where_the_trace_form_kernel_is_too_big(fermat2):
+    # algebras whose level-0 ideal is not nilpotent, so that chain levels
+    # p^i <= dim A run before the certificate holds
+    from tcone.bundle import end_algebra, syzygy_bundle
+    from tcone.linalg import nullspace
+
+    from .conftest import ideal_of
+    F2 = make_field(2)
+    cases = [(_quotient_ring_algebra(F2, (0, 0, 0, 0, 1)), 3),  # F_2[t]/(t^4)
+             (_product_algebra(_matrix_units_algebra(F2, 2),
+                               _quotient_ring_algebra(F2, (0, 1))), 0),
+             (end_algebra(syzygy_bundle(ideal_of(fermat2, "x^2", "y^2",
+                                                 "z^3"), 0)).algebra, 3)]
+    for A, rad_dim in cases:
+        level0 = nullspace(A.trace_form().T, A.field)
+        assert level0.shape[0] > rad_dim
+        assert not A.is_nilpotent_ideal(level0)
+        rad = A.radical()
+        assert rad.shape[0] == rad_dim
+        assert rad.tolist() == _radical_by_charpoly_chain(A).tolist()
+        assert A.is_nilpotent_ideal(rad)
+
+
+def test_is_nilpotent_ideal_needs_both_conditions():
+    F5 = make_field(5)
+    # upper triangular 2 x 2 on e11, e12, e22: e12 spans the radical; the
+    # first row (e11, e12) is a two-sided ideal that is not nilpotent, and
+    # e11 + e12 spans no ideal ((e11 + e12) e22 = e12)
+    T = _triangular_algebra(F5, 2)
+    assert T.is_nilpotent_ideal(np.array([[0, 1, 0]]))
+    assert T.is_nilpotent_ideal(np.zeros((0, 3), dtype=np.int64))
+    assert not T.is_nilpotent_ideal(np.array([[1, 0, 0], [0, 1, 0]]))
+    assert not T.is_nilpotent_ideal(np.array([[1, 1, 0]]))
+    # e12 of M_2 squares to 0 but generates all of M_2 as an ideal
+    M = _matrix_units_algebra(F5, 2)
+    assert not M.is_nilpotent_ideal(np.array([[0, 1, 0, 0]]))
+
+
+def test_radical_refuses_a_chain_ending_in_a_non_nilpotent_ideal(
+        monkeypatch):
+    # F_2^3 is semisimple of dim 3 >= 2, so level 1 runs; with the trace
+    # form forced to 0 and the level forced to keep its input, the chain
+    # ends in all of A
+    F2 = make_field(2)
+    field = _quotient_ring_algebra(F2, (0, 1))
+    A = _product_algebra(_product_algebra(field, field), field)
+    assert A.radical().shape[0] == 0
+    levels = []
+    monkeypatch.setattr(FiniteAlgebra, "trace_form",
+                        lambda self: np.zeros((self.dim, self.dim),
+                                              dtype=np.int64))
+    monkeypatch.setattr(FiniteAlgebra, "_chain_level",
+                        lambda self, current, level: levels.append(level)
+                        or current)
+    with pytest.raises(ArithmeticError, match="not nilpotent"):
+        A.radical()
+    assert levels == [1]
+
+
+def test_radical_over_an_extension_is_the_embedded_radical():
+    # over a perfect field Rad(A (x) K) = Rad(A) (x) K, and the embedded
+    # rref rows are already the canonical basis
+    import random
+    for p in (2, 5):
+        base, K = make_field(p), make_field(p, 2)
+        rng = random.Random(f"extension-radical:{p}")
+        for A in _associative_algebras(base, rng):
+            AK, emb = A.extend_scalars(K)
+            embedded = np.vectorize(emb, otypes=[np.int64])(A.radical())
+            assert AK.is_nilpotent_ideal(embedded)
+            assert AK.radical().tolist() == embedded.tolist()
+
+
+def test_charpolys_batch_matches_one_at_a_time():
+    import random
+    for field in (make_field(2), make_field(7), make_field(2, 2)):
+        rng = random.Random(f"charpolys:{field.q}")
+        A = FiniteAlgebra(field, np.zeros((1, 1, 1), dtype=np.int64), [1])
+        for n in (0, 1, 3, 5):
+            mats = np.array([[[rng.randrange(field.q) for _ in range(n)]
+                              for _ in range(n)] for _ in range(4)],
+                            dtype=np.int64).reshape(4, n, n)
+            batch = A.charpolys(mats)
+            assert batch.shape == (4, n + 1)
+            for mat, row in zip(mats, batch):
+                assert A.charpoly(mat) == row[::-1].tolist()

@@ -281,18 +281,26 @@ def test_splitting_extension_occurs(F7):
 
 
 def test_decomposition_reuses_end_algebra_radical(fermat5, monkeypatch):
-    """At ext = 1 the radical comes from end_algebra; the only other radical
-    is the semisimplicity check on the quotient."""
+    """The radical comes from end_algebra, at ext = 1 and, embedded, over a
+    splitting extension; the only other radicals are the semisimplicity
+    checks on the quotients."""
     from tcone.algebra import FiniteAlgebra
     calls = []
     real = FiniteAlgebra.radical
     monkeypatch.setattr(FiniteAlgebra, "radical",
-                        lambda self: calls.append(self.dim) or real(self))
+                        lambda self: calls.append((self.dim, self.field.q))
+                        or real(self))
     B = syzygy_bundle(ideal_of(fermat5, "x^2", "y^2", "x^2"), 3)
     dec = decompose_bundle(B)
     assert dec.extension_degree == 1
     assert dec.shape() == [(1, 3), (1, -3)]
-    assert calls == [8, 2]
+    assert calls == [(8, 5), (2, 5)]
+    calls.clear()
+    dec = decompose_bundle(syzygy_bundle(
+        ideal_of(fermat5, *QUADRATIC_EXTENSION_IDEAL), 0))
+    assert dec.extension_degree == 2
+    # End algebra, its quotient over F_5, the quotient over F_25
+    assert calls == [(2, 5), (2, 5), (2, 25)]
 
 
 # the End algebra of this ideal's twist-0 bundle splits only over F_25
@@ -382,19 +390,40 @@ def test_end_algebra_table_is_one_elimination(fermat5, monkeypatch):
     assert shape[1] == ea.dim ** 2 + 1 and n_rref == 1
 
 
+def _charpoly_counter(monkeypatch):
+    """Record the shape of every stack the Berkowitz kernel is given
+    (`charpoly` runs through it too)."""
+    from tcone.algebra import FiniteAlgebra
+    calls = []
+    real = FiniteAlgebra.charpolys
+    monkeypatch.setattr(FiniteAlgebra, "charpolys",
+                        lambda self, mats: calls.append(mats.shape) or
+                        real(self, mats))
+    return calls
+
+
 def test_radical_below_the_characteristic_runs_no_charpoly(fermat7,
                                                            monkeypatch):
     """An F_7 End algebra of dim 5 < 7: the trace form is the whole radical
     chain, so no characteristic polynomial is computed."""
-    from tcone.algebra import FiniteAlgebra
-    calls = []
-    real = FiniteAlgebra.charpoly
-    monkeypatch.setattr(FiniteAlgebra, "charpoly",
-                        lambda self, mat: calls.append(mat.shape) or
-                        real(self, mat))
+    calls = _charpoly_counter(monkeypatch)
     ea = end_algebra(syzygy_bundle(ideal_of(fermat7, "x", "y", "z^3"), 0))
     assert (ea.dim, ea.radical_rows.shape[0]) == (5, 3)
     assert calls == []
+
+
+def test_nilpotent_trace_form_kernel_stops_the_chain(fermat2, monkeypatch):
+    """An F_2 End algebra of dim 8 >= 2: the trace-form kernel (dim 6) is
+    certified a nilpotent ideal, so no chain level and no characteristic
+    polynomial runs; with (x^2, y^2, z^3) the kernel (dim 4) is not, and
+    levels 2 and 4 each take all their products in one batch."""
+    calls = _charpoly_counter(monkeypatch)
+    ea = end_algebra(syzygy_bundle(ideal_of(fermat2, "x", "y", "z^4"), 0))
+    assert (ea.dim, ea.radical_rows.shape[0]) == (8, 6)
+    assert calls == []
+    ea = end_algebra(syzygy_bundle(ideal_of(fermat2, "x^2", "y^2", "z^3"), 0))
+    assert (ea.dim, ea.radical_rows.shape[0]) == (5, 3)
+    assert len(calls) == 2 and all(c[1:] == (5, 5) for c in calls)
 
 
 def test_splitting_bound_names_stage_and_size(fermat5, monkeypatch):

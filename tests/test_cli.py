@@ -234,6 +234,25 @@ def test_main_end_to_end(tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.tc")]) == 2
 
 
+def test_bad_arguments_exit_two_on_every_call(tmp_path, capsys):
+    """The parser is built once; a second bad call fails as the first did,
+    also after a good call has parsed in between."""
+    f = tmp_path / "fermat.tc"
+    f.write_text(FERMAT_CHECK)
+    errors = []
+    for good in (False, True, False):
+        if good:
+            assert main(["info", str(f)]) == 0
+            capsys.readouterr()
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(f), "--bogus"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("usage: tc ")
+    assert "unrecognized arguments: --bogus" in errors[0]
+
 def test_undecided_maps_to_exit_three(tmp_path, monkeypatch, capsys):
     from tcone.algebra import UndecidedError
     import tcone.cli as cli_mod
