@@ -18,6 +18,8 @@ independent reference route.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .algebra import (FiniteAlgebra, UndecidedError, lift_idempotents,
@@ -103,6 +105,34 @@ def _hom_coords(M: PresentedModule, images) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
+def _end_products(M: PresentedModule, homs, basis_T) -> np.ndarray:
+    """`_hom_coords` of every product a∘b of the basis homs, row a * dim + b.
+
+    basis_T holds the homs' coordinates as columns, so its rows of
+    generator k's frame are the block of all images a(g_k).  With
+    b(g_l) = sum_k beta_k g_k (`express`, once per b and l), the images
+    (a∘b)(g_l) = sum_k beta_k a(g_k) of all a are one `image_conditions`
+    over those blocks, its column groups summed over k.
+    """
+    field = M.field
+    dim = len(homs)
+    gdegs = M.gen_degrees()
+    widths = [M.frame(d).width for d in gdegs]
+    ends = np.cumsum(widths)
+    starts = ends - widths
+    blocks = [basis_T[s:e].T for s, e in zip(starts, ends)]
+    out = np.zeros((dim, dim, basis_T.shape[0]), dtype=np.int64)
+    for b, hom in enumerate(homs):
+        for img, d, s, e in zip(hom.images, gdegs, starts, ends):
+            beta = M.express(img)
+            if beta is None:
+                raise ArithmeticError("endomorphism image left the module")
+            cols = image_conditions(M, beta, blocks, d)
+            out[:, b, s:e] = reduce(field.vadd,
+                                    np.split(cols, len(blocks), axis=1)).T
+    return out.reshape(dim * dim, -1)
+
+
 class EndAlgebra:
     """Degree-zero endomorphism algebra of a syzygy bundle.
 
@@ -141,8 +171,7 @@ def end_algebra(bundle: SyzygyBundle) -> EndAlgebra:
         raise ArithmeticError("endomorphism algebra without identity")
     basis_T = np.stack([_hom_coords(M, h.images) for h in homs], axis=1)
     algebra = FiniteAlgebra.on_basis(
-        field, basis_T,
-        [_hom_coords(M, a.compose(b).images) for a in homs for b in homs],
+        field, basis_T, _end_products(M, homs, basis_T),
         _hom_coords(M, M.gens),
         "endomorphism product left the basis span",
         "identity endomorphism missing from Hom basis")
@@ -428,7 +457,7 @@ def component_class_vanishes(forcing: ForcingData, summand: Summand) -> bool:
     proj = summand.projection
     # homomorphism conditions from the generating syzygies of syz_prime
     blocks, rows = hom_system(Mp, Mj)
-    if not any(blocks):
+    if not any(len(b) for b in blocks):
         # every hom out of the enlarged module is zero; the projection must be
         return all(not p for img in proj.images for p in img)
     rhs_parts = [np.zeros(block.shape[0], dtype=np.int64) for block in rows]

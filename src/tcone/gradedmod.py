@@ -25,8 +25,7 @@ import numpy as np
 
 from .linalg import nullspace, rref
 from .polyring import (CubicCurve, Polynomial, buchberger_module,
-                       mono_divides, mono_mul, vec_lt, vec_nf, vec_reducer,
-                       vkey)
+                       mono_divides, vec_lt, vec_nf, vec_reducer, vkey)
 
 
 class TwistedFree:
@@ -63,13 +62,6 @@ def vec_from_polys(polys):
         for m, c in poly.terms.items():
             out[(pos, m)] = c
     return out
-
-
-def vec_to_polys(vec, npos, field):
-    polys = [dict() for _ in range(npos)]
-    for (pos, m), c in vec.items():
-        polys[pos][m] = c
-    return tuple(Polynomial(field, t) for t in polys)
 
 
 def vector_degree(polys, twists):
@@ -134,17 +126,6 @@ class LiftBasis:
         for (pos, m), c in r.items():
             coeffs[pos - self.npos][m] = self.field.neg(c)
         return tuple(Polynomial(self.field, t) for t in coeffs)
-
-    def block1_gb(self):
-        """Reduced Groebner basis of the span itself (coefficient block
-        dropped); elements led from the coefficient block are syzygies and
-        do not contribute."""
-        out = []
-        for g in self.basis:
-            b1 = {t: c for t, c in g.items() if t[0] < self.npos}
-            if b1 and vec_lt(b1) == vec_lt(g):
-                out.append(b1)
-        return out
 
     def syzygies(self):
         """Coefficient vectors (h_1..h_s) with sum h_j v_j = 0 modulo the relations."""
@@ -388,17 +369,6 @@ class PresentedModule:
             self._relations = tuple(self.lift.syzygies())
         return self._relations
 
-    def groebner_basis(self):
-        """Reduced module Groebner basis of the submodule.
-
-        Over R this is the basis of the preimage in the free module, i.e.
-        the span of the generators together with F times the ambient units;
-        equal submodules produce identical bases.
-        """
-        gb = [vec_to_polys(v, self.ambient.rank, self.field)
-              for v in self.lift.block1_gb()]
-        return tuple(gb)
-
     # -- graded pieces ------------------------------------------------------------
 
     def frame(self, t: int) -> PieceFrame:
@@ -421,9 +391,9 @@ class PresentedModule:
         """Leading monomials of the preimage's Groebner basis, per position.
 
         The preimage N of M in ⊕ S(a_i) is spanned by the generators and F
-        times the units; its reduced Groebner basis is `lift.block1_gb()`,
-        whose leading terms are those of the lift reducers in positions
-        below the coefficient block.  Read once and cached.
+        times the units; the leading terms of its reduced Groebner basis
+        are those of the lift reducers in positions below the coefficient
+        block.  Read once and cached.
         """
         if self._leads is None:
             leads = [[] for _ in self.ambient.twists]
@@ -591,19 +561,31 @@ class ModuleHom:
 def image_conditions(N: PresentedModule, coeffs, blocks, t: int) -> np.ndarray:
     """Matrix of the map (w_u) -> sum_u coeffs[u] * w_u into N_t.
 
-    Each unknown w_u is a combination of the vectors blocks[u] of N.  The
-    columns stand for those vectors, block after block: the column of
-    v = blocks[u][b] holds the frame(t) coordinates of nf(coeffs[u] * v).
+    Each unknown w_u is a combination of the rows of blocks[u], coordinate
+    rows in N.frame(d_u) with d_u = t - deg coeffs[u].  The columns stand
+    for those rows, block after block: the column of a row v holds the
+    frame(t) coordinates of nf(coeffs[u] * v).  Per block and ambient
+    position i that is one product of the block's position-i coordinates
+    with the matrix of multiplication by coeffs[u] from R_(d_u + a_i)
+    (`CubicCurve.mult`).
     """
+    curve, field = N.curve, N.field
     frame = N.frame(t)
-    nf = N.curve.nf
     cols = np.zeros((frame.width, sum(len(b) for b in blocks)),
                     dtype=np.int64)
     j = 0
     for h, block in zip(coeffs, blocks):
-        if h:
-            for b, img in enumerate(block):
-                cols[:, j + b] = frame.coords([nf(h * p) for p in img])
+        if h and len(block):
+            d = t - h.degree()
+            mats = {}       # positions of equal twist share one matrix
+            for a, start, off in zip(N.ambient.twists, N.frame(d).offsets,
+                                     frame.offsets):
+                n = curve.piece_dim(d + a)
+                if n:
+                    if a not in mats:
+                        mats[a] = curve.mult(h, d + a)
+                    image = field.matmul(block[:, start:start + n], mats[a])
+                    cols[off:off + image.shape[1], j:j + len(block)] = image.T
         j += len(block)
     return cols
 
@@ -627,15 +609,16 @@ def combine_vectors(N: PresentedModule, coeffs, vectors):
 def hom_system(M: PresentedModule, N: PresentedModule):
     """(blocks, rows): the linear system of degree-zero homs M -> N.
 
-    The image of M's generator l ranges over blocks[l], a basis of N in
-    that generator's degree; rows holds the nonempty condition matrices
-    (`image_conditions`) for M's generating syzygies to map to zero.  No
-    syzygy is computed when every block is empty.
+    The image of M's generator l ranges over the span of blocks[l], the
+    basis rows of N in that generator's degree (`piece_matrix`); rows
+    holds the nonempty condition matrices (`image_conditions`) for M's
+    generating syzygies to map to zero.  No syzygy is computed when every
+    block is empty.
     """
     gdegs = M.gen_degrees()
-    blocks = [N.piece_basis(dg) for dg in gdegs]
+    blocks = [N.piece_matrix(dg) for dg in gdegs]
     rows = []
-    if any(blocks):
+    if any(len(b) for b in blocks):
         rel_twists = [-dg for dg in gdegs]
         for rel in M.relations():
             rel_deg = vector_degree(rel, rel_twists)
@@ -655,96 +638,16 @@ def hom_space(M: PresentedModule, N: PresentedModule):
     total = sum(len(b) for b in blocks)
     if total == 0:
         return []
-    homs = []
-    for sol in nullspace(np.concatenate(
-            [np.zeros((0, total), dtype=np.int64)] + rows), M.field):
-        images = []
-        j = 0
-        for block in blocks:
-            images.append(combine_vectors(N, sol[j:j + len(block)], block))
-            j += len(block)
-        homs.append(ModuleHom(M, N, images))
-    return homs
-
-
-class HomModule:
-    """Hom_R(M, N) with an eager degree-0 basis and a lazy module presentation."""
-
-    def __init__(self, M: PresentedModule, N: PresentedModule):
-        self.domain = M
-        self.codomain = N
-        self.degree0 = hom_space(M, N)
-        self._module = None
-
-    @property
-    def module(self) -> PresentedModule:
-        if self._module is None:
-            self._module = self._build_module()
-        return self._module
-
-    def _build_module(self):
-        """Present Hom(M, N) as a submodule of a twisted free module.
-
-        A homomorphism is a tuple (w_1..w_s) of elements of N annihilated
-        by M's syzygies; the kernel of that evaluation map is computed by
-        one more syzygy elimination.
-        """
-        M, N = self.domain, self.codomain
-        curve = M.curve
-        field = M.field
-        gdegs = M.gen_degrees()
-        s = len(gdegs)
-        rels = M.relations()
-        namb = N.ambient.rank
-        # ambient of the Hom module: one copy of N's ambient per M-generator,
-        # twisted so that a degree-0 element sends g_l into N_(delta_l)
-        twists = []
-        for dg in gdegs:
-            twists.extend(b + dg for b in N.ambient.twists)
-        amb = TwistedFree(twists)
-        # target free module: one copy of N's ambient per relation
-        ntarget = len(rels) * namb
-        # spanning vectors of ⊕_l N(-delta_l): iota_l(nu) over N's generators
-        dom_vecs = []
-        images = []
-        for l in range(s):
-            for nu in N.gens:
-                dom = {}
-                for i, p in enumerate(nu):
-                    for m, c in p.terms.items():
-                        dom[(l * namb + i, m)] = c
-                dom_vecs.append(dom)
-                img = {}
-                for k, rel in enumerate(rels):
-                    h = rel[l]
-                    if not h:
-                        continue
-                    for i, p in enumerate(nu):
-                        prod = curve.nf(h * p)
-                        for m, c in prod.terms.items():
-                            t = (k * namb + i, m)
-                            img[t] = field.add(img.get(t, 0), c)
-                images.append({t: c for t, c in img.items() if c})
-        lift = LiftBasis(images, closing_relations(curve.F, ntarget),
-                         max(ntarget, 1), field)
-        gens = []
-        for syz in lift.syzygies():
-            vec = {}
-            for idx, coeff in enumerate(syz):
-                if not coeff:
-                    continue
-                for t, c in dom_vecs[idx].items():
-                    pos, m = t
-                    for mm, cc in coeff.terms.items():
-                        key = (pos, mono_mul(m, mm))
-                        s_ = field.add(vec.get(key, 0), field.mul(c, cc))
-                        if s_:
-                            vec[key] = s_
-                        else:
-                            vec.pop(key, None)
-            if vec:
-                gens.append(vec_to_polys(vec, amb.rank, field))
-        return PresentedModule(curve, amb, gens)
+    sols = nullspace(np.concatenate(
+        [np.zeros((0, total), dtype=np.int64)] + rows), M.field)
+    images = []
+    j = 0
+    for dg, block in zip(M.gen_degrees(), blocks):
+        frame = N.frame(dg)
+        images.append([frame.polys(row) for row in
+                       M.field.matmul(sols[:, j:j + len(block)], block)])
+        j += len(block)
+    return [ModuleHom(M, N, imgs) for imgs in zip(*images)]
 
 
 def image_presentation(e: ModuleHom, M: PresentedModule) -> PresentedModule:

@@ -20,6 +20,8 @@ from __future__ import annotations
 import heapq
 from itertools import chain
 
+import numpy as np
+
 from .field import Field, FieldElem, FieldError
 
 VARS = ("x", "y", "z")
@@ -671,10 +673,18 @@ def is_smooth_cubic(F: Polynomial, field: Field) -> bool:
 
 
 def hasse_invariant_of(F: Polynomial, field: Field):
-    """Coefficient of (xyz)^(p-1) in F^(p-1); zero means supersingular."""
-    p = field.p
-    power = F ** (p - 1)
-    e = p - 1
+    """Coefficient of (xyz)^(p-1) in F^(p-1); zero means supersingular.
+
+    F^(p-1) is built one factor at a time, and after each product only the
+    terms with every exponent at most p - 1 are kept: exponents never
+    decrease under multiplication, so no dropped term reaches (xyz)^(p-1),
+    and at most p^2 terms survive each step instead of the full power's.
+    """
+    e = field.p - 1
+    power = Polynomial.constant(field, 1)
+    for _ in range(e):
+        power = Polynomial(field, {m: c for m, c in (power * F).terms.items()
+                                   if max(m) <= e})
     return FieldElem(field, power.terms.get((e, e, e), 0))
 
 
@@ -682,11 +692,12 @@ class CubicCurve:
     """A smooth plane cubic over a finite field, with its cone R = S/(F).
 
     Carries the monic F as a reducer (lt(F) and the negated tail, for `nf`)
-    and caches the monomial bases of the graded pieces of R.
+    and caches the monomial bases of the graded pieces of R and, per degree
+    asked for, the normal forms of all monomials of that degree (`mult`).
     """
 
     __slots__ = ("F", "field", "_reducer", "_hasse", "_piece_cache",
-                 "_index_cache")
+                 "_index_cache", "_nf_tables")
 
     def __init__(self, F: Polynomial, field: Field, check_smooth: bool = True):
         if F.field != field:
@@ -703,6 +714,7 @@ class CubicCurve:
         self._hasse = None
         self._piece_cache = {}
         self._index_cache = {}
+        self._nf_tables = {}
 
     @property
     def hasse(self) -> FieldElem:
@@ -804,6 +816,65 @@ class CubicCurve:
         if d < 0:
             return 0
         return max(3 * d, 1)
+
+    @staticmethod
+    def _table_row(D, a, c):
+        """Row of the degree-D monomial x^a y^(D-a-c) z^c in the normal-form
+        table: j(j + 1)/2 + c with j = D - a (also on arrays of a and c)."""
+        j = D - a
+        return j * (j + 1) // 2 + c
+
+    def _nf_table(self, D: int) -> np.ndarray:
+        """nf of every degree-D monomial of S, in piece_index(D) coordinates.
+
+        Rows are indexed by `_table_row`, so the table is (D + 1)(D + 2)/2
+        by 3D codes, about 12 D^3 bytes.  Rows are
+        filled in ascending degrevlex order: a basis monomial of R_D is its
+        own unit row, and lt(F) * s is the sum of the rows of the tail
+        multiples tm * s, all smaller and so already final.  Built once per
+        degree.
+        """
+        table = self._nf_tables.get(D)
+        if table is None:
+            lt, tail = self._reducer
+            coeffs = np.array([[c for _, c in tail]], dtype=np.int64)
+            index = self.piece_index(D)
+
+            def row(m):
+                return self._table_row(D, m[0], m[2])
+
+            table = np.zeros(((D + 1) * (D + 2) // 2, len(index)),
+                             dtype=np.int64)
+            for m in reversed(monomials_of_degree(D)):
+                if m in index:
+                    table[row(m), index[m]] = 1
+                else:
+                    shift = mono_div(m, lt)
+                    rows = [row(mono_mul(tm, shift)) for tm, _ in tail]
+                    table[row(m)] = self.field.matmul(coeffs, table[rows])[0]
+            self._nf_tables[D] = table
+        return table
+
+    def mult(self, h: Polynomial, d: int) -> np.ndarray:
+        """Matrix of multiplication by a nonzero homogeneous form h, from
+        R_d to R_(d + deg h), in `piece_index` coordinates.
+
+        Row r is nf(h * mu_r) for the r-th monomial mu_r of
+        piece_monomials(d); h need not be reduced modulo F.  It is the sum,
+        over the terms c * m of h, of c times the rows of the monomials
+        m * mu_r gathered from the degree-(d + deg h) normal-form table.
+        """
+        source = self.piece_monomials(d)
+        D = d + h.degree()
+        if not source:
+            return np.zeros((0, self.piece_dim(D)), dtype=np.int64)
+        table = self._nf_table(D)
+        mus = np.array(source, dtype=np.int64)
+        ms = np.array(list(h.terms), dtype=np.int64)
+        rows = self._table_row(D, ms[:, :1] + mus[:, 0], ms[:, 2:] + mus[:, 2])
+        coeffs = np.array([list(h.terms.values())], dtype=np.int64)
+        return self.field.matmul(
+            coeffs, table[rows].reshape(len(ms), -1)).reshape(len(source), -1)
 
     def embedded(self, target_field: Field, embed_fn) -> "CubicCurve":
         F2 = self.F.map_coefficients(target_field, embed_fn)

@@ -1,0 +1,154 @@
+"""Reference implementations that the tests compare the library against.
+
+Kept out of `tcone` because the pipeline never calls them:
+
+* `HomModule` presents Hom(M, N) as a module by one syzygy elimination,
+  building its evaluation map as nf(h * p) product by product; its degree
+  pieces are an independent route to `hom_space`.
+* `groebner_basis` reads the reduced module Groebner basis of a submodule
+  off its lift basis (`block1_gb`), for comparing submodules.
+* `reference_image_conditions` builds each column of
+  `gradedmod.image_conditions` as nf(h * p) from polynomial blocks, where
+  the library takes one matrix product per block and position.
+
+`block1_gb` and `groebner_basis` read as methods of `LiftBasis` and
+`PresentedModule`: they take that object as `self`.
+"""
+
+import numpy as np
+
+from tcone.gradedmod import (LiftBasis, PresentedModule, TwistedFree,
+                             closing_relations, hom_space)
+from tcone.polyring import Polynomial, mono_mul, vec_lt
+
+
+def vec_to_polys(vec, npos, field):
+    polys = [dict() for _ in range(npos)]
+    for (pos, m), c in vec.items():
+        polys[pos][m] = c
+    return tuple(Polynomial(field, t) for t in polys)
+
+
+def block1_gb(self: LiftBasis):
+    """Reduced Groebner basis of the span itself (coefficient block
+    dropped); elements led from the coefficient block are syzygies and
+    do not contribute."""
+    out = []
+    for g in self.basis:
+        b1 = {t: c for t, c in g.items() if t[0] < self.npos}
+        if b1 and vec_lt(b1) == vec_lt(g):
+            out.append(b1)
+    return out
+
+
+def groebner_basis(self: PresentedModule):
+    """Reduced module Groebner basis of the submodule.
+
+    Over R this is the basis of the preimage in the free module, i.e.
+    the span of the generators together with F times the ambient units;
+    equal submodules produce identical bases.
+    """
+    gb = [vec_to_polys(v, self.ambient.rank, self.field)
+          for v in block1_gb(self.lift)]
+    return tuple(gb)
+
+
+def reference_image_conditions(N: PresentedModule, coeffs, blocks,
+                               t: int) -> np.ndarray:
+    """Matrix of the map (w_u) -> sum_u coeffs[u] * w_u into N_t.
+
+    Each unknown w_u is a combination of the vectors blocks[u] of N.  The
+    columns stand for those vectors, block after block: the column of
+    v = blocks[u][b] holds the frame(t) coordinates of nf(coeffs[u] * v).
+    """
+    frame = N.frame(t)
+    nf = N.curve.nf
+    cols = np.zeros((frame.width, sum(len(b) for b in blocks)),
+                    dtype=np.int64)
+    j = 0
+    for h, block in zip(coeffs, blocks):
+        if h:
+            for b, img in enumerate(block):
+                cols[:, j + b] = frame.coords([nf(h * p) for p in img])
+        j += len(block)
+    return cols
+
+
+class HomModule:
+    """Hom_R(M, N) with an eager degree-0 basis and a lazy module presentation."""
+
+    def __init__(self, M: PresentedModule, N: PresentedModule):
+        self.domain = M
+        self.codomain = N
+        self.degree0 = hom_space(M, N)
+        self._module = None
+
+    @property
+    def module(self) -> PresentedModule:
+        if self._module is None:
+            self._module = self._build_module()
+        return self._module
+
+    def _build_module(self):
+        """Present Hom(M, N) as a submodule of a twisted free module.
+
+        A homomorphism is a tuple (w_1..w_s) of elements of N annihilated
+        by M's syzygies; the kernel of that evaluation map is computed by
+        one more syzygy elimination.
+        """
+        M, N = self.domain, self.codomain
+        curve = M.curve
+        field = M.field
+        gdegs = M.gen_degrees()
+        s = len(gdegs)
+        rels = M.relations()
+        namb = N.ambient.rank
+        # ambient of the Hom module: one copy of N's ambient per M-generator,
+        # twisted so that a degree-0 element sends g_l into N_(delta_l)
+        twists = []
+        for dg in gdegs:
+            twists.extend(b + dg for b in N.ambient.twists)
+        amb = TwistedFree(twists)
+        # target free module: one copy of N's ambient per relation
+        ntarget = len(rels) * namb
+        # spanning vectors of ⊕_l N(-delta_l): iota_l(nu) over N's generators
+        dom_vecs = []
+        images = []
+        for l in range(s):
+            for nu in N.gens:
+                dom = {}
+                for i, p in enumerate(nu):
+                    for m, c in p.terms.items():
+                        dom[(l * namb + i, m)] = c
+                dom_vecs.append(dom)
+                img = {}
+                for k, rel in enumerate(rels):
+                    h = rel[l]
+                    if not h:
+                        continue
+                    for i, p in enumerate(nu):
+                        prod = curve.nf(h * p)
+                        for m, c in prod.terms.items():
+                            t = (k * namb + i, m)
+                            img[t] = field.add(img.get(t, 0), c)
+                images.append({t: c for t, c in img.items() if c})
+        lift = LiftBasis(images, closing_relations(curve.F, ntarget),
+                         max(ntarget, 1), field)
+        gens = []
+        for syz in lift.syzygies():
+            vec = {}
+            for idx, coeff in enumerate(syz):
+                if not coeff:
+                    continue
+                for t, c in dom_vecs[idx].items():
+                    pos, m = t
+                    for mm, cc in coeff.terms.items():
+                        key = (pos, mono_mul(m, mm))
+                        s_ = field.add(vec.get(key, 0), field.mul(c, cc))
+                        if s_:
+                            vec[key] = s_
+                        else:
+                            vec.pop(key, None)
+            if vec:
+                gens.append(vec_to_polys(vec, amb.rank, field))
+        return PresentedModule(curve, amb, gens)

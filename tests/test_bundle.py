@@ -9,7 +9,7 @@ from tcone.bundle import (SyzygyBundle, cohomology_dims,
 from tcone.field import code_embedding, make_field
 from tcone.gradedmod import ModuleHom, free_module, hom_space
 from tcone.linalg import as_matrix, solve
-from tcone.polyring import Polynomial, ideal_membership
+from tcone.polyring import CubicCurve, Polynomial, ideal_membership
 
 from .conftest import ideal_of, pp, random_homogeneous, random_primary_ideal, seeded
 
@@ -424,6 +424,31 @@ def test_nilpotent_trace_form_kernel_stops_the_chain(fermat2, monkeypatch):
     ea = end_algebra(syzygy_bundle(ideal_of(fermat2, "x^2", "y^2", "z^3"), 0))
     assert (ea.dim, ea.radical_rows.shape[0]) == (5, 3)
     assert len(calls) == 2 and all(c[1:] == (5, 5) for c in calls)
+
+
+def test_end_products_match_compose(fermat2, fermat7):
+    """The End products read off `image_conditions` equal the coordinates
+    of a.compose(b) for every pair of basis homs: the End algebra of
+    splitting_extension.tc over F_25, where it splits, and End algebras of
+    dim 5 and 8."""
+    F25 = make_field(5, 2)
+    curve = CubicCurve(pp("x^3 + y^3 + z^3", F25), F25)
+    split = ideal_of(curve, "3*x^2 + 3*x*y + 2*y^2 + y*z",
+                     "2*x^2 + 3*x*y + y^2 + 4*x*z + z^2",
+                     "x^2 + 4*x*y + 4*x*z + 2*y*z")
+    cases = [(syzygy_bundle(split, 2), 2),
+             (syzygy_bundle(ideal_of(fermat7, "x", "y", "z^3"), 0), 5),
+             (syzygy_bundle(ideal_of(fermat2, "x", "y", "z^4"), 0), 8)]
+    for bundle, dim in cases:
+        M = bundle.module
+        homs = hom_space(M, M)
+        assert len(homs) == dim
+        basis_T = np.stack([bundle_module._hom_coords(M, h.images)
+                            for h in homs], axis=1)
+        want = [bundle_module._hom_coords(M, a.compose(b).images)
+                for a in homs for b in homs]
+        assert np.array_equal(bundle_module._end_products(M, homs, basis_T),
+                              np.array(want))
 
 
 def test_splitting_bound_names_stage_and_size(fermat5, monkeypatch):

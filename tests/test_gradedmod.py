@@ -8,7 +8,7 @@ import tcone.polyring as polyring
 from tcone.bundle import decompose_bundle, forcing_data, syzygy_bundle
 from tcone.closure import _ideal_piece_rows
 from tcone.field import embed, make_field
-from tcone.gradedmod import (GradedMap, HomModule, ModuleHom, PieceFrame,
+from tcone.gradedmod import (GradedMap, ModuleHom, PieceFrame,
                              PresentedModule, TwistedFree, buchberger_module,
                              closing_relations, free_module, hom_space,
                              image_presentation, syzygy_of_map, vec_from_polys,
@@ -22,6 +22,8 @@ from tcone.polyring import (CubicCurve, IdealData, Polynomial,
 
 from .conftest import (ideal_of, pp, random_homogeneous, random_primary_ideal,
                        seeded)
+from .reference import (HomModule, groebner_basis,
+                        reference_image_conditions)
 
 
 def syz_map(curve, gens_texts, m):
@@ -176,7 +178,7 @@ def test_image_presentation_identity_and_zero(fermat5, F5):
     ident = ModuleHom(M, M, list(M.gens))
     img = image_presentation(ident, M)
     assert img.rank_and_degree() == M.rank_and_degree()
-    assert img.groebner_basis() == M.groebner_basis()
+    assert groebner_basis(img) == groebner_basis(M)
     for t in range(0, 4):
         assert img.piece_dim(t) == M.piece_dim(t)
     for g in M.gens:
@@ -304,6 +306,45 @@ def test_piece_frame_matches_reference(p, k):
         assert np.array_equal(got, want)
         seen_rows += got.shape[0]
     assert seen_rows > 20
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (2, 2), (7, 1), (5, 2)])
+def test_image_conditions_match_reference(p, k):
+    """One matrix product per block and ambient position gives the columns
+    nf(h * v) of the per-column reference.  Per degree t the blocks are a
+    piece basis, random rows and an empty block, and the coefficients are
+    random, zero, and of degree >= 3 with a multiple of lt(F), so not
+    reduced modulo F; the free module's twist -2 makes d + a = 0 and
+    d + a < 0 at block degrees 2 and 1."""
+    field = make_field(p, k)
+    curve = CubicCurve(pp("x^3 + y^3 + z^3", field), field)
+    rng = seeded(71)
+    syz = syzygy_of_map(syz_map(curve, ["x^2", "y^2", "z^2"], 3), curve)
+    for N in (free_module(curve, [-2, 0, 1]), syz, syz.twisted(-2)):
+        for t in range(6):
+            coeffs, blocks, vectors = [], [], []
+            for u, d in enumerate((t, t - 1, t - 2, t - 3, t - 1, t - 4)):
+                frame = N.frame(d)
+                if u == 2:
+                    block = np.zeros((0, frame.width), dtype=np.int64)
+                elif u % 2:
+                    n = rng.randint(1, 3)
+                    block = np.array([rng.randrange(field.q)
+                                      for _ in range(n * frame.width)],
+                                     dtype=np.int64).reshape(n, frame.width)
+                else:
+                    block = N.piece_matrix(d)
+                terms = {m: rng.randrange(field.q)
+                         for m in monomials_of_degree(t - d)}
+                if t - d >= 3:
+                    terms[(t - d, 0, 0)] = 1
+                h = Polynomial(field, {m: c for m, c in terms.items() if c})
+                coeffs.append(Polynomial.zero(field) if u == 1 else h)
+                blocks.append(block)
+                vectors.append([frame.polys(row) for row in block])
+            got = gradedmod.image_conditions(N, coeffs, blocks, t)
+            want = reference_image_conditions(N, coeffs, vectors, t)
+            assert np.array_equal(got, want)
 
 
 def _reference_minimal_generators(curve, ambient, vectors):

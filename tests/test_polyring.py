@@ -229,6 +229,67 @@ def test_hasse_non_fermat():
         assert curve.supersingular == ss
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("k", [1, 2])
+def test_hasse_truncated_product_matches_full_power(p, k):
+    """The product truncated to exponents <= p - 1 keeps the coefficient
+    of (xyz)^(p-1) in the full F^(p-1)."""
+    field = make_field(p, k)
+    texts = ["x^3 + y^3 + z^3", "y^2*z + x*y*z + x^3 + z^3",
+             "x^2*y + y^2*z + z^2*x + 2*x*y*z"]
+    if k > 1:
+        texts.append("x^3 + t*y^3 + z^3 + (t + 1)*x*y*z")
+    e = p - 1
+    for text in texts:
+        F = pp(text, field)
+        assert hasse_invariant_of(F, field).code == \
+            (F ** e).terms.get((e, e, e), 0)
+
+
+def test_hasse_supersingular_families():
+    """x^3 + y^3 + z^3 is supersingular exactly when p = 2 mod 3, and
+    y^2 z = x^3 - x z^2 (j = 1728) exactly when p = 3 mod 4."""
+    primes = [p for p in range(5, 62) if all(p % q for q in range(2, p))]
+    assert primes[-1] == 61
+    for p in primes:
+        field = make_field(p)
+        fermat = pp("x^3 + y^3 + z^3", field)
+        j1728 = pp("y^2*z - x^3 + x*z^2", field)
+        assert hasse_invariant_of(fermat, field).is_zero() == (p % 3 == 2)
+        assert hasse_invariant_of(j1728, field).is_zero() == (p % 4 == 3)
+
+
+def test_mult_matches_nf_row_by_row():
+    """Row r of mult(h, d) is nf(h * mu_r), mu_r the r-th basis monomial
+    of R_d: forms not reduced modulo F, d = 0 and d < 0 included, and a
+    cubic whose leading monomial is not x^3."""
+    rng = seeded(67)
+    for p, k in [(5, 1), (2, 2), (7, 1), (5, 2)]:
+        field = make_field(p, k)
+        for text in ("x^3 + y^3 + z^3", "y^2*z + x*y*z + x^3 + z^3",
+                     "x^2*y + y^2*z + z^2*x"):
+            curve = CubicCurve(pp(text, field), field, check_smooth=False)
+            lt = curve.F.leading_monomial()
+            for e in range(5):
+                for d in range(-1, 5):
+                    terms = {m: rng.randrange(field.q)
+                             for m in monomials_of_degree(e)}
+                    if e >= 3:
+                        terms[(lt[0] + e - 3, lt[1], lt[2])] = 1
+                    h = Polynomial(field, {m: c for m, c in terms.items()
+                                           if c})
+                    if not h:
+                        continue
+                    got = curve.mult(h, d)
+                    index = curve.piece_index(d + e)
+                    assert got.shape == (curve.piece_dim(d), len(index))
+                    for row, mu in zip(got, curve.piece_monomials(d)):
+                        want = np.zeros(len(index), dtype=np.int64)
+                        for m, c in curve.nf(h.term_mul(mu, 1)).terms.items():
+                            want[index[m]] = c
+                        assert np.array_equal(row, want)
+
+
 def _reference_curve_nf(curve, f):
     """Normal form modulo (F), rebuilding F's leading term and negated tail
     on every call."""
