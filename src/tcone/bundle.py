@@ -7,6 +7,11 @@ base field when the algebra is not split), and tests, for a candidate
 element, whether the component of its obstruction class on a summand
 vanishes.
 
+A summand needs no Groebner basis of its own: an indecomposable bundle is
+its own summand, and the summands of a split one read their rank and
+degree off two graded pieces where Riemann-Roch on the genus-1 curve is
+exact (`_summand_invariants`).
+
 Class-component vanishing is decided here without any cohomology
 machinery: the component on a summand is zero exactly when the projection
 onto that summand extends, as a degree-zero homomorphism, from the syzygy
@@ -282,6 +287,44 @@ def _combine_hom(M: PresentedModule, homs, coords) -> ModuleHom:
                             for l in range(len(M.gens))])
 
 
+def _vanishing_twist(bundle: SyzygyBundle) -> int:
+    """The least twist t0 with h^1(E(t0)) = 0, for E the bundle's sheaf.
+
+    By Riemann-Roch at genus 1, h^1(E(t)) = dim M_t - (3 * rank * t +
+    degree), positive while that Euler characteristic is negative; so the
+    search starts at ceil(-degree / (3 * rank)) and counts dim M_t on the
+    bundle's leading terms (`piece_dim`).  h^1(E(t)) = h^0(E^dual(-t))
+    does not increase with t, so it stays 0 past t0.  The search ends at
+    the latest at the degree where `rank_and_degree` read the invariants.
+    """
+    rank, degree = bundle.rank, bundle.degree
+    t = -(degree // (3 * rank))
+    while bundle.module.piece_dim(t) != 3 * rank * t + degree:
+        t += 1
+    return t
+
+
+def _summand_invariants(bundle: SyzygyBundle, images):
+    """(rank, degree) of each summand module S_j of the bundle's module.
+
+    Each S_j(t) is a direct summand of E(t), so h^1(S_j(t)) = 0 from t0 =
+    `_vanishing_twist` on, and dim (S_j)_t = 3 * rank_j * t + degree_j
+    there: two graded pieces (`piece_matrix`, no Groebner basis of S_j)
+    give both invariants.
+    """
+    t0 = _vanishing_twist(bundle)
+    out = []
+    for smod in images:
+        h0, h1 = (smod.piece_matrix(t0 + i).shape[0] for i in range(2))
+        rank, rest = divmod(h1 - h0, 3)
+        if rest:
+            raise ArithmeticError(
+                f"summand pieces of dimensions {h0}, {h1} at twists "
+                f"{t0}, {t0 + 1} differ by no multiple of 3")
+        out.append((rank, h0 - 3 * rank * t0))
+    return out
+
+
 # largest relative degree of the base extension that splitting an
 # endomorphism algebra may take before the decomposition is refused
 _EXT_BOUND = 4
@@ -293,8 +336,12 @@ def decompose_bundle(bundle: SyzygyBundle) -> Decomposition:
     Computes primitive idempotents of the endomorphism algebra modulo its
     radical, extending the base field until every simple factor is split
     (relative degree at most _EXT_BOUND, else the computation is refused as
-    undecided), lifts them through the radical, and realises the summands
-    as images.  Summands are ordered by (degree, rank) descending with a
+    undecided), and lifts them through the radical.  One primitive
+    idempotent is the identity: the one summand is the bundle, with its
+    module, rank and degree.  Several summands are the images of their
+    projections (`image_presentation`), each with rank and degree from two
+    graded pieces (`_summand_invariants`).  Neither case runs a Groebner
+    basis.  Summands are ordered by (degree, rank) descending with a
     deterministic tiebreak on the projection data.
     """
     base_field = bundle.field
@@ -345,12 +392,19 @@ def decompose_bundle(bundle: SyzygyBundle) -> Decomposition:
                 stage="splitting extension", size=rel_ext)
     lifted = lift_idempotents(alg_x, rad, qidems, proj, sect)
     field_x = ideal_x.curve.field
-    summands = []
-    for e in lifted:
-        ehom = _combine_hom(module_x, homs_x, e)
-        smod = image_presentation(ehom, module_x)
-        r, d = smod.rank_and_degree()
-        summands.append(Summand(ehom, smod, r, d))
+    projections = [_combine_hom(module_x, homs_x, e) for e in lifted]
+    if len(projections) == 1:
+        # the one lifted idempotent is 1: the bundle is its own summand
+        (ehom,) = projections
+        if ehom.images != module_x.gens:
+            raise ArithmeticError(
+                "the only primitive idempotent is not the identity")
+        summands = [Summand(ehom, module_x, bundle.rank, bundle.degree)]
+    else:
+        images = [image_presentation(ehom, module_x) for ehom in projections]
+        summands = [Summand(ehom, smod, r, d) for ehom, smod, (r, d)
+                    in zip(projections, images,
+                           _summand_invariants(bundle, images))]
     summands.sort(key=lambda s: s.sort_key())
     n = ideal_x.n
     if sum(s.rank for s in summands) != n - 1:

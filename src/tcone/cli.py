@@ -249,6 +249,12 @@ def run_decompose(problem: ProblemFile, degree=None, as_json=False):
     rows = []
     for s in dec:
         h0, h1 = cohomology_dims(s.module, 0)
+        # the summand's own Groebner basis, built for h0, cross-checks the
+        # rank and degree that decompose_bundle read off two pieces
+        if s.module.rank_and_degree() != (s.rank, s.degree):
+            raise ArithmeticError(
+                f"summand (rank, degree) {(s.rank, s.degree)} disagrees with "
+                f"{s.module.rank_and_degree()} from its Groebner basis")
         rows.append({"rank": s.rank, "degree": s.degree, "h0": h0, "h1": h1})
     doc = {
         "schema": SCHEMA_VERSION,

@@ -392,7 +392,7 @@ def _criterion_piece(ideal: IdealData, m: int, ideal_piece, dec0):
                 f"degree {m}: the closure piece is not defined over "
                 f"{curve.field}")
     gain = len(piece_pivots) - len(pivots)
-    h0 = sum(s.module.piece_dim(0) for s in dec if s.degree == 0)
+    h0 = sum(s.module.piece_matrix(0).shape[0] for s in dec if s.degree == 0)
     if gain > h0 or (m > max(ideal.degrees) and gain != h0):
         raise ArithmeticError(
             f"degree {m}: the closure piece gains {gain} over the ideal, "

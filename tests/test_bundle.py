@@ -465,10 +465,10 @@ def test_splitting_bound_names_stage_and_size(fermat5, monkeypatch):
 def test_extension_class_tests_share_one_embedded_lift(fermat5, F5,
                                                        monkeypatch):
     """Over F_25 the forcing data is embedded once for both summands: the
-    reference route makes 7 module Groebner runs, not one more per extra
-    summand tested over the extension.  The Cech route of
-    tight_closure_member runs none beyond the bundle's and its summands',
-    and agrees with it summand by summand."""
+    reference route makes 5 module Groebner runs, one of them over F_25 and
+    none for the summands, not one more per extra summand tested over the
+    extension.  The Cech route of tight_closure_member runs none beyond
+    the bundle's, and agrees with it summand by summand."""
     from tcone.closure import tight_closure_member
     fields = []
     real = gradedmod.buchberger_module
@@ -482,10 +482,117 @@ def test_extension_class_tests_share_one_embedded_lift(fermat5, F5,
     fd = forcing_data(ideal, f0, B)
     flags = [component_class_vanishes(fd, s) for s in dec]
     F25 = make_field(5, 2)
-    assert fields == [F5, F5, F25, F25, F5, F5, F25]
+    assert fields == [F5, F5, F5, F5, F25]
     fields.clear()
     cert = tight_closure_member(ideal, f0)
     assert (cert.verdict, cert.extension_degree) == ("member", 2)
     assert [s.class_vanishes for s in cert.summands] == flags
     assert len(flags) == 2
-    assert fields == [F5, F5, F25, F25]
+    assert fields == [F5, F5]
+
+
+# ---------------------------------------------------------------------------
+# summand rank and degree from two graded pieces, against the reference
+# count on each summand's own Groebner basis (`rank_and_degree`)
+# ---------------------------------------------------------------------------
+
+def _reference_decompositions():
+    """(bundle, decomposition) pairs over F_2, F_4, F_5, F_7 and F_25.
+
+    The window ideals at twist 0 and at their window degrees (where
+    (x^3, y^3, x^2*y) has a degree-0 summand), the extension ideals at
+    twists 0 and 3, splitting_extension.tc, (x^3, y^3, z^3, x*y*z) over
+    F_7 (rank 3, End algebra of dimension 11) and random ideals.
+    """
+    from pathlib import Path
+
+    from tcone.cli import parse_problem
+
+    from .test_closure import (EXTENSION_IDEALS, WINDOW_CASES, _fermat,
+                               _window_degrees)
+
+    def pair(ideal, m):
+        B = syzygy_bundle(ideal, m)
+        return B, decompose_bundle(B)
+
+    for p, k, gens in WINDOW_CASES:
+        ideal = ideal_of(_fermat(p, k), *gens)
+        B0, dec0 = pair(ideal, 0)
+        yield B0, dec0
+        for m in _window_degrees(ideal, dec0):
+            yield pair(ideal, m)
+    fermat5 = _fermat(5)
+    for gens in EXTENSION_IDEALS:
+        for m in (0, 3):
+            yield pair(ideal_of(fermat5, *gens), m)
+    demo = Path(__file__).resolve().parent.parent / "demos" / "problems"
+    problem = parse_problem((demo / "splitting_extension.tc").read_text())
+    for m in (0, 2, 3):
+        yield pair(problem.ideal, m)
+    wide7 = ideal_of(_fermat(7), "x^3", "y^3", "z^3", "x*y*z")
+    assert end_algebra(syzygy_bundle(wide7, 0)).dim == 11
+    for m in (0, 3, 5):
+        yield pair(wide7, m)
+    rng = seeded(307)
+    for curve in (_fermat(2), _fermat(2, 2), _fermat(5), _fermat(7)):
+        for _ in range(3):
+            ideal = random_primary_ideal(curve, rng, n_max=4, max_deg=2)
+            yield pair(ideal, max(ideal.degrees))
+
+
+def test_summand_invariants_match_their_groebner_bases():
+    """Every summand's two-piece (rank, degree) is the count on its own
+    Groebner basis, on the one-summand and on the split path, with and
+    without a splitting extension, degree-0 summands included."""
+    fields, seen = set(), set()
+    for B, dec in _reference_decompositions():
+        for s in dec:
+            assert (s.rank, s.degree) == s.module.rank_and_degree()
+            seen.add((len(dec) > 1, dec.extension_degree, s.degree == 0))
+        fields.add(dec.field.q)
+    assert fields == {2, 4, 5, 7, 25}
+    assert seen >= {(False, 1, False), (True, 1, False), (True, 1, True),
+                    (True, 2, False), (True, 2, True)}
+
+
+def test_vanishing_twist_is_the_least_with_h1_zero():
+    """t0 is the least twist with h^1(E(t0)) = 0, and h^1 stays 0 on the
+    next three twists."""
+    for B, _ in _reference_decompositions():
+        t0 = bundle_module._vanishing_twist(B)
+        h1 = [cohomology_dims(B.module, t)[1] for t in range(t0 - 3, t0 + 4)]
+        assert all(h1[:3]) and not any(h1[3:]), (B, t0, h1)
+
+
+def test_one_summand_is_the_bundle_itself(fermat5, monkeypatch):
+    """An indecomposable bundle's summand is the bundle's own module, with
+    its rank and degree; no decomposition runs a module Groebner basis."""
+    fields = []
+    real = gradedmod.buchberger_module
+    B = syzygy_bundle(ideal_of(fermat5, "x^2", "y^2", "z^2"), 3)
+    B2 = syzygy_bundle(ideal_of(fermat5, "x^2", "y^2", "x^2"), 3)
+    monkeypatch.setattr(gradedmod, "buchberger_module",
+                        lambda vectors, field: fields.append(field) or
+                        real(vectors, field))
+    (s,) = decompose_bundle(B)
+    assert s.module is B.module
+    assert s.projection.images == B.module.gens
+    assert (s.rank, s.degree) == (B.rank, B.degree)
+    assert decompose_bundle(B2).shape() == [(1, 3), (1, -3)]
+    assert fields == []
+
+
+def test_one_summand_must_be_the_identity(fermat5, monkeypatch):
+    # a lone projection that is not the identity on the generators is
+    # refused, not taken for the bundle
+    B = syzygy_bundle(ideal_of(fermat5, "x^2", "y^2", "z^2"), 3)
+    real = bundle_module._combine_hom
+
+    def doubled(M, homs, coords):
+        e = real(M, homs, coords)
+        return ModuleHom(M, M, [tuple(p.scale(2) for p in img)
+                                for img in e.images])
+
+    monkeypatch.setattr(bundle_module, "_combine_hom", doubled)
+    with pytest.raises(ArithmeticError, match="not the identity"):
+        decompose_bundle(B)

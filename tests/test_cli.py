@@ -1,12 +1,13 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from tcone.cli import (E_CANDIDATE, E_CHAR, E_CUBIC, E_MISSING_FIELD,
-                       E_NOT_PRIMARY, E_SINGULAR, E_SYNTAX, ProblemError,
-                       main, parse_problem, run_check, run_closure,
-                       run_decompose, run_info)
+                       E_NOT_PRIMARY, E_SINGULAR, E_SYNTAX, SCHEMA_VERSION,
+                       ProblemError, main, parse_problem, run_check,
+                       run_closure, run_decompose, run_info)
 
 FERMAT_CHECK = """\
 # tight closure membership over the Fermat cubic
@@ -185,6 +186,59 @@ def test_decompose_degree_flag_overrides():
     doc = json.loads(out)
     assert doc["twist"] == 3
     assert doc["summands"] == [{"rank": 2, "degree": 0, "h0": 1, "h1": 1}]
+
+
+# `tc decompose --json` on every demo problem at twists 0 and 3: twist,
+# bundle (rank, degree), splitting extension degree and each summand's
+# (rank, degree, h0, h1); at twist 0 four of the problems split, over
+# F_5, F_101 and F_25
+DECOMPOSE_PINS = {
+    ("duplicate_generator", 0): ((2, -18), 1,
+                                 [(1, -6, 0, 6), (1, -12, 0, 12)]),
+    ("duplicate_generator", 3): ((2, 0), 1, [(1, 3, 3, 0), (1, -3, 0, 3)]),
+    ("fermat2_frobenius", 0): ((2, -18), 1, [(2, -18, 0, 18)]),
+    ("fermat2_frobenius", 3): ((2, 0), 1, [(2, 0, 1, 1)]),
+    ("fermat5_check", 0): ((2, -18), 1, [(2, -18, 0, 18)]),
+    ("fermat5_check", 3): ((2, 0), 1, [(2, 0, 1, 1)]),
+    ("fermat5_closure", 0): ((2, -18), 1, [(2, -18, 0, 18)]),
+    ("fermat5_closure", 3): ((2, 0), 1, [(2, 0, 1, 1)]),
+    ("ordinary_char101", 0): ((2, -18), 1, [(1, -9, 0, 9), (1, -9, 0, 9)]),
+    ("ordinary_char101", 3): ((2, 0), 1, [(1, 0, 0, 0), (1, 0, 0, 0)]),
+    ("splitting_extension", 0): ((2, -18), 2, [(1, -9, 0, 9), (1, -9, 0, 9)]),
+    ("splitting_extension", 3): ((2, 0), 2, [(1, 0, 0, 0), (1, 0, 0, 0)]),
+    ("wide_window", 0): ((3, -36), 1, [(1, -9, 0, 9), (2, -27, 0, 27)]),
+    ("wide_window", 3): ((3, -9), 1, [(1, 0, 1, 1), (2, -9, 0, 9)]),
+}
+
+
+@pytest.mark.parametrize("name, twist", sorted(DECOMPOSE_PINS))
+def test_decompose_json_on_the_demo_problems(name, twist):
+    demo = Path(__file__).resolve().parent.parent / "demos" / "problems"
+    problem = parse_problem((demo / f"{name}.tc").read_text())
+    assert {p.stem for p in demo.glob("*.tc")} == \
+        {n for n, _ in DECOMPOSE_PINS}
+    out, code = run_decompose(problem, degree=twist, as_json=True)
+    bundle, ext, rows = DECOMPOSE_PINS[name, twist]
+    assert code == 0
+    assert json.loads(out) == {
+        "schema": SCHEMA_VERSION, "command": "decompose", "twist": twist,
+        "bundle": {"rank": bundle[0], "degree": bundle[1]},
+        "extension_degree": ext,
+        "summands": [{"rank": r, "degree": d, "h0": h0, "h1": h1}
+                     for r, d, h0, h1 in rows]}
+
+
+def test_decompose_cross_checks_the_summand_invariants(monkeypatch):
+    """`tc decompose` compares each summand's two-piece rank and degree
+    with the count on the summand's own Groebner basis, and refuses a
+    disagreement; here the two summands' invariants are swapped, which
+    keeps both sums."""
+    import tcone.bundle as bundle_module
+    real = bundle_module._summand_invariants
+    monkeypatch.setattr(bundle_module, "_summand_invariants",
+                        lambda bundle, images: real(bundle, images)[::-1])
+    with pytest.raises(ArithmeticError, match="disagrees with"):
+        run_decompose(parse_problem(DUP_CHECK))
 
 
 def test_decompose_needs_some_degree():
