@@ -28,7 +28,10 @@ window in between is resolved degree by degree with the criterion.
 The Frobenius oracle tests f0^(p^e) against the generator p^e-th powers;
 on supersingular curves (Hasse invariant zero) the Frobenius closure
 equals the tight closure, making the oracle a differential test for the
-criterion.
+criterion.  Its normal forms come one p-th power at a time.  When lt(F) =
+x^3, R is a free K[y, z]-module on 1, x, x^2, so the rows of each power are
+(y, z)-shifts of three normal forms, and monomial rows fix their columns,
+which leave the system before it is allocated (`_frobenius_system`).
 """
 
 from __future__ import annotations
@@ -168,9 +171,10 @@ def tight_closure_member(ideal: IdealData, f0: Polynomial) -> ClosureCertificate
 # Frobenius oracle
 # ---------------------------------------------------------------------------
 
-# The oracle refuses a degree whose dense membership matrix (int64 codes)
-# would take more than this, and the obstruction map a degree whose solve
-# or span-test matrix would; each size is predicted before allocation.
+# The oracle refuses a degree whose full dense membership matrix (int64
+# codes; an upper bound on what it allocates) would take more than this,
+# and the obstruction map a degree whose solve or span-test matrix would;
+# each size is predicted before allocation.
 _MATRIX_BYTES = 512 << 20
 
 
@@ -179,17 +183,93 @@ def _ideal_piece_rows(curve: CubicCurve, gens, D: int) -> np.ndarray:
     return PieceFrame(curve, (0,), D).multiples([(g,) for g in gens])
 
 
+def _column_table(curve: CubicCurve, D: int) -> np.ndarray:
+    """(3, D + 1) array: entry (a, c) is the column of x^a y^(D-a-c) z^c
+    in `piece_monomials(D)`, or -1 where that monomial is not in the basis.
+
+    Meant for lt(F) = x^3, where every basis monomial has x-degree at most 2.
+    """
+    table = np.full((3, D + 1), -1, dtype=np.int64)
+    for j, (a, _, c) in enumerate(curve.piece_monomials(D)):
+        table[a, c] = j
+    return table
+
+
+def _frobenius_system(curve: CubicCurve, powered, target: Polynomial,
+                      D: int):
+    """The oracle's degree-D membership system, for lt(F) = x^3.
+
+    Returns (rows, vec): target lies in the degree-D piece of the ideal of
+    the reduced forms powered exactly when vec lies in the row space of
+    rows.  With lt(F) = x^3 every tail term of F has x-degree at most 2,
+    so a basis monomial of R times y or z is again one, and
+    nf(y^b z^c P) = y^b z^c nf(P): R is free over K[y, z] on 1, x, x^2.
+    The row of a multiplier x^a y^b z^c of a power h is therefore
+    base_a = nf(x^a h) shifted by z^c (the y-exponent follows from the
+    degree), and each power needs three normal forms, whatever D is.
+    A base with one term makes each of its shifts a unit row c e_j; as e_j
+    is then in the row space, those rows are left out and their columns j
+    dropped from the other rows and from the target, which changes no
+    answer and no rank beyond the count of the dropped columns.  The
+    remaining rows keep, power by power, the multipliers'
+    `piece_monomials` order, and are written by one scatter into one
+    preallocated array.
+    """
+    col = _column_table(curve, D)
+    fixed = np.zeros(curve.piece_dim(D), dtype=bool)
+    parts = []                            # (row of each multiplier, at, coeffs)
+    n_rows = 0
+    for h in powered:
+        K = D - h.degree()
+        if K < 0:
+            continue
+        pos = _column_table(curve, K)
+        keep = np.zeros(curve.piece_dim(K), dtype=bool)
+        bases = []
+        for a in range(min(K, 2) + 1):
+            base = curve.nf(h.term_mul((a, 0, 0), 1))
+            terms = np.array(list(base.terms), dtype=np.int64)
+            cs = np.arange(K - a + 1)     # z-exponents of the multipliers
+            # at[i, k]: column of term k of base, shifted by z^cs[i]
+            at = col[terms[:, 0], terms[:, 2] + cs[:, None]]
+            if len(terms) == 1:
+                fixed[at[:, 0]] = True
+            else:
+                keep[pos[a, cs]] = True
+                coeffs = np.array(list(base.terms.values()), dtype=np.int64)
+                bases.append((pos[a, cs], at, coeffs))
+        rank = n_rows + np.cumsum(keep) - 1
+        parts += [(rank[r], at, coeffs) for r, at, coeffs in bases]
+        n_rows += int(keep.sum())
+    new_col = np.cumsum(~fixed) - 1
+    rows = np.zeros((n_rows, int((~fixed).sum())), dtype=np.int64)
+    if parts:
+        r = np.concatenate([np.repeat(p, at.shape[1]) for p, at, _ in parts])
+        c = np.concatenate([at.ravel() for _, at, _ in parts])
+        v = np.concatenate([np.tile(coeffs, at.shape[0])
+                            for _, at, coeffs in parts])
+        live = ~fixed[c]
+        rows[r[live], new_col[c[live]]] = v[live]
+    vec = PieceFrame(curve, (0,), D).coords((target,))[~fixed]
+    return rows, vec
+
+
 def frobenius_member(ideal: IdealData, f0: Polynomial,
                      e_max: int = 4) -> FrobeniusResult:
     """Smallest e <= e_max with f0^(p^e) in the p^e-th power ideal.
 
     Membership is tested inside the cone ring degree by degree with exact
-    linear algebra; Frobenius powers are exact single-term expansions in
-    characteristic p, so no Groebner computation at large degree is needed.
-    At D = p^e deg(f0) the rows are the monomial multiples of each distinct
-    monic generator's p^e-th power in the basis of R_D (3D monomials,
-    generated directly), and the target is reduced against their forward
-    echelon form.  Before each degree the size of that matrix is predicted;
+    linear algebra.  Normal forms of f0^(p^e) and of each distinct monic
+    generator's p^e-th power come one p-th power at a time: in
+    characteristic p, nf(nf(h)^[p]) = nf(h^p), with h^[p] the exact
+    single-term expansion, so no Groebner computation at large degree is
+    needed.  At D = p^e deg(f0) the target is reduced against the forward
+    echelon form of rows spanning the powers' ideal in R_D (3D monomials,
+    generated directly): shifts of three normal forms per power when
+    lt(F) = x^3 (`_frobenius_system`), and otherwise, on a curve through
+    (1:0:0), every monomial multiple of each power, one normal form each
+    (`_ideal_piece_rows`).  Before each degree the size of the full matrix
+    of all multiples is predicted, an upper bound on what is allocated;
     past 512 MiB the search stops, inconclusive, and the result names that
     e and D ("inconclusive: stopped at e = ..., D = ...").
     """
@@ -203,20 +283,26 @@ def frobenius_member(ideal: IdealData, f0: Polynomial,
         raise ValueError("candidate must be nonzero in the cone")
     p = curve.field.p
     m = f0.degree()
+    free_over_yz = curve.F.leading_monomial() == (3, 0, 0)
     # generators equal up to a scalar span the same rows
     gens = list(dict.fromkeys(g.monic() for g in ideal.gens))
+    target, powered = f0, [curve.nf(g) for g in gens]
     for e in range(e_max + 1):
         q = p ** e
         D = q * m
         n_rows = sum(curve.piece_dim(D - q * g.degree()) for g in gens)
         if n_rows * curve.piece_dim(D) * 8 > _MATRIX_BYTES:
             return FrobeniusResult(False, None, e_max, inconclusive_at=(e, D))
-        target = curve.nf(f0.frobenius_power(e))
-        powered = [curve.nf(g.frobenius_power(e)) for g in gens]
+        if e:
+            target = curve.nf(target.frobenius_power(1))
+            powered = [curve.nf(h.frobenius_power(1)) for h in powered]
+        if free_over_yz:
+            rows, vec = _frobenius_system(curve, powered, target, D)
+        else:
+            rows = _ideal_piece_rows(curve, powered, D)
+            vec = PieceFrame(curve, (0,), D).coords((target,))
         # the rows are built here, so they are eliminated in place
-        if row_space_contains(_ideal_piece_rows(curve, powered, D),
-                              PieceFrame(curve, (0,), D).coords((target,)),
-                              curve.field):
+        if row_space_contains(rows, vec, curve.field):
             return FrobeniusResult(True, e, e_max)
     return FrobeniusResult(False, None, e_max)
 

@@ -202,6 +202,8 @@ DECOMPOSE_PINS = {
     ("fermat5_check", 3): ((2, 0), 1, [(2, 0, 1, 1)]),
     ("fermat5_closure", 0): ((2, -18), 1, [(2, -18, 0, 18)]),
     ("fermat5_closure", 3): ((2, 0), 1, [(2, 0, 1, 1)]),
+    ("sheared_fermat5", 0): ((2, -18), 1, [(2, -18, 0, 18)]),
+    ("sheared_fermat5", 3): ((2, 0), 1, [(2, 0, 1, 1)]),
     ("ordinary_char101", 0): ((2, -18), 1, [(1, -9, 0, 9), (1, -9, 0, 9)]),
     ("ordinary_char101", 3): ((2, 0), 1, [(1, 0, 0, 0), (1, 0, 0, 0)]),
     ("splitting_extension", 0): ((2, -18), 2, [(1, -9, 0, 9), (1, -9, 0, 9)]),

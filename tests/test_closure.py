@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from tcone.bundle import (component_class_vanishes, decompose_bundle,
                           forcing_data, syzygy_bundle)
 from tcone.closure import (FrobeniusResult, frobenius_member,
                            slope_and_threshold, tight_closure_ideal,
-                           tight_closure_member, _ideal_piece_rows)
+                           tight_closure_member, _frobenius_system,
+                           _ideal_piece_rows)
 from tcone.field import make_field
 from tcone.gradedmod import PieceFrame
-from tcone.linalg import SpanBasis, reduce_against, rref
+from tcone.linalg import SpanBasis, reduce_against, row_space_contains, rref
 from tcone.polyring import (CubicCurve, IdealData, Polynomial,
                             format_polynomial, ideal_membership,
                             parse_polynomial)
@@ -105,14 +107,179 @@ def test_frobenius_refuses_past_the_matrix_cap(monkeypatch):
     F11 = make_field(11)
     curve = CubicCurve(pp("x^3 + y^3 + z^3", F11), F11)
     built = []
-    real = closure._ideal_piece_rows
-    monkeypatch.setattr(closure, "_ideal_piece_rows",
-                        lambda c, gens, D: built.append(D) or real(c, gens, D))
+    real = closure._frobenius_system
+    monkeypatch.setattr(closure, "_frobenius_system",
+                        lambda c, powered, target, D:
+                        built.append(D) or real(c, powered, target, D))
     ideal = ideal_of(curve, "x^2", "y^2")
     result = frobenius_member(ideal, pp("x*y*z", F11), 4)
     assert result == FrobeniusResult(False, None, 4, inconclusive_at=(3, 3993))
     assert built == [3, 33, 363]
     assert str(result).startswith("inconclusive: stopped at e = 3, D = 3993")
+
+
+def _rank(rows, field):
+    return len(rref(rows, field)[1])
+
+
+def _check_system(curve, powered, target, D):
+    """_frobenius_system against the reference route, the full system of
+    every monomial multiple, one normal form per row; returns the answer
+    and the number of fixed columns."""
+    field = curve.field
+    rows, vec = _frobenius_system(curve, powered, target, D)
+    full = _ideal_piece_rows(curve, powered, D)
+    full_vec = PieceFrame(curve, (0,), D).coords((target,))
+    answer = row_space_contains(rows.copy(), vec, field)
+    assert answer == row_space_contains(full.copy(), full_vec, field)
+    n_fixed = full.shape[1] - rows.shape[1]
+    assert _rank(rows, field) + n_fixed == _rank(full, field)
+    # exactly: the reference's unit rows fix their columns, and the other
+    # rows, in order, lose those columns
+    unit = np.count_nonzero(full, axis=1) == 1
+    fixed = np.zeros(full.shape[1], dtype=bool)
+    fixed[np.nonzero(full[unit])[1]] = True
+    assert np.array_equal(rows, full[~unit][:, ~fixed])
+    assert np.array_equal(vec, full_vec[~fixed])
+    return answer, n_fixed
+
+
+def _x_cubed_curves(field):
+    """The Fermat cubic and one with x^2 z in its tail, smooth over F_2,
+    F_4, F_5, F_7 and F_25; both have lt(F) = x^3."""
+    curves = [CubicCurve(pp(text, field), field)
+              for text in ("x^3 + y^3 + z^3", "x^3 + x^2*z + y^2*z + y*z^2")]
+    assert all(c.F.leading_monomial() == (3, 0, 0) for c in curves)
+    return curves
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (5, 1), (7, 1), (5, 2)])
+def test_frobenius_system_matches_the_reference_route(p, k):
+    field = make_field(p, k)
+    rng = seeded(600 + 10 * p + k)
+    answers, fixed_seen = set(), 0
+    for curve in _x_cubed_curves(field):
+        for _ in range(4):
+            ideal = random_primary_ideal(curve, rng, max_deg=2)
+            if rng.random() < 0.5:
+                ideal = IdealData(curve, list(ideal.gens) + [
+                    pp(rng.choice(["x^2", "y^2", "z^2", "y*z"]), field)])
+            m = rng.randint(1, 2)
+            f0 = random_homogeneous(curve, m, rng)
+            gens = list(dict.fromkeys(g.monic() for g in ideal.gens))
+            for e in range(3):
+                q = p ** e
+                powered = [curve.nf(g.frobenius_power(e)) for g in gens]
+                target = curve.nf(f0.frobenius_power(e))
+                answer, n_fixed = _check_system(curve, powered, target, q * m)
+                answers.add(answer)
+                fixed_seen += n_fixed > 0
+    assert answers == {True, False}
+    assert fixed_seen
+
+
+def test_frobenius_system_edge_cases(fermat5, F5):
+    curve = fermat5
+    nf = curve.nf
+    dense3 = nf(pp("x^2*y + 2*x*y*z + 3*y^3 + z^3 + x^3", F5))
+    dense2 = nf(pp("x^2 + 3*x*y + y*z + 4*z^2", F5))
+    cases = [
+        # monomial generators, one of them x^2 with dense x-multiples
+        ([pp("x^2", F5), pp("y^2", F5), pp("z^2", F5)], "x*y*z", 3),
+        ([pp("x^2", F5), pp("y^2", F5), pp("z^2", F5)], "x*y*z*x", 4),
+        # dense generators, of degree D (K = 0) and D - 1 (K = 1)
+        ([dense3, dense2], "x*y*z", 3),
+        ([dense3, pp("y^2", F5)], "3*x^2*z + y^3", 3),
+        # a generator above D contributes no rows
+        ([dense2, pp("y^4", F5), pp("z^2", F5)], "x^2*y + z^3", 3),
+        # a target supported only on fixed columns
+        ([pp("y^2", F5), dense2], "y^2*z + 2*x*y^2", 3),
+    ]
+    for powered, text, D in cases:
+        _check_system(curve, [nf(h) for h in powered], nf(pp(text, F5)), D)
+    rows, vec = _frobenius_system(curve, [pp("y^2", F5), dense2],
+                                  pp("y^2*z + 2*x*y^2", F5), 3)
+    assert not vec.any()
+    # every column fixed: y and z span all of R_3, and no row is left
+    assert _check_system(curve, [pp("y", F5), pp("z", F5)],
+                         pp("x^2*y", F5), 3) == (True, 9)
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (5, 1), (5, 2), (7, 1),
+                                  (7, 2)])
+def test_iterated_frobenius_normal_forms(p, k):
+    # nf(h^[p^e]) one p-th power at a time equals the direct normal form,
+    # on a curve with lt(F) = x^3 and on one through (1:0:0)
+    field = make_field(p, k)
+    rng = seeded(700 + 10 * p + k)
+    for curve in (_x_cubed_curves(field)[0],
+                  CubicCurve(_sheared(pp("x^3 + y^3 + z^3", field), -1),
+                             field)):
+        for _ in range(2):
+            h = random_homogeneous(curve, rng.randint(1, 2), rng)
+            step = h
+            for e in range(1, 4):
+                step = curve.nf(step.frobenius_power(1))
+                assert step == curve.nf(h.frobenius_power(e))
+
+
+def _sheared(poly, s):
+    """poly with y replaced by y + s*x."""
+    field = poly.field
+    y_new = Polynomial.variable(field, "y") + \
+        Polynomial.variable(field, "x").scale(s % field.p)
+    out = Polynomial.zero(field)
+    for (a, b, c), coeff in poly.terms.items():
+        out = out + (y_new ** b).term_mul((a, 0, c), coeff)
+    return out
+
+
+@pytest.mark.parametrize("p, problems", [
+    (2, [(("x^2", "y^2", "z^2"), "x*y*z", 4),
+         (("x^2", "y^2", "x^2"), "x*y*z", 4),
+         (("x", "y^2", "z^2"), "y*z", 3)]),
+    (5, [(("x^2", "y^2", "z^2"), "x*y*z", 4),
+         (("x^2", "y^2"), "x*y*z", 2),
+         (("x^2", "y^2", "z^2"), "x^2", 2),
+         (("x*y", "y^2 + z^2", "x^2"), "x*z", 2)]),
+])
+def test_sheared_curves_match_their_fermat_originals(p, problems):
+    # y -> y - x moves (1:-1:0) of the Fermat cubic to (1:0:0), so the
+    # sheared curve has lt(F) = x^2*y and the oracle takes the
+    # one-normal-form-per-row route, against the shift route on the
+    # original; the substitution is a graded isomorphism, so every answer,
+    # e and D agree
+    field = make_field(p)
+    fermat = CubicCurve(pp("x^3 + y^3 + z^3", field), field)
+    sheared = CubicCurve(_sheared(fermat.F, -1), field)
+    assert fermat.F.leading_monomial() == (3, 0, 0)
+    assert sheared.F.leading_monomial() == (2, 1, 0)
+    results = set()
+    for gens, cand, e_max in problems:
+        ideal = ideal_of(fermat, *gens)
+        moved = IdealData(sheared, [_sheared(g, -1) for g in ideal.gens])
+        f0 = pp(cand, field)
+        result = frobenius_member(ideal, f0, e_max)
+        assert frobenius_member(moved, _sheared(f0, -1), e_max) == result
+        results.add(result.found)
+    assert results == {True, False}
+
+
+def test_sheared_demo_is_the_fermat_check():
+    # demos/problems/sheared_fermat5.tc is fermat5_check.tc sheared by
+    # y -> y + 4x, and its oracle answer is the original's
+    from tcone.cli import parse_problem
+    demo = Path(__file__).resolve().parent.parent / "demos" / "problems"
+    orig, moved = (parse_problem((demo / f"{name}.tc").read_text())
+                   for name in ("fermat5_check", "sheared_fermat5"))
+    assert moved.curve.F == _sheared(orig.curve.F, 4).monic()
+    assert moved.ideal.gens == tuple(moved.curve.nf(_sheared(g, 4))
+                                     for g in orig.ideal.gens)
+    assert moved.candidate == _sheared(orig.candidate, 4)
+    assert moved.curve.F.leading_monomial() == (2, 1, 0)
+    result = frobenius_member(orig.ideal, orig.candidate)
+    assert result == FrobeniusResult(True, 1, 4)
+    assert frobenius_member(moved.ideal, moved.candidate) == result
 
 
 def test_slope_examples(fermat5):
