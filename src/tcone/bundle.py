@@ -7,6 +7,10 @@ base field when the algebra is not split), and tests, for a candidate
 element, whether the component of its obstruction class on a summand
 vanishes.
 
+The bundle's module is read off the ideal's one augmented Groebner basis
+(`IdealData.lift`), at every twist, and its Hom conditions and End
+products are linear algebra on its generator multiples
+(`gradedmod.hom_system`, `_end_products`).
 A summand needs no Groebner basis of its own: an indecomposable bundle is
 its own summand, and the summands of a split one read their rank and
 degree off two graded pieces where Riemann-Roch on the genus-1 curve is
@@ -23,8 +27,6 @@ independent reference route.
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
 from .algebra import (FiniteAlgebra, UndecidedError, lift_idempotents,
@@ -32,8 +34,8 @@ from .algebra import (FiniteAlgebra, UndecidedError, lift_idempotents,
 from .field import Field, code_embedding, make_field
 from .gradedmod import (GradedMap, ModuleHom, PresentedModule, TwistedFree,
                         combine_vectors, hom_space, hom_system,
-                        image_conditions, image_presentation, syzygy_of_map,
-                        vector_degree)
+                        image_conditions, image_presentation, syzygy_module,
+                        syzygy_of_map, vector_degree)
 from .linalg import solve
 from .polyring import IdealData, Polynomial
 
@@ -93,11 +95,15 @@ def _checked_bundle(ideal: IdealData, m: int,
 
 
 def syzygy_bundle(ideal: IdealData, m: int) -> SyzygyBundle:
-    """Build the syzygy module of the ideal at total degree m."""
+    """Build the syzygy module of the ideal at total degree m.
+
+    Its generators and leading terms are read off the ideal's own
+    augmented basis (`IdealData.lift`, `syzygy_module`), the same for
+    every m, so no Groebner basis is computed here.
+    """
     source = TwistedFree([m - d for d in ideal.degrees])
-    target = TwistedFree([m])
-    phi = GradedMap(source, target, [list(ideal.gens)])
-    return _checked_bundle(ideal, m, syzygy_of_map(phi, ideal.curve))
+    return _checked_bundle(ideal, m,
+                           syzygy_module(ideal.lift, source, ideal.curve))
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +120,12 @@ def _end_products(M: PresentedModule, homs, basis_T) -> np.ndarray:
     """`_hom_coords` of every product a∘b of the basis homs, row a * dim + b.
 
     basis_T holds the homs' coordinates as columns, so its rows of
-    generator k's frame are the block of all images a(g_k).  With
-    b(g_l) = sum_k beta_k g_k (`express`, once per b and l), the images
-    (a∘b)(g_l) = sum_k beta_k a(g_k) of all a are one `image_conditions`
-    over those blocks, its column groups summed over k.
+    generator k's frame are the block of all images a(g_k).  For each
+    generator degree d, one `express_rows` writes b(g_l) = sum_(k, mu)
+    x_(k, mu) mu g_k for every hom b and every generator l of degree d.
+    Then (a∘b)(g_l) = sum_(k, mu) x_(k, mu) mu a(g_k) for all a at once is
+    one product of x with the blocks shifted into degree d
+    (`PieceFrame.shifts`), stacked in the row order of `multiples(d)`.
     """
     field = M.field
     dim = len(homs)
@@ -127,14 +135,19 @@ def _end_products(M: PresentedModule, homs, basis_T) -> np.ndarray:
     starts = ends - widths
     blocks = [basis_T[s:e].T for s, e in zip(starts, ends)]
     out = np.zeros((dim, dim, basis_T.shape[0]), dtype=np.int64)
-    for b, hom in enumerate(homs):
-        for img, d, s, e in zip(hom.images, gdegs, starts, ends):
-            beta = M.express(img)
-            if beta is None:
-                raise ArithmeticError("endomorphism image left the module")
-            cols = image_conditions(M, beta, blocks, d)
-            out[:, b, s:e] = reduce(field.vadd,
-                                    np.split(cols, len(blocks), axis=1)).T
+    for d in sorted(set(gdegs)):
+        ls = [l for l, dl in enumerate(gdegs) if dl == d]
+        sols = M.express_rows(d, np.vstack([blocks[l] for l in ls]))
+        if any(x is None for x in sols):
+            raise ArithmeticError("endomorphism image left the module")
+        target = M.frame(d)
+        shifted = np.concatenate([M.frame(dk).shifts(block, target)
+                                  for dk, block in zip(gdegs, blocks)])
+        prods = field.matmul(np.array(sols),
+                             shifted.reshape(len(shifted), -1))
+        prods = prods.reshape(len(ls), dim, dim, target.width)
+        for i, l in enumerate(ls):
+            out[:, :, starts[l]:ends[l]] = prods[i].transpose(1, 0, 2)
     return out.reshape(dim * dim, -1)
 
 
@@ -500,8 +513,8 @@ def component_class_vanishes(forcing: ForcingData, summand: Summand) -> bool:
     onto the summand extends to a degree-zero homomorphism of the enlarged
     syzygy module.  The extension is one linear system: unknown images of
     the enlarged module's generators in the summand's graded pieces,
-    constrained by the generating syzygies, with the restriction along the
-    inclusion pinned to the projection.
+    constrained by the relations among them (`hom_system`), with the
+    restriction along the inclusion pinned to the projection.
     """
     field = summand.field
     if field != forcing.field:
@@ -509,7 +522,7 @@ def component_class_vanishes(forcing: ForcingData, summand: Summand) -> bool:
     Mp = forcing.syz_prime
     Mj = summand.module
     proj = summand.projection
-    # homomorphism conditions from the generating syzygies of syz_prime
+    # homomorphism conditions from the relations of syz_prime
     blocks, rows = hom_system(Mp, Mj)
     if not any(len(b) for b in blocks):
         # every hom out of the enlarged module is zero; the projection must be

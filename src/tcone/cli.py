@@ -29,8 +29,8 @@ from .closure import (frobenius_member, tight_closure_ideal,
                       tight_closure_member)
 from .field import FieldError, make_field
 from .polyring import (CubicCurve, IdealData, Polynomial,
-                       PolynomialSyntaxError, format_polynomial,
-                       is_smooth_cubic, parse_polynomial)
+                       PolynomialSyntaxError, format_polynomial, make_curve,
+                       parse_polynomial)
 
 SCHEMA_VERSION = 1
 
@@ -145,9 +145,10 @@ def parse_problem(text: str) -> ProblemFile:
     F = parse_poly(cubic_text, "cubic")
     if not F.is_homogeneous() or F.degree() != 3:
         raise ProblemError(E_CUBIC, "cubic must be homogeneous of degree 3")
-    if not is_smooth_cubic(F, field):
+    try:
+        curve = make_curve(F, field)
+    except ValueError:
         raise ProblemError(E_SINGULAR, "cubic is singular")
-    curve = CubicCurve(F, field, check_smooth=False)
     gens = [parse_poly(t, f"generator {i + 1}")
             for i, t in enumerate(generator_texts)]
     try:

@@ -4,28 +4,40 @@ Everything here lives over S = K[x,y,z] or R = S/(F): twisted free modules,
 homogeneous maps between them, submodules given by generators, and the
 sheaf-level invariants (graded pieces, Hilbert values, rank and degree)
 that the bundle layer consumes.  Hilbert values are counts of leading
-monomials of the module Groebner basis (Macaulay's theorem), not matrix
+monomials of a module Groebner basis (Macaulay's theorem), not matrix
 ranks.
 
 Module Groebner bases come from the one engine in `tcone.polyring`
-(`buchberger_module`, `vec_nf`), in the position-over-term extension of
-the fixed degrevlex order, with earlier positions dominant.  The central
-tool is an augmented basis ("lift basis") for a generator list: one
-elimination computation yields membership tests, expressions of elements
-in terms of the generators, and the full syzygy module of the generators.
+(`buchberger_module`, `vec_nf`, `LiftBasis`), in the position-over-term
+extension of the fixed degrevlex order, with earlier positions dominant.
+A kernel needs one augmented basis of the map's columns: its
+coefficient-block elements generate the kernel over R and are the reduced
+Groebner basis of its preimage, so they also give the kernel's leading
+terms (`syzygy_module`).  For an ideal that basis is the ideal's own
+(`IdealData.lift`), shared by every twist of its syzygy bundle.
 
-Every graded piece is linear algebra in one coordinate frame, `PieceFrame`:
+Everything else is linear algebra in one coordinate frame, `PieceFrame`:
 the degree-t piece of ⊕ R(a_i) with the monomial bases of the R_(t + a_i)
-side by side.
+side by side.  A module's generator multiples at degree t, built from the
+curve's normal-form tables (`PresentedModule.multiples`), give its graded
+piece (their rref), `express` (one solve) and, at the one degree
+`relation_degree`, the relations that the Hom conditions need
+(`hom_system`).  For a reflexive module, such as a syzygy module, that
+degree is max b + 2, so no such module builds a second Groebner basis.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
-from .linalg import nullspace, rref
-from .polyring import (CubicCurve, Polynomial, buchberger_module,
-                       mono_divides, vec_lt, vec_nf, vec_reducer, vkey)
+from .linalg import nullspace, rref, solve
+# buchberger_module, vec_nf and vec_reducer are the engine's, reached
+# through this module by the tests and by perfbench/tracer.py
+from .polyring import (CubicCurve, LiftBasis, Polynomial,
+                       buchberger_module, closing_relations, mono_divides,
+                       vec_lt, vec_nf, vec_reducer, vkey)
 
 
 class TwistedFree:
@@ -75,69 +87,6 @@ def vector_degree(polys, twists):
         if p:
             return p.degree() - a
     return None
-
-
-def closing_relations(F, rank):
-    """F times each unit vector of a free module of the given rank."""
-    return [{(i, m): c for m, c in F.terms.items()} for i in range(rank)]
-
-
-class LiftBasis:
-    """Augmented Groebner basis of a generator list inside a free module.
-
-    For generators v_1..v_s in positions 0..npos-1 and closing relations
-    (typically F times each unit vector), computes the basis of the module
-    spanned by (v_j, e_j) and (rel, 0) with the generator-coefficient block
-    in trailing positions.  Because leading positions dominate, this is an
-    elimination order, giving in one computation:
-
-    * membership of a vector in the span of the v_j (over R when the
-      relations include F times the units),
-    * the coefficients expressing a member in terms of the v_j,
-    * a generating set for the syzygies of the v_j.
-
-    The basis is compiled into reducers (vec_reducer) once, here; `reduce`
-    and `member` reuse them.
-    """
-
-    def __init__(self, vectors, relations, npos, field):
-        self.field = field
-        self.npos = npos
-        self.nvec = len(vectors)
-        aug = []
-        for j, v in enumerate(vectors):
-            w = dict(v)
-            w[(npos + j, (0, 0, 0))] = 1
-            aug.append(w)
-        for r in relations:
-            aug.append(dict(r))
-        self.basis = buchberger_module(aug, field)
-        self.reducers = [vec_reducer(g, field) for g in self.basis]
-
-    def reduce(self, vec):
-        return vec_nf(vec, self.reducers, self.field)
-
-    def member(self, vec):
-        """Coefficients on the generators when vec lies in their span, else None."""
-        r = self.reduce(vec)
-        if any(pos < self.npos for (pos, _m) in r):
-            return None
-        coeffs = [dict() for _ in range(self.nvec)]
-        for (pos, m), c in r.items():
-            coeffs[pos - self.npos][m] = self.field.neg(c)
-        return tuple(Polynomial(self.field, t) for t in coeffs)
-
-    def syzygies(self):
-        """Coefficient vectors (h_1..h_s) with sum h_j v_j = 0 modulo the relations."""
-        out = []
-        for g in self.basis:
-            if any(pos < self.npos for (pos, _m) in g):
-                continue
-            coeffs = [dict() for _ in range(self.nvec)]
-            for (pos, m), c in g.items():
-                coeffs[pos - self.npos][m] = c
-            out.append(tuple(Polynomial(self.field, t) for t in coeffs))
-        return out
 
 
 class PieceFrame:
@@ -229,6 +178,33 @@ class PieceFrame:
                 r += 1
         return out
 
+    def shifts(self, rows, target: "PieceFrame") -> np.ndarray:
+        """Every monomial multiple of coordinate rows, in a higher frame.
+
+        rows are coordinate rows of this frame, and target is the frame of
+        degree t >= self.t on the same twists.  Entry [mu, r] of the
+        returned (dim R_(t - self.t), len(rows), target.width) array is
+        the coordinate row of mu * rows[r], mu in piece_monomials(t -
+        self.t).  Per ambient position that is one gather of
+        `CubicCurve.products` and one matmul; positions of equal twist
+        share the gather.
+        """
+        curve = self.curve
+        e = target.t - self.t
+        out = np.zeros((curve.piece_dim(e), len(rows), target.width),
+                       dtype=np.int64)
+        if out.size:
+            products = {}
+            for a, start, ms, off in zip(self.twists, self.offsets,
+                                         self.monos, target.offsets):
+                if ms:
+                    if a not in products:
+                        products[a] = curve.products(e, self.t + a)
+                    image = curve.field.matmul(
+                        rows[:, start:start + len(ms)], products[a])
+                    out[:, :, off:off + image.shape[2]] = image
+        return out
+
 
 def _minimal_generators(curve, ambient, vectors):
     """Prune a sorted homogeneous generator list to a minimal one.
@@ -307,14 +283,21 @@ class PresentedModule:
     """A graded module over the cone R, as a submodule of a twisted free.
 
     Generators are honest vectors in the ambient free module; the module is
-    their R-span.
+    their R-span.  Its graded pieces, `express` and the Hom conditions
+    share one matrix per degree, the generator multiples (`multiples`).
+
+    reflexive says that the module is known to be reflexive: free modules,
+    kernels of maps between them (`syzygy_module`) and their twists and
+    base changes are.  It only decides how `relation_degree` bounds the
+    degrees of the relations among the generators.
     """
 
     def __init__(self, curve: CubicCurve, ambient: TwistedFree, vectors,
-                 minimalize: bool = False):
+                 minimalize: bool = False, reflexive: bool = False):
         self.curve = curve
         self.field = curve.field
         self.ambient = ambient
+        self.reflexive = reflexive
         cleaned = []
         for v in vectors:
             nf = tuple(curve.nf(p) for p in v)
@@ -332,10 +315,11 @@ class PresentedModule:
         self.vectors = tuple(cleaned)
         self._lift = None
         self._frames = {}
+        self._multiples = {}
         self._piece_cache = {}
         self._leads = None
         self._rank_degree = None
-        self._relations = None
+        self._relation_degree = None
 
     # -- structural helpers ------------------------------------------------------
 
@@ -349,6 +333,9 @@ class PresentedModule:
 
     @property
     def lift(self) -> LiftBasis:
+        """The module's own augmented basis.  Syzygy modules never build
+        it (their leading terms come from the map's basis); it serves the
+        leading-term table of other modules."""
         if self._lift is None:
             vecs = [vec_from_polys(v) for v in self.vectors]
             self._lift = LiftBasis(
@@ -356,18 +343,84 @@ class PresentedModule:
                 self.ambient.rank, self.field)
         return self._lift
 
-    def contains(self, polys) -> bool:
-        return self.lift.member(vec_from_polys(polys)) is not None
+    def relation_degree(self) -> int:
+        """A degree T such that the relations among the generators, the
+        kernel K of ⊕ R(-b_l) -> M, are generated in degrees <= T.
+
+        max b + 2 for a reflexive module (`hom_system` proves it).  For
+        any other module K need not be generated there: for M = (x^3, y^3)
+        in R, K is R(-6), with max b + 2 = 5.  So its top degree is read
+        off K's minimal generators, from one augmented basis of the
+        generators (`syzygy_of_map`); max b when K is zero.
+        """
+        if self._relation_degree is None:
+            gdegs = self.gen_degrees()
+            if self.reflexive:
+                T = max(gdegs, default=0) + 2
+            else:
+                rank = self.ambient.rank
+                phi = GradedMap(TwistedFree(-d for d in gdegs), self.ambient,
+                                [[v[i] for v in self.vectors]
+                                 for i in range(rank)])
+                T = max(syzygy_of_map(phi, self.curve).gen_degrees(),
+                        default=max(gdegs, default=0))
+            self._relation_degree = T
+        return self._relation_degree
+
+    def multiples(self, t: int) -> np.ndarray:
+        """Rows mu * g for each generator g and each mu in R_(t - deg g).
+
+        Generator by generator, mu in `piece_monomials` order, in frame(t)
+        coordinates: the rows of `frame(t).multiples(self.vectors)`, built
+        from the curve's normal-form tables instead of one normal form per
+        row (`PieceFrame.shifts`, once per run of generators of equal
+        degree).  Cached per degree.
+        """
+        mat = self._multiples.get(t)
+        if mat is None:
+            target = self.frame(t)
+            parts = [np.zeros((0, target.width), dtype=np.int64)]
+            for d, run in groupby(zip(self.gen_degrees(), self.vectors),
+                                  key=lambda dv: dv[0]):
+                frame = self.frame(d)
+                rows = np.array([frame.coords(v) for _, v in run])
+                shifted = frame.shifts(rows, target)
+                parts.append(shifted.transpose(1, 0, 2).reshape(
+                    len(shifted) * len(rows), target.width))
+            mat = self._multiples[t] = np.concatenate(parts)
+        return mat
+
+    def express_rows(self, t: int, rows):
+        """Solutions x of x @ multiples(t) = row for coordinate rows of
+        frame(t): one `solve`, a list with None where a row is not in M_t."""
+        return solve(self.multiples(t).T, np.asarray(rows).T, self.field)
 
     def express(self, polys):
-        """Coefficients on the generators for a member vector, or None."""
-        return self.lift.member(vec_from_polys(polys))
+        """Coefficients on the generators of a vector of M, or None.
 
-    def relations(self):
-        """Generating syzygies of the generators, over R."""
-        if self._relations is None:
-            self._relations = tuple(self.lift.syzygies())
-        return self._relations
+        The vector is reduced modulo F and split into homogeneous parts.
+        With x = `express_rows` at a part's degree t, generator g gets the
+        sum of x_(g, mu) mu over its rows in `multiples(t)`.
+        """
+        field, twists = self.field, self.ambient.twists
+        parts = {}
+        for i, (p, a) in enumerate(zip(polys, twists)):
+            for m, c in self.curve.nf(p).terms.items():
+                comps = parts.setdefault(sum(m) - a, [{} for _ in twists])
+                comps[i][m] = c
+        coeffs = [{} for _ in self.vectors]
+        for t, comps in sorted(parts.items()):
+            row = self.frame(t).coords([Polynomial(field, c) for c in comps])
+            (x,) = self.express_rows(t, row[None, :])
+            if x is None:
+                return None
+            r = 0
+            for terms, d in zip(coeffs, self.gen_degrees()):
+                mus = self.curve.piece_monomials(t - d)
+                terms.update((mu, int(c))
+                             for mu, c in zip(mus, x[r:r + len(mus)]) if c)
+                r += len(mus)
+        return tuple(Polynomial(field, terms) for terms in coeffs)
 
     # -- graded pieces ------------------------------------------------------------
 
@@ -380,10 +433,11 @@ class PresentedModule:
         return frame
 
     def piece_matrix(self, t: int) -> np.ndarray:
-        """Reduced row basis of the degree-t piece, in frame(t) coordinates."""
+        """Reduced row basis of the degree-t piece, in frame(t) coordinates:
+        the rref of `multiples(t)`."""
         mat = self._piece_cache.get(t)
         if mat is None:
-            mat, _ = rref(self.frame(t).multiples(self.vectors), self.field)
+            mat, _ = rref(self.multiples(t), self.field)
             self._piece_cache[t] = mat
         return mat
 
@@ -391,16 +445,13 @@ class PresentedModule:
         """Leading monomials of the preimage's Groebner basis, per position.
 
         The preimage N of M in ⊕ S(a_i) is spanned by the generators and F
-        times the units; the leading terms of its reduced Groebner basis
-        are those of the lift reducers in positions below the coefficient
-        block.  Read once and cached.
+        times the units.  A syzygy module is given the leading terms of N
+        by `syzygy_module`; for any other module they are read once off
+        its own lift, from the reducers in positions below the coefficient
+        block.
         """
         if self._leads is None:
-            leads = [[] for _ in self.ambient.twists]
-            for pos, lm, _, _ in self.lift.reducers:
-                if pos < self.ambient.rank:
-                    leads[pos].append(lm)
-            self._leads = tuple(tuple(ms) for ms in leads)
+            self._leads = self.lift.lead_table(0, self.ambient.rank)
         return self._leads
 
     def piece_dim(self, t: int) -> int:
@@ -467,7 +518,8 @@ class PresentedModule:
         """
         vecs = [tuple(p.map_coefficients(curve2.field, embed_fn) for p in v)
                 for v in self.vectors]
-        other = PresentedModule(curve2, self.ambient, vecs)
+        other = PresentedModule(curve2, self.ambient, vecs,
+                                reflexive=self.reflexive)
         other._leads = self._leads
         other._rank_degree = self._rank_degree
         return other
@@ -477,12 +529,13 @@ class PresentedModule:
 
         The order `vkey` is position over term with no twist weights, so
         the lift basis and the leading-term table are those of M; where M
-        has built them they are shared, not rebuilt.  Rank and degree are
-        left to be counted (`rank_and_degree`); graded-piece caches start
+        has them they are shared, not rebuilt.  Rank and degree are left
+        to be counted (`rank_and_degree`); graded-piece caches start
         empty.
         """
         other = PresentedModule(self.curve, TwistedFree(
-            a + s for a in self.ambient.twists), ())
+            a + s for a in self.ambient.twists), (),
+                                reflexive=self.reflexive)
         other.vectors = self.vectors
         other._lift = self._lift
         other._leads = self._leads
@@ -497,18 +550,38 @@ class PresentedModule:
 # the module-level operations
 # ---------------------------------------------------------------------------
 
+def syzygy_module(lift: LiftBasis, source: TwistedFree,
+                  curve: CubicCurve) -> PresentedModule:
+    """The kernel over R read off an augmented basis of a map's columns.
+
+    lift is the `LiftBasis` of the columns of a map into ⊕ R(b_i), closed
+    by F times the target units, and source is the map's domain.  Its
+    elements led in the coefficient block generate the kernel over R;
+    they are pruned to a minimal generating set (`_minimal_generators`).
+    They are also the reduced Groebner basis of N, the kernel's preimage
+    in ⊕ S(a_j): N = {s : the image of s lies in F ⊕ S(b_i)}, and the
+    coefficient block comes last in the elimination order.  So their
+    leading monomials are the module's leading-term table, and its
+    Hilbert values need no basis of its own.  A kernel of a map of free
+    modules over the normal domain R is reflexive.
+    """
+    M = PresentedModule(curve, source, lift.syzygies(), minimalize=True,
+                        reflexive=True)
+    M._leads = lift.lead_table(lift.npos, source.rank)
+    return M
+
+
 def syzygy_of_map(phi: GradedMap, curve: CubicCurve) -> PresentedModule:
     """Kernel of a homogeneous map between twisted frees over R.
 
     Syzygies are computed over S for the columns together with F times the
-    target units; the coefficient block of the elimination basis then
-    generates the kernel over R.
+    target units, in one augmented basis (`LiftBasis`); `syzygy_module`
+    reads the kernel and its leading terms off it.
     """
     cols = [vec_from_polys(c) for c in phi.columns()]
     lift = LiftBasis(cols, closing_relations(curve.F, phi.target.rank),
                      phi.target.rank, curve.field)
-    gens = lift.syzygies()
-    return PresentedModule(curve, phi.source, gens, minimalize=True)
+    return syzygy_module(lift, phi.source, curve)
 
 
 def free_module(curve: CubicCurve, twists) -> PresentedModule:
@@ -518,7 +591,7 @@ def free_module(curve: CubicCurve, twists) -> PresentedModule:
     zero = Polynomial.zero(curve.field)
     gens = [tuple(one if j == i else zero for j in range(amb.rank))
             for i in range(amb.rank)]
-    return PresentedModule(curve, amb, gens)
+    return PresentedModule(curve, amb, gens, reflexive=True)
 
 
 class ModuleHom:
@@ -609,29 +682,66 @@ def combine_vectors(N: PresentedModule, coeffs, vectors):
 def hom_system(M: PresentedModule, N: PresentedModule):
     """(blocks, rows): the linear system of degree-zero homs M -> N.
 
-    The image of M's generator l ranges over the span of blocks[l], the
-    basis rows of N in that generator's degree (`piece_matrix`); rows
-    holds the nonempty condition matrices (`image_conditions`) for M's
-    generating syzygies to map to zero.  No syzygy is computed when every
-    block is empty.
+    The image w_l of M's generator g_l, of degree b_l, ranges over the
+    span of blocks[l], the basis rows of N_(b_l) (`piece_matrix`).  The
+    w_l define a hom exactly when sum_l rho_l w_l = 0 for every rho in K,
+    the kernel of ⊕ R(-b_l) -> M.  rows holds these conditions at the one
+    degree T = `M.relation_degree()`, where K_T is the left kernel of M's
+    generator multiples (`PresentedModule.multiples`): a kernel row kappa
+    asks sum_(l, mu) kappa_(l, mu) mu w_l = 0 in N_T, and mu w_l ranges
+    over the shifted block (`PieceFrame.shifts`).  No condition is built
+    when every block is empty.
+
+    The conditions at T are those of all of K once K is generated in
+    degrees <= T: a relation rho of degree t < T is killed once
+    l^(T - t) rho is, for a linear form l nonzero in R, since
+    l^(T - t) sum_l rho_l w_l = 0 in the torsion-free N and R is a domain.
+    For a module not known to be reflexive, `relation_degree` reads T off
+    K's generators.  For M reflexive, as syzygy modules are on the normal
+    surface Spec R, T = max b + 2 suffices.  Let C be the curve.
+
+    * K is reflexive too: a kernel into a torsion-free module has depth 2.
+      So K = ⊕_t H^0(K~(t)), and likewise M_t = H^0(M~(t)).  This is where
+      M must be reflexive: for M = (x^3, y^3), M_3 is not H^0(M~(3)) = R_3.
+    * ⊕ R_(t - b_l) -> M_t is onto, so 0 -> K~ -> ⊕ O_C(-b_l) -> M~ -> 0
+      embeds H^1(K~(t)) in ⊕ H^1(O_C(t - b_l)), which is 0 for
+      t >= max b + 1 (genus 1).  So H^1(K~(T - 1)) = 0: K~ is
+      T-regular in the sense of Castelnuovo-Mumford, H^0(K~(t)) times R_1
+      spans H^0(K~(t + 1)) for t >= T, and K is generated in degrees <= T.
     """
+    field = M.field
     gdegs = M.gen_degrees()
     blocks = [N.piece_matrix(dg) for dg in gdegs]
     rows = []
     if any(len(b) for b in blocks):
-        rel_twists = [-dg for dg in gdegs]
-        for rel in M.relations():
-            rel_deg = vector_degree(rel, rel_twists)
-            if rel_deg is not None:
-                block = image_conditions(N, rel, blocks, rel_deg)
-                if block.shape[0]:
-                    rows.append(block)
+        T = M.relation_degree()
+        kernel = nullspace(M.multiples(T).T, field)
+        target = N.frame(T)
+        parts = []
+        r = 0
+        for dg, block in zip(gdegs, blocks):
+            n = M.curve.piece_dim(T - dg)
+            shifted = N.frame(dg).shifts(block, target).reshape(n, -1)
+            cond = field.matmul(kernel[:, r:r + n], shifted)
+            parts.append(cond.reshape(len(kernel), len(block), target.width)
+                         .transpose(0, 2, 1)
+                         .reshape(len(kernel) * target.width, len(block)))
+            r += n
+        block = np.hstack(parts)
+        if block.shape[0]:
+            rows.append(block)
     return blocks, rows
 
 
 def hom_space(M: PresentedModule, N: PresentedModule):
     """K-basis of the degree-zero homomorphisms M -> N: the nullspace of
-    `hom_system`.  Hom(M, N)_d is hom_space(M, N.twisted(d))."""
+    `hom_system`.  Hom(M, N)_d is hom_space(M, N.twisted(d)).
+
+    Any M is allowed.  For a module not flagged reflexive
+    (`PresentedModule.reflexive`) the relations' degree bound costs one
+    augmented Groebner basis of M's generators (`relation_degree`); for
+    syzygy modules and free modules it costs nothing.
+    """
     if M.curve is not N.curve and M.curve.F != N.curve.F:
         raise ValueError("modules live over different cones")
     blocks, rows = hom_system(M, N)

@@ -7,17 +7,21 @@ outputs bit-reproducible.
 
 It also holds the library's one Groebner engine, for vectors of a free
 module over K[x, y, z] (`buchberger_module`, with the Gebauer-Moeller
-pair criteria, and `vec_nf`); `buchberger` and `normal_form` run
-polynomial ideals through it at rank 1.
+pair criteria, `vec_nf`, and the augmented basis `LiftBasis`);
+`buchberger` and `normal_form` run polynomial ideals through it at rank 1.
+An ideal (`IdealData`) builds one augmented basis, which gives both its
+Groebner basis and its syzygies.
 
 Alongside the ring arithmetic this module carries the curve-level checks:
 smoothness of a plane cubic, the irrelevant-primary test for ideals in the
-cone, and the Hasse invariant (supersingularity) of the curve.
+cone, and the Hasse invariant (supersingularity) of the curve; `make_curve`
+memoises curves per process.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import cache, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -480,6 +484,22 @@ def vec_reducer(g, field):
     return pos, lm, field.inv(g[(pos, lm)]), tail
 
 
+@cache
+def _addmul(field: Field):
+    """(a, f, c) -> a + f * c in field, for `vec_nf`'s inner loop.
+
+    A table field (q <= `_TABLE_LIMIT`, k > 1) gets its mul and add tables
+    as Python lists, built once per field: indexing a list is cheaper than
+    the `Field` scalar ops, whose table lookups index numpy arrays.  Other
+    fields use the `Field` ops.
+    """
+    if field._mul_table is not None:
+        mul, add = field._mul_table.tolist(), field._add_table.tolist()
+        return lambda a, f, c: add[a][mul[f][c]]
+    fadd, fmul = field.add, field.mul
+    return lambda a, f, c: fadd(a, fmul(f, c))
+
+
 def vec_nf(vec, reducers, field):
     """Full reduction of a module vector by a list of reducers (vec_reducer).
 
@@ -488,33 +508,42 @@ def vec_nf(vec, reducers, field):
     monomial divides it, or else moved to the remainder.  Contributions
     land only on smaller terms, so each term is handled once and the
     remainder's keys come out in descending order.
+
+    The reducers are grouped by position once per call, the monomial
+    operations are inlined, and a tail update is one `_addmul` call.
     """
+    by_pos = {}
+    for pos, lm, inv_lc, tail in reducers:
+        by_pos.setdefault(pos, []).append((lm, inv_lc, tail))
+    addmul = _addmul(field)
     work = dict(vec)
-    heap = [(pos, -mono_deg(m), m[2], m[1], m) for pos, m in work]
+    heap = [(pos, -(m[0] + m[1] + m[2]), m[2], m[1], m) for pos, m in work]
     heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     remainder = {}
     while heap:
-        pos, _, _, _, m = heapq.heappop(heap)
+        pos, _, _, _, m = pop(heap)
         c = work.pop((pos, m), 0)
         if not c:
             continue
-        for rpos, lm, inv_lc, tail in reducers:
-            if rpos == pos and mono_divides(lm, m):
+        m0, m1, m2 = m
+        for lm, inv_lc, tail in by_pos.get(pos, ()):
+            if lm[0] <= m0 and lm[1] <= m1 and lm[2] <= m2:
                 break
         else:
             remainder[(pos, m)] = c
             continue
-        nfactor = field.neg(field.mul(c, inv_lc))
-        shift = mono_div(m, lm)
+        s0, s1, s2 = m0 - lm[0], m1 - lm[1], m2 - lm[2]
+        factor = field.neg(field.mul(c, inv_lc))
         for gpos, gm, gc in tail:
-            mm = mono_mul(gm, shift)
+            mm = (gm[0] + s0, gm[1] + s1, gm[2] + s2)
             tt = (gpos, mm)
             prev = work.get(tt, 0)
-            s = field.add(prev, field.mul(nfactor, gc))
+            s = addmul(prev, factor, gc)
             if s:
                 if not prev:
-                    heapq.heappush(heap,
-                                   (gpos, -mono_deg(mm), mm[2], mm[1], mm))
+                    push(heap, (gpos, -(mm[0] + mm[1] + mm[2]),
+                                mm[2], mm[1], mm))
                 work[tt] = s
             elif prev:
                 del work[tt]
@@ -605,6 +634,78 @@ def buchberger_module(vectors, field):
              for n, k in enumerate(keep)]
     basis.sort(key=lambda v: vkey(vec_lt(v)))
     return basis
+
+
+def closing_relations(F, rank):
+    """F times each unit vector of a free module of the given rank."""
+    return [{(i, m): c for m, c in F.terms.items()} for i in range(rank)]
+
+
+class LiftBasis:
+    """Augmented Groebner basis of a generator list inside a free module.
+
+    For generators v_1..v_s in positions 0..npos-1 and closing relations
+    (typically F times each unit vector), computes the basis of the module
+    spanned by (v_j, e_j) and (rel, 0) with the generator-coefficient block
+    in trailing positions.  Because leading positions dominate, this is an
+    elimination order, giving in one computation:
+
+    * membership of a vector in the span of the v_j (over R when the
+      relations include F times the units),
+    * the coefficients expressing a member in terms of the v_j,
+    * a generating set for the syzygies of the v_j.
+
+    The basis is compiled into reducers (vec_reducer) once, here; `reduce`
+    and `member` reuse them.
+    """
+
+    def __init__(self, vectors, relations, npos, field):
+        self.field = field
+        self.npos = npos
+        self.nvec = len(vectors)
+        aug = []
+        for j, v in enumerate(vectors):
+            w = dict(v)
+            w[(npos + j, (0, 0, 0))] = 1
+            aug.append(w)
+        for r in relations:
+            aug.append(dict(r))
+        self.basis = buchberger_module(aug, field)
+        self.reducers = [vec_reducer(g, field) for g in self.basis]
+
+    def reduce(self, vec):
+        return vec_nf(vec, self.reducers, self.field)
+
+    def member(self, vec):
+        """Coefficients on the generators when vec lies in their span, else None."""
+        r = self.reduce(vec)
+        if any(pos < self.npos for (pos, _m) in r):
+            return None
+        coeffs = [dict() for _ in range(self.nvec)]
+        for (pos, m), c in r.items():
+            coeffs[pos - self.npos][m] = self.field.neg(c)
+        return tuple(Polynomial(self.field, t) for t in coeffs)
+
+    def syzygies(self):
+        """Coefficient vectors (h_1..h_s) with sum h_j v_j = 0 modulo the relations."""
+        out = []
+        for g in self.basis:
+            if any(pos < self.npos for (pos, _m) in g):
+                continue
+            coeffs = [dict() for _ in range(self.nvec)]
+            for (pos, m), c in g.items():
+                coeffs[pos - self.npos][m] = c
+            out.append(tuple(Polynomial(self.field, t) for t in coeffs))
+        return out
+
+    def lead_table(self, first, rank):
+        """Leading monomials of the basis elements led in positions first,
+        ..., first + rank - 1, one tuple per position, in basis order."""
+        leads = [[] for _ in range(rank)]
+        for pos, lm, _, _ in self.reducers:
+            if first <= pos < first + rank:
+                leads[pos - first].append(lm)
+        return tuple(tuple(ms) for ms in leads)
 
 
 def _rank1(f: Polynomial):
@@ -876,12 +977,47 @@ class CubicCurve:
         return self.field.matmul(
             coeffs, table[rows].reshape(len(ms), -1)).reshape(len(source), -1)
 
+    def products(self, d1: int, d2: int) -> np.ndarray:
+        """nf(mu * nu) for every mu in piece_monomials(d1) and nu in
+        piece_monomials(d2): a (dim R_d1, dim R_d2, dim R_(d1 + d2)) array
+        in piece_index(d1 + d2) coordinates, one gather from the
+        degree-(d1 + d2) normal-form table."""
+        D = d1 + d2
+        mus = np.array(self.piece_monomials(d1), dtype=np.int64).reshape(-1, 3)
+        nus = np.array(self.piece_monomials(d2), dtype=np.int64).reshape(-1, 3)
+        if not len(mus) or not len(nus):
+            return np.zeros((len(mus), len(nus), self.piece_dim(D)),
+                            dtype=np.int64)
+        rows = self._table_row(D, mus[:, None, 0] + nus[:, 0],
+                               mus[:, None, 2] + nus[:, 2])
+        return self._nf_table(D)[rows]
+
     def embedded(self, target_field: Field, embed_fn) -> "CubicCurve":
         F2 = self.F.map_coefficients(target_field, embed_fn)
         return CubicCurve(F2, target_field, check_smooth=False)
 
     def __repr__(self):
         return f"CubicCurve({format_polynomial(self.F)} over {self.field})"
+
+
+def make_curve(F: Polynomial, field: Field) -> CubicCurve:
+    """Build (or fetch) the smooth plane cubic F = 0 over field.
+
+    Memoised on (field, monic F), as `make_field` memoises fields, so a
+    process pays the smoothness basis, the Hasse invariant and the
+    normal-form and piece caches once per curve, for at most
+    `_CURVE_CACHE` curves.  A singular or malformed cubic raises
+    ValueError, and is not memoised.
+    """
+    return _cached_curve(field, F.monic())
+
+
+_CURVE_CACHE = 32
+
+
+@lru_cache(maxsize=_CURVE_CACHE)
+def _cached_curve(field: Field, F: Polynomial) -> CubicCurve:
+    return CubicCurve(F, field)
 
 
 def is_irrelevant_primary(gens, F: Polynomial) -> bool:
@@ -895,9 +1031,22 @@ class IdealData:
 
     Duplicate generators are allowed: they do not change the ideal but do
     change the syzygy sheaf, which several invariants exploit.
+
+    The ideal owns one augmented Groebner basis, `lift`: the `LiftBasis` of
+    the generators f_j (reduced modulo F) with unit coefficients e_j,
+    closed by F e_0.  Position 0 dominates the position-over-term order,
+    and the basis is reduced, so it is read two ways:
+
+    * the position-0 parts of its elements led in position 0 are the
+      reduced Groebner basis of (f_1, ..., f_n, F) in S (`gb`), which
+      serves the primary check, `contains` and `closure._full_degree`;
+    * its elements led in the coefficient block are the reduced Groebner
+      basis of N = {s : sum s_j f_j in (F)}, the preimage in ⊕ S(m - d_j)
+      of the syzygies over R.  `vkey` ignores twists, so this one basis
+      serves `syzygy_bundle(ideal, m)` for every m.
     """
 
-    __slots__ = ("curve", "gens", "degrees", "_gb")
+    __slots__ = ("curve", "gens", "degrees", "_lift", "_gb")
 
     def __init__(self, curve: CubicCurve, gens, check_primary: bool = True):
         gens = list(gens)
@@ -912,28 +1061,38 @@ class IdealData:
             if g.degree() < 1:
                 raise ValueError("generators must have positive degree")
             degrees.append(g.degree())
-        gb = None
-        if check_primary:
-            # the basis of (gens, F) is the ideal's `gb`: same ideal as
-            # (nf(gens), F), and a reduced basis is unique
-            gb = tuple(buchberger(gens + [curve.F]))
-            if not ideal_contains_variable_powers(gb):
-                raise ValueError("ideal is not primary to the irrelevant ideal")
         self.curve = curve
         self.gens = tuple(curve.nf(g) for g in gens)
+        self.degrees = tuple(degrees)
+        self._lift = None
+        self._gb = None
+        # (nf(gens), F) is the ideal (gens, F), so `gb` is its basis
+        if check_primary and not ideal_contains_variable_powers(self.gb):
+            raise ValueError("ideal is not primary to the irrelevant ideal")
         if any(g.is_zero() for g in self.gens):
             raise ValueError("generator is a multiple of the curve equation")
-        self.degrees = tuple(degrees)
-        self._gb = gb
 
     @property
     def n(self):
         return len(self.gens)
 
     @property
+    def lift(self) -> LiftBasis:
+        if self._lift is None:
+            self._lift = LiftBasis([_rank1(g) for g in self.gens],
+                                   [_rank1(self.curve.F)], 1,
+                                   self.curve.field)
+        return self._lift
+
+    @property
     def gb(self):
         if self._gb is None:
-            self._gb = tuple(buchberger(list(self.gens) + [self.curve.F]))
+            field = self.curve.field
+            self._gb = tuple(
+                _from_rank1({t: c for t, c in g.items() if t[0] == 0}, field)
+                for g, (pos, _, _, _) in zip(self.lift.basis,
+                                             self.lift.reducers)
+                if pos == 0)
         return self._gb
 
     def contains(self, f: Polynomial) -> bool:

@@ -11,14 +11,22 @@ Kept out of `tcone` because the pipeline never calls them:
   `gradedmod.image_conditions` as nf(h * p) from polynomial blocks, where
   the library takes one matrix product per block and position.
 
-`block1_gb` and `groebner_basis` read as methods of `LiftBasis` and
-`PresentedModule`: they take that object as `self`.
+* `relations`, `express` and `contains` answer from the module's own
+  lift basis (a second module Groebner basis), and `reference_hom_system`
+  imposes the Hom conditions relation by relation, at every generating
+  relation's degree; the library uses the generator multiples and the
+  relations at one degree instead.
+
+`block1_gb`, `groebner_basis`, `relations`, `express` and `contains` read
+as methods of `LiftBasis` and `PresentedModule`: they take that object as
+`self`.
 """
 
 import numpy as np
 
 from tcone.gradedmod import (LiftBasis, PresentedModule, TwistedFree,
-                             closing_relations, hom_space)
+                             closing_relations, hom_space, image_conditions,
+                             vec_from_polys, vector_degree)
 from tcone.polyring import Polynomial, mono_mul, vec_lt
 
 
@@ -51,6 +59,43 @@ def groebner_basis(self: PresentedModule):
     gb = [vec_to_polys(v, self.ambient.rank, self.field)
           for v in block1_gb(self.lift)]
     return tuple(gb)
+
+
+def contains(self: PresentedModule, polys) -> bool:
+    return self.lift.member(vec_from_polys(polys)) is not None
+
+
+def express(self: PresentedModule, polys):
+    """Coefficients on the generators for a member vector, or None."""
+    return self.lift.member(vec_from_polys(polys))
+
+
+def relations(self: PresentedModule):
+    """Generating syzygies of the generators, over R."""
+    return tuple(self.lift.syzygies())
+
+
+def reference_hom_system(M: PresentedModule, N: PresentedModule):
+    """(blocks, rows): the linear system of degree-zero homs M -> N.
+
+    The image of M's generator l ranges over the span of blocks[l], the
+    basis rows of N in that generator's degree (`piece_matrix`); rows
+    holds the nonempty condition matrices (`image_conditions`) for M's
+    generating syzygies to map to zero.  No syzygy is computed when every
+    block is empty.
+    """
+    gdegs = M.gen_degrees()
+    blocks = [N.piece_matrix(dg) for dg in gdegs]
+    rows = []
+    if any(len(b) for b in blocks):
+        rel_twists = [-dg for dg in gdegs]
+        for rel in relations(M):
+            rel_deg = vector_degree(rel, rel_twists)
+            if rel_deg is not None:
+                block = image_conditions(N, rel, blocks, rel_deg)
+                if block.shape[0]:
+                    rows.append(block)
+    return blocks, rows
 
 
 def reference_image_conditions(N: PresentedModule, coeffs, blocks,
@@ -101,7 +146,7 @@ class HomModule:
         field = M.field
         gdegs = M.gen_degrees()
         s = len(gdegs)
-        rels = M.relations()
+        rels = relations(M)
         namb = N.ambient.rank
         # ambient of the Hom module: one copy of N's ambient per M-generator,
         # twisted so that a degree-0 element sends g_l into N_(delta_l)

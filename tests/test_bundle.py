@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tcone.bundle as bundle_module
-import tcone.gradedmod as gradedmod
+import tcone.polyring as polyring
 from tcone.bundle import (SyzygyBundle, cohomology_dims,
                           component_class_vanishes, decompose_bundle,
                           end_algebra, forcing_data, syzygy_bundle)
@@ -354,7 +354,11 @@ def test_twisted_bundle_checks_the_degree_formula(fermat5, monkeypatch):
     B = syzygy_bundle(ideal_of(fermat5, "x", "y", "z^3"), 0)
     B2 = B.twisted(2)
     assert (B2.m, B2.rank, B2.degree) == (2, 2, B.degree + 3 * 2 * 2)
-    assert B2.module.lift is B.module.lift
+    # both read their leading terms off the ideal's one augmented basis,
+    # and neither builds a basis of its own
+    assert B2.module._lead_table() is B.module._lead_table()
+    assert B.module._lead_table() == B.ideal.lift.lead_table(1, 3)
+    assert B.module._lift is None and B2.module._lift is None
     # a wrong count at the twisted degree is caught there
     from tcone.gradedmod import PresentedModule
     monkeypatch.setattr(PresentedModule, "rank_and_degree",
@@ -464,15 +468,15 @@ def test_splitting_bound_names_stage_and_size(fermat5, monkeypatch):
 
 def test_extension_class_tests_share_one_embedded_lift(fermat5, F5,
                                                        monkeypatch):
-    """Over F_25 the forcing data is embedded once for both summands: the
-    reference route makes 5 module Groebner runs, one of them over F_25 and
-    none for the summands, not one more per extra summand tested over the
-    extension.  The Cech route of tight_closure_member runs none beyond
-    the bundle's, and agrees with it summand by summand."""
+    """Over F_25 the forcing data is embedded once for both summands, and
+    no module Groebner basis runs over F_25: the reference route makes
+    two, the ideal's augmented basis and the enlarged map's, both over
+    F_5.  The Cech route of tight_closure_member then runs none, since the
+    ideal's basis is built, and agrees with it summand by summand."""
     from tcone.closure import tight_closure_member
     fields = []
-    real = gradedmod.buchberger_module
-    monkeypatch.setattr(gradedmod, "buchberger_module",
+    real = polyring.buchberger_module
+    monkeypatch.setattr(polyring, "buchberger_module",
                         lambda vectors, field: fields.append(field) or
                         real(vectors, field))
     ideal = ideal_of(fermat5, *QUADRATIC_EXTENSION_IDEAL)
@@ -482,13 +486,14 @@ def test_extension_class_tests_share_one_embedded_lift(fermat5, F5,
     fd = forcing_data(ideal, f0, B)
     flags = [component_class_vanishes(fd, s) for s in dec]
     F25 = make_field(5, 2)
-    assert fields == [F5, F5, F5, F5, F25]
+    assert dec.field == F25 and list(fd._embedded) == [F25]
+    assert fields == [F5, F5]
     fields.clear()
     cert = tight_closure_member(ideal, f0)
     assert (cert.verdict, cert.extension_degree) == ("member", 2)
     assert [s.class_vanishes for s in cert.summands] == flags
     assert len(flags) == 2
-    assert fields == [F5, F5]
+    assert fields == []
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +573,10 @@ def test_one_summand_is_the_bundle_itself(fermat5, monkeypatch):
     """An indecomposable bundle's summand is the bundle's own module, with
     its rank and degree; no decomposition runs a module Groebner basis."""
     fields = []
-    real = gradedmod.buchberger_module
+    real = polyring.buchberger_module
     B = syzygy_bundle(ideal_of(fermat5, "x^2", "y^2", "z^2"), 3)
     B2 = syzygy_bundle(ideal_of(fermat5, "x^2", "y^2", "x^2"), 3)
-    monkeypatch.setattr(gradedmod, "buchberger_module",
+    monkeypatch.setattr(polyring, "buchberger_module",
                         lambda vectors, field: fields.append(field) or
                         real(vectors, field))
     (s,) = decompose_bundle(B)

@@ -357,3 +357,30 @@ def test_huge_degree_is_refused_before_expansion(tmp_path, capsys, candidate):
     # the bound itself is still parsed
     assert parse_problem(FERMAT_CHECK.replace('"x*y*z"',
                                               '"x^32*y^32"')).candidate
+
+
+def test_one_check_runs_one_groebner_basis(monkeypatch, capsys):
+    """`tc check` computes one module Groebner basis, the ideal's augmented
+    basis, plus the smoothness basis when the process has not seen the
+    curve; a seen curve is fetched with its caches (`make_curve`)."""
+    import tcone.polyring as polyring
+    calls = []
+    real = polyring.buchberger_module
+    monkeypatch.setattr(polyring, "buchberger_module",
+                        lambda vectors, field: calls.append(1) or
+                        real(vectors, field))
+    demo = Path(__file__).resolve().parent.parent / "demos" / "problems"
+    checked = 0
+    for path in sorted(demo.glob("*.tc")):
+        if "candidate" not in path.read_text():
+            continue
+        polyring._cached_curve.cache_clear()
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert main(["check", str(path)]) in (0, 1)
+            counts.append(len(calls))
+        assert counts == [2, 1], path.name
+        checked += 1
+    capsys.readouterr()
+    assert checked >= 5

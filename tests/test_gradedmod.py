@@ -22,7 +22,7 @@ from tcone.polyring import (CubicCurve, IdealData, Polynomial,
 
 from .conftest import (ideal_of, pp, random_homogeneous, random_primary_ideal,
                        seeded)
-from .reference import (HomModule, groebner_basis,
+from .reference import (HomModule, contains, groebner_basis,
                         reference_image_conditions)
 
 
@@ -51,7 +51,7 @@ def test_syzygy_koszul_pair(fermat5, F5):
 
 def test_syzygy_contains_global_section(fermat5, F5):
     M = syzygy_of_map(syz_map(fermat5, ["x^2", "y^2", "z^2"], 3), fermat5)
-    assert M.contains((pp("x", F5), pp("y", F5), pp("z", F5)))
+    assert contains(M, (pp("x", F5), pp("y", F5), pp("z", F5)))
     assert M.rank_and_degree() == (2, 0)
 
 
@@ -62,8 +62,8 @@ def test_syzygy_of_zero_map(fermat5, F5):
     # kernel is all of the source
     assert M.rank_and_degree() == (2, 0)
     one = Polynomial.constant(F5, 1)
-    assert M.contains((one, zero))
-    assert M.contains((zero, one))
+    assert contains(M, (one, zero))
+    assert contains(M, (zero, one))
 
 
 def test_syzygies_compose_to_zero(fermat5):
@@ -182,7 +182,7 @@ def test_image_presentation_identity_and_zero(fermat5, F5):
     for t in range(0, 4):
         assert img.piece_dim(t) == M.piece_dim(t)
     for g in M.gens:
-        assert img.contains(g)
+        assert contains(img, g)
     zero_images = [tuple(Polynomial.zero(F5) for _ in range(M.ambient.rank))
                    for _ in M.gens]
     zeroh = ModuleHom(M, M, zero_images)
@@ -706,8 +706,8 @@ def test_embedded_module_reuses_lead_table(fermat5, F5, monkeypatch):
     emb = lambda code: embed(F5.from_code(code), F25).code
     M2 = M.embedded(fermat5.embedded(F25, emb), emb)
     calls = []
-    real = gradedmod.buchberger_module
-    monkeypatch.setattr(gradedmod, "buchberger_module",
+    real = polyring.buchberger_module
+    monkeypatch.setattr(polyring, "buchberger_module",
                         lambda *a: calls.append(1) or real(*a))
     for t, want in zip(range(-1, 8), dims):
         assert M2.piece_dim(t) == want == M2.piece_matrix(t).shape[0]
@@ -717,20 +717,22 @@ def test_embedded_module_reuses_lead_table(fermat5, F5, monkeypatch):
 def test_twisted_module_is_the_shifted_module(fermat5, monkeypatch):
     """M.twisted(s) has the pieces of M shifted by s, against the module
     built at the shifted twists from scratch, and builds no Groebner
-    basis."""
+    basis: it shares the leading terms that the map's augmented basis
+    gave M, and neither has a lift of its own."""
     for gens in (["x^2", "y^2", "x^2"], ["x", "y", "z^3"]):
         M = syzygy_of_map(syz_map(fermat5, gens, 0), fermat5)
         rank, degree = M.rank_and_degree()
         direct = {s: syzygy_of_map(syz_map(fermat5, gens, s), fermat5)
                   for s in (-1, 2, 3)}
         calls = []
-        real = gradedmod.buchberger_module
-        monkeypatch.setattr(gradedmod, "buchberger_module",
+        real = polyring.buchberger_module
+        monkeypatch.setattr(polyring, "buchberger_module",
                             lambda *a: calls.append(1) or real(*a))
         for s, D in direct.items():
             T = M.twisted(s)
             assert T.gens == D.gens and T.ambient == D.ambient
-            assert T.lift is M.lift and T._lead_table() is M._lead_table()
+            assert T._lead_table() is M._lead_table()
+            assert T._lift is None and M._lift is None
             assert T.rank_and_degree() == (rank, degree + 3 * rank * s)
             for t in range(-2, 6):
                 assert T.piece_dim(t) == M.piece_dim(t + s)
@@ -759,11 +761,12 @@ def _same_bases(got, want):
 
 
 def _lift_inputs(curve, gens, m):
-    """The buchberger_module inputs that syzygy_bundle builds (its LiftBasis)."""
+    """The buchberger_module inputs of an ideal and its syzygy bundle: the
+    ideal's augmented basis (`IdealData.lift`), which the bundle reuses."""
     calls = []
-    real = gradedmod.buchberger_module
+    real = polyring.buchberger_module
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gradedmod, "buchberger_module",
+        mp.setattr(polyring, "buchberger_module",
                    lambda vecs, field: calls.append(
                        [dict(v) for v in vecs]) or real(vecs, field))
         syzygy_bundle(IdealData(curve, [pp(g, curve.field) for g in gens]), m)
@@ -819,9 +822,9 @@ def test_buchberger_module_reference_on_lift_inputs(p):
 
 
 def test_buchberger_module_pair_criteria_save_reductions():
-    """vec_nf calls on syzygy_bundle's LiftBasis inputs, Fermat cubic."""
-    problems = [(5, ["x^2", "y^2", "z^2"], 3, 40, 70),
-                (7, ["x^3", "y^3", "z^3", "x*y*z"], 4, 61, 115)]
+    """vec_nf calls on the ideal's augmented-basis inputs, Fermat cubic."""
+    problems = [(5, ["x^2", "y^2", "z^2"], 3, 18, 32),
+                (7, ["x^3", "y^3", "z^3", "x*y*z"], 4, 33, 66)]
     total = total_ref = 0
     for p, gens, m, want, want_ref in problems:
         field = make_field(p)
@@ -843,3 +846,288 @@ def test_buchberger_module_pair_criteria_save_reductions():
         total += count
         total_ref += count_ref
     assert 3 * total <= 2 * total_ref
+
+
+# -- one augmented basis per ideal, against the reference routes ----------------
+
+def _differential_cases():
+    """(ideal, m) pairs over F_2, F_4, F_5, F_7 and F_25.
+
+    The window ideals at twist 0 and one more, duplicate generators, the
+    quadratic-extension ideals, splitting_extension.tc, the rank-3 shape
+    (x^3, y^3, z^3, x*y*z) over F_7 (End algebra of dimension 11), and
+    random ideals, F_25 among them.
+    """
+    from pathlib import Path
+
+    from tcone.cli import parse_problem
+
+    from .test_closure import EXTENSION_IDEALS, WINDOW_CASES, _fermat
+
+    for p, k, gens in WINDOW_CASES:
+        ideal = ideal_of(_fermat(p, k), *gens)
+        yield ideal, 0
+        yield ideal, max(ideal.degrees) + 1
+    for p, k in ((2, 1), (5, 1), (5, 2)):
+        yield ideal_of(_fermat(p, k), "x^2", "y^2", "x^2"), 3
+        yield ideal_of(_fermat(p, k), "x^2", "y^2", "y^2", "x*y"), 2
+    for gens in EXTENSION_IDEALS:
+        yield ideal_of(_fermat(5), *gens), 3
+    demo = Path(__file__).resolve().parent.parent / "demos" / "problems"
+    problem = parse_problem((demo / "splitting_extension.tc").read_text())
+    yield problem.ideal, 0
+    yield problem.ideal, 3
+    wide7 = ideal_of(_fermat(7), "x^3", "y^3", "z^3", "x*y*z")
+    yield wide7, 0
+    yield wide7, 4
+    rng = seeded(911)
+    for p, k in ((2, 1), (2, 2), (5, 1), (7, 1), (5, 2)):
+        for _ in range(14):
+            ideal = random_primary_ideal(_fermat(p, k), rng, n_max=4,
+                                         max_deg=3)
+            yield ideal, rng.randint(0, max(ideal.degrees) + 1)
+
+
+def _reference_nullspace(M, N):
+    """Nullspace of the relation-by-relation Hom system, its columns over
+    the same blocks as `hom_system`'s."""
+    from tcone.linalg import nullspace
+
+    from .reference import reference_hom_system
+    blocks, rows = reference_hom_system(M, N)
+    total = sum(len(b) for b in blocks)
+    return nullspace(np.concatenate(
+        [np.zeros((0, total), dtype=np.int64)] + rows), M.field)
+
+
+def test_ideal_lift_serves_gb_leads_and_homs():
+    """On every differential case: the ideal's `gb` is `buchberger` of
+    (gens, F); the bundle module's leading terms, read off the ideal's
+    lift, are those of the module's own lift; its twists' are shared; and
+    the one-degree Hom system has the same solutions as the reference's
+    relation-by-relation system, for End(M) and for Hom(M, M(1))."""
+    from tcone.linalg import nullspace
+
+    fields, cases, homs = set(), 0, 0
+    for ideal, m in _differential_cases():
+        cases += 1
+        curve = ideal.curve
+        assert ideal.gb == tuple(polyring.buchberger(
+            list(ideal.gens) + [curve.F]))
+        M = syzygy_bundle(ideal, m).module
+        assert M._lift is None
+        assert M._lead_table() == M.lift.lead_table(0, M.ambient.rank)
+        assert M.twisted(2)._lead_table() is M._lead_table()
+        for N in (M, M.twisted(1)):
+            blocks, rows = gradedmod.hom_system(M, N)
+            total = sum(len(b) for b in blocks)
+            got = nullspace(np.concatenate(
+                [np.zeros((0, total), dtype=np.int64)] + rows), M.field)
+            assert got.tolist() == _reference_nullspace(M, N).tolist(), \
+                (ideal, m, N.ambient)
+            homs += 1
+        fields.add(curve.field.q)
+    assert fields == {2, 4, 5, 7, 25}
+    assert cases >= 100 and homs == 2 * cases
+
+
+def test_reference_relations_lie_in_degrees_up_to_max_b_plus_2():
+    """The minimal relations among a bundle module's generators, from its
+    own lift, have degree at most max b + 2, the degree `hom_system` uses;
+    some reach it, so max b + 1 would not do."""
+    from .reference import relations
+    top = 0
+    for ideal, m in _differential_cases():
+        M = syzygy_bundle(ideal, m).module
+        gdegs = M.gen_degrees()
+        rels = PresentedModule(M.curve, TwistedFree([-d for d in gdegs]),
+                               relations(M), minimalize=True)
+        excess = [d - max(gdegs) for d in rels.gen_degrees()]
+        assert all(e <= 2 for e in excess), (ideal, m, excess)
+        top = max([top] + excess)
+    assert top == 2
+
+
+def test_generator_multiples_match_per_row_normal_forms():
+    """`PresentedModule.multiples(t)` is `frame(t).multiples(gens)` entry
+    for entry: bundles, twisted bundles, summands and enlarged modules."""
+    pairs = 0
+    for n, (ideal, m) in enumerate(_differential_cases()):
+        if n % 5:
+            continue
+        B = syzygy_bundle(ideal, m)
+        modules = [B.module, B.module.twisted(-1)]
+        if ideal.curve.field.q != 25:
+            # (a random F_25 case splits only over F_(5^6), where the
+            # idempotent search takes seconds)
+            modules += [s.module for s in decompose_bundle(B)]
+        modules.append(forcing_data(ideal, ideal.gens[0]).syz_prime)
+        for M in modules:
+            degs = M.gen_degrees()
+            for t in range(min(degs) - 1, max(degs) + 3):
+                want = M.frame(t).multiples(M.vectors)
+                assert M.multiples(t).tolist() == want.tolist()
+                pairs += 1
+    assert pairs >= 200
+
+
+def test_express_round_trips_and_refuses_non_members():
+    """express writes a random element of M_t as sum beta_k g_k, and
+    returns None for a vector of the ambient piece outside M_t; it agrees
+    with the lift-based reference on membership."""
+    from tcone.linalg import rref
+
+    from .reference import express as reference_express
+    rng = seeded(4711)
+    outside = inside = 0
+    for n, (ideal, m) in enumerate(_differential_cases()):
+        if n % 2:
+            continue
+        M = syzygy_bundle(ideal, m).module
+        field, curve = M.field, M.curve
+        for t in (max(M.gen_degrees()), max(M.gen_degrees()) + 1):
+            frame = M.frame(t)
+            piece = M.piece_matrix(t)
+            coeffs = np.array([rng.randrange(field.q) for _ in piece])
+            v = frame.polys(field.matmul(coeffs[None, :], piece)[0])
+            beta = M.express(v)
+            acc = [Polynomial.zero(field) for _ in v]
+            for b, g in zip(beta, M.gens):
+                acc = [a + b * p for a, p in zip(acc, g)]
+            assert tuple(curve.nf(a) for a in acc) == v
+            assert reference_express(M, v) is not None
+            inside += 1
+            if len(piece) < frame.width:
+                row = np.array([rng.randrange(field.q)
+                                for _ in range(frame.width)])
+                if len(rref(np.vstack([piece, row]), field)[1]) > len(piece):
+                    w = frame.polys(row)
+                    assert M.express(w) is None
+                    assert reference_express(M, w) is None
+                    outside += 1
+    assert inside >= 40 and outside >= 20
+
+
+def test_vec_nf_list_tables_only_on_table_fields():
+    """`vec_nf`'s tail update, `_addmul`, is a + f * c on every field; it
+    reads list tables only on table fields.  F_(7^4), beyond
+    `_TABLE_LIMIT`, has no tables and keeps the `Field` scalar ops, and an
+    ideal's augmented basis over it matches the every-pair reference."""
+    from tcone.field import _TABLE_LIMIT
+    rng = seeded(77)
+    for p, k in ((5, 1), (2, 2), (5, 2), (7, 4)):
+        field = make_field(p, k)
+        addmul = polyring._addmul(field)
+        tables = [cell.cell_contents for cell in addmul.__closure__]
+        assert any(isinstance(t, list) for t in tables) == (
+            k > 1 and field.q <= _TABLE_LIMIT)
+        for _ in range(50):
+            a, f, c = (rng.randrange(field.q) for _ in range(3))
+            assert addmul(a, f, c) == field.add(a, field.mul(f, c))
+    field = make_field(7, 4)
+    assert field.q > _TABLE_LIMIT and field._mul_table is None
+    curve = CubicCurve(pp("x^3 + y^3 + z^3", field), field)
+    for gens in (["x^2", "y^2", "z^2"], ["t*x^2 + y*z", "y^2", "x*y", "z^3"]):
+        for vecs in _lift_inputs(curve, gens, 3):
+            _same_bases(buchberger_module(vecs, field),
+                        _reference_buchberger_module(vecs, field))
+
+
+def test_hom_system_kernel_holds_every_minimal_relation(monkeypatch):
+    """The relations `hom_system` imposes, the left kernel of the generator
+    multiples at its one degree T, contain x^(T - d) rho for every minimal
+    reference relation rho of degree d: T is at least every such d."""
+    from tcone.linalg import row_space_contains
+
+    from .reference import relations
+    kernels = []
+    real = gradedmod.nullspace
+    monkeypatch.setattr(gradedmod, "nullspace", lambda mat, field:
+                        kernels.append(real(mat, field)) or kernels[-1])
+    checked = 0
+    for n, (ideal, m) in enumerate(_differential_cases()):
+        if n % 2:
+            continue
+        M = syzygy_bundle(ideal, m).module
+        field, curve = M.field, M.curve
+        kernels.clear()
+        gradedmod.hom_system(M, M)
+        (kernel,) = kernels
+        gdegs = M.gen_degrees()
+        T = next(t for t in range(max(gdegs), max(gdegs) + 4)
+                 if M.multiples(t).shape[0] == kernel.shape[1])
+        rel_twists = [-d for d in gdegs]
+        rels = PresentedModule(curve, TwistedFree(rel_twists), relations(M),
+                               minimalize=True)
+        xf = Polynomial.variable(field, "x")
+        for rho, d in zip(rels.gens, rels.gen_degrees()):
+            assert d <= T, (ideal, m, d, T)
+            up = tuple(curve.nf(p * xf ** (T - d)) for p in rho)
+            vec = PieceFrame(curve, rel_twists, T).coords(up)
+            assert not field.matmul(vec[None, :], M.multiples(T)).any()
+            assert row_space_contains(kernel.copy(), vec, field)
+            checked += 1
+    assert checked >= 50
+
+
+def test_hom_space_out_of_a_non_reflexive_module(monkeypatch):
+    """M = (x^3, y^3) in R is not reflexive: its one relation, the Koszul
+    pair, has degree 6 > max b + 2.  hom_space reads that degree off the
+    relations and finds the one degree-0 hom M -> R (the inclusion), where
+    conditions at max b + 2 alone would allow all of R_3 x R_3; it agrees
+    with the relation-by-relation reference on such modules."""
+    from tcone.linalg import nullspace
+    for p in (2, 5, 7):
+        field = make_field(p)
+        curve = CubicCurve(pp("x^3 + y^3 + z^3", field), field)
+        R = free_module(curve, [0])
+        M = PresentedModule(curve, TwistedFree([0]),
+                            [(pp("x^3", field),), (pp("y^3", field),)])
+        assert not M.reflexive and M.relation_degree() == 6
+        homs = hom_space(M, R)
+        assert len(homs) == 1
+        assert homs[0].images == M.gens
+        for N in (R, M, R.twisted(1)):
+            blocks, rows = gradedmod.hom_system(M, N)
+            total = sum(len(b) for b in blocks)
+            got = nullspace(np.concatenate(
+                [np.zeros((0, total), dtype=np.int64)] + rows), field)
+            assert got.tolist() == _reference_nullspace(M, N).tolist()
+    # a reflexive module's bound costs no Groebner basis
+    calls = []
+    real = polyring.buchberger_module
+    monkeypatch.setattr(polyring, "buchberger_module",
+                        lambda *a: calls.append(1) or real(*a))
+    ideal = ideal_of(curve, "x^2", "y^2", "z^2")
+    B = syzygy_bundle(ideal, 3).module
+    calls.clear()
+    for module in (B, B.twisted(1), free_module(curve, [0, -1])):
+        assert module.reflexive
+        degs = module.gen_degrees()
+        assert module.relation_degree() == max(degs) + 2
+    assert calls == []
+
+
+def test_non_reflexive_hom_spaces_match_reference():
+    """On random ideals M of R, in general not reflexive: the one-degree
+    Hom system at `relation_degree` has the reference's nullspace, for
+    Hom(M, R) and End(M)."""
+    from tcone.linalg import nullspace
+    rng = seeded(2024)
+    checked = 0
+    for p, k in ((2, 1), (5, 1), (2, 2)):
+        field = make_field(p, k)
+        curve = CubicCurve(pp("x^3 + y^3 + z^3", field), field)
+        R = free_module(curve, [0])
+        for _ in range(6):
+            gens = [(random_homogeneous(curve, rng.randint(1, 3), rng),)
+                    for _ in range(rng.randint(1, 3))]
+            M = PresentedModule(curve, TwistedFree([0]), gens)
+            for N in (R, M):
+                blocks, rows = gradedmod.hom_system(M, N)
+                total = sum(len(b) for b in blocks)
+                got = nullspace(np.concatenate(
+                    [np.zeros((0, total), dtype=np.int64)] + rows), field)
+                assert got.tolist() == _reference_nullspace(M, N).tolist()
+                checked += 1
+    assert checked >= 30

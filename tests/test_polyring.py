@@ -609,13 +609,19 @@ def test_rank1_engine_matches_reference(p, k):
 
 def test_checked_ideal_and_membership_run_one_buchberger(fermat5, F5,
                                                           monkeypatch):
+    """The primary check and both memberships read the ideal's one
+    augmented basis: one module Groebner run, and no rank-1 `buchberger`."""
     import tcone.polyring as polyring
 
-    calls = []
-    real = polyring.buchberger
+    calls, rank1 = [], []
+    real, real_rank1 = polyring.buchberger_module, polyring.buchberger
+    monkeypatch.setattr(polyring, "buchberger_module",
+                        lambda vecs, field: calls.append(1) or
+                        real(vecs, field))
     monkeypatch.setattr(polyring, "buchberger",
-                        lambda gens: calls.append(1) or real(gens))
+                        lambda gens: rank1.append(1) or real_rank1(gens))
     ideal = ideal_of(fermat5, "x^2", "y^2", "z^2")
     assert ideal_membership(pp("x^3", F5), ideal)
     assert not ideal_membership(pp("x*y*z", F5), ideal)
-    assert calls == [1]
+    assert (calls, rank1) == ([1], [])
+    assert ideal.gb == tuple(real_rank1(list(ideal.gens) + [fermat5.F]))
