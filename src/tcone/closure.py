@@ -28,10 +28,12 @@ window in between is resolved degree by degree with the criterion.
 The Frobenius oracle tests f0^(p^e) against the generator p^e-th powers;
 on supersingular curves (Hasse invariant zero) the Frobenius closure
 equals the tight closure, making the oracle a differential test for the
-criterion.  Its normal forms come one p-th power at a time.  When lt(F) =
-x^3, R is a free K[y, z]-module on 1, x, x^2, so the rows of each power are
-(y, z)-shifts of three normal forms, and monomial rows fix their columns,
-which leave the system before it is allocated (`_frobenius_system`).
+criterion.  Its normal forms come one p-th power at a time.  A K-point
+off the curve is moved to (1:0:0) first (`_moved_off_curve`), so lt(F) =
+x^3 and R is a free K[y, z]-module on 1, x, x^2: the rows of each power
+are (y, z)-shifts of three normal forms, and monomial rows fix their
+columns, which leave the system before it is allocated
+(`_frobenius_system`).  No normal-form table is built.
 """
 
 from __future__ import annotations
@@ -173,8 +175,9 @@ def tight_closure_member(ideal: IdealData, f0: Polynomial) -> ClosureCertificate
 
 # The oracle refuses a degree whose full dense membership matrix (int64
 # codes; an upper bound on what it allocates) would take more than this,
-# and the obstruction map a degree whose solve or span-test matrix would;
-# each size is predicted before allocation.
+# and the obstruction map a degree whose solve or span-test matrix, with
+# its largest normal-form table, would; each size is predicted before
+# allocation.
 _MATRIX_BYTES = 512 << 20
 
 
@@ -265,13 +268,12 @@ def frobenius_member(ideal: IdealData, f0: Polynomial,
     single-term expansion, so no Groebner computation at large degree is
     needed.  At D = p^e deg(f0) the target is reduced against the forward
     echelon form of rows spanning the powers' ideal in R_D (3D monomials,
-    generated directly): shifts of three normal forms per power when
-    lt(F) = x^3 (`_frobenius_system`), and otherwise, on a curve through
-    (1:0:0), every monomial multiple of each power, one normal form each
-    (`_ideal_piece_rows`).  Before each degree the size of the full matrix
-    of all multiples is predicted, an upper bound on what is allocated;
-    past 512 MiB the search stops, inconclusive, and the result names that
-    e and D ("inconclusive: stopped at e = ..., D = ...").
+    generated directly): shifts of three normal forms per power
+    (`_frobenius_system`), after a change of coordinates to lt(F) = x^3
+    where needed (`_moved_off_curve`).  Before each degree the size of the
+    full matrix of all multiples is predicted, an upper bound on what is
+    allocated; past 512 MiB the search stops, inconclusive, and the result
+    names that e and D ("inconclusive: stopped at e = ..., D = ...").
     """
     if e_max < 0:
         raise ValueError("e_max must be nonnegative")
@@ -283,9 +285,10 @@ def frobenius_member(ideal: IdealData, f0: Polynomial,
         raise ValueError("candidate must be nonzero in the cone")
     p = curve.field.p
     m = f0.degree()
-    free_over_yz = curve.F.leading_monomial() == (3, 0, 0)
     # generators equal up to a scalar span the same rows
     gens = list(dict.fromkeys(g.monic() for g in ideal.gens))
+    if curve.F.leading_monomial() != (3, 0, 0):
+        curve, (f0, *gens) = _moved_off_curve(curve, [f0] + gens)
     target, powered = f0, [curve.nf(g) for g in gens]
     for e in range(e_max + 1):
         q = p ** e
@@ -296,11 +299,7 @@ def frobenius_member(ideal: IdealData, f0: Polynomial,
         if e:
             target = curve.nf(target.frobenius_power(1))
             powered = [curve.nf(h.frobenius_power(1)) for h in powered]
-        if free_over_yz:
-            rows, vec = _frobenius_system(curve, powered, target, D)
-        else:
-            rows = _ideal_piece_rows(curve, powered, D)
-            vec = PieceFrame(curve, (0,), D).coords((target,))
+        rows, vec = _frobenius_system(curve, powered, target, D)
         # the rows are built here, so they are eliminated in place
         if row_space_contains(rows, vec, curve.field):
             return FrobeniusResult(True, e, e_max)
@@ -346,24 +345,57 @@ def _evaluate(poly: Polynomial, point) -> int:
     return acc
 
 
-def _parameter_forms(curve: CubicCurve):
-    """Linear forms l, l' through the first K-point P off the curve.
+def _point_off_curve(curve: CubicCurve):
+    """The first K-point P off the curve, as (P, i) with P_i = 1 its first
+    nonzero coordinate.
 
     Points are tried in the fixed order (0:0:1), (0:1:c), (1:b:c), codes
-    ascending; with P's first nonzero coordinate i equal to 1 the forms are
-    x_j - P_j x_i for the two other coordinates j.  Such a point exists,
-    since #C(F_q) <= q + 1 + 2 sqrt(q) < q^2 + q + 1.
+    ascending.  Such a point exists, since #C(F_q) <= q + 1 + 2 sqrt(q) <
+    q^2 + q + 1.
     """
-    field = curve.field
-    q = field.q
+    q = curve.field.q
     points = itertools.chain([(0, 0, 1)], ((0, 1, c) for c in range(q)),
                              ((1, b, c) for b in range(q) for c in range(q)))
-    xs = [Polynomial.variable(field, v) for v in "xyz"]
     for point in points:
         if _evaluate(curve.F, point):
-            i = point.index(1)
-            return [xs[j] - xs[i].scale(point[j]) for j in range(3) if j != i]
+            return point, point.index(1)
     raise ArithmeticError("every K-point of the plane lies on the curve")
+
+
+def _parameter_forms(curve: CubicCurve):
+    """Linear forms l, l' through P = `_point_off_curve`: x_j - P_j x_i for
+    the two coordinates j other than P's first nonzero one, i."""
+    point, i = _point_off_curve(curve)
+    xs = [Polynomial.variable(curve.field, v) for v in "xyz"]
+    return [xs[j] - xs[i].scale(point[j]) for j in range(3) if j != i]
+
+
+def _moved_off_curve(curve: CubicCurve, polys):
+    """The curve, and polys reduced on it, after the linear change of
+    coordinates x_i -> x, x_j -> P_j x + y, x_j' -> P_j' x + z (j < j')
+    that moves P = `_point_off_curve` to (1:0:0).
+
+    The new F has x^3 coefficient F(P) != 0, so lt(F) = x^3.  The change is
+    a graded automorphism of S that takes (F) to the new (F), commutes with
+    p-th powers and keeps smoothness (not checked again), so it keeps every
+    degree and every membership of a form in the ideal of others.
+    """
+    field = curve.field
+    point, i = _point_off_curve(curve)
+    x = Polynomial.variable(field, "x")
+    others = iter([Polynomial.variable(field, v) for v in "yz"])
+    forms = [x if j == i else x.scale(point[j]) + next(others)
+             for j in range(3)]
+
+    def moved(poly):
+        out = Polynomial.zero(field)
+        for (a, b, c), code in poly.terms.items():
+            term = forms[0] ** a * forms[1] ** b * forms[2] ** c
+            out = out + term.scale(code)
+        return out
+
+    new = CubicCurve(moved(curve.F), field, check_smooth=False)
+    return new, [new.nf(moved(poly)) for poly in polys]
 
 
 def _full_degree(ideal: IdealData) -> int:
@@ -397,9 +429,12 @@ def _obstruction_map(ideal: IdealData, dec, cands: np.ndarray, stage: str):
     2-D `solve` gives g, h with sum g_i f_i = l^N f0 and sum h_i f_i =
     l'^N f0 for every row f0; its cocycle c = l'^N g - l^N h is a syzygy of
     degree t = 2N.  Returns (C, coboundaries, t): the rows c, and rows
-    spanning l^N Syz_N + l'^N Syz_N, both over dec.field.  The two matrices
-    that dominate, the solve's and the span test's, are predicted first;
-    past `_MATRIX_BYTES` the map is refused as undecided at the stage named.
+    spanning l^N Syz_N + l'^N Syz_N, both over dec.field.  The rows of the
+    solve and the multiplications by l^N and l'^N come from the curve's
+    normal-form tables, up to degree T = max(m + N, 2N + m - min d_i).  The
+    larger of the solve's and the span test's matrices, plus the degree-T
+    table, are predicted first; past `_MATRIX_BYTES` the map is refused as
+    undecided at the stage named, before any of them is built.
     """
     curve = ideal.curve
     field = curve.field
@@ -410,9 +445,12 @@ def _obstruction_map(ideal: IdealData, dec, cands: np.ndarray, stage: str):
     k = cands.shape[0]
     frame_N, frame_t = module.frame(N), module.frame(2 * N)
     n_rows = sum(curve.piece_dim(D - d) for d in ideal.degrees)
-    size = 8 * max(curve.piece_dim(D) * (n_rows + 2 * k),
-                   frame_t.width * (k + 2 * module.piece_dim(N)
-                                    + module.piece_dim(2 * N)))
+    # the rows come from normal-form tables up to degree T
+    T = max(D, 2 * N + m - min(ideal.degrees))
+    size = 8 * (max(curve.piece_dim(D) * (n_rows + 2 * k),
+                    frame_t.width * (k + 2 * module.piece_dim(N)
+                                     + module.piece_dim(2 * N)))
+                + (T + 1) * (T + 2) // 2 * curve.piece_dim(T))
     if size > _MATRIX_BYTES:
         raise UndecidedError(
             f"degree {m}: the obstruction map's matrices would take {size} "

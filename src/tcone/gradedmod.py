@@ -18,10 +18,11 @@ terms (`syzygy_module`).  For an ideal that basis is the ideal's own
 
 Everything else is linear algebra in one coordinate frame, `PieceFrame`:
 the degree-t piece of ⊕ R(a_i) with the monomial bases of the R_(t + a_i)
-side by side.  A module's generator multiples at degree t, built from the
-curve's normal-form tables (`PresentedModule.multiples`), give its graded
-piece (their rref), `express` (one solve) and, at the one degree
-`relation_degree`, the relations that the Hom conditions need
+side by side.  Its rows (`shifts`, `multiples`, `times`) are gathered
+from the curve's normal-form tables, never reduced one at a time.  A
+module's generator multiples at degree t (`PresentedModule.multiples`)
+give its graded piece (their rref), `express` (one solve) and, at the one
+degree `relation_degree`, the relations that the Hom conditions need
 (`hom_system`).  For a reflexive module, such as a syzygy module, that
 degree is max b + 2, so no such module builds a second Groebner basis.
 """
@@ -113,15 +114,12 @@ class PieceFrame:
             width += len(ms)
         self.width = width
 
-    def _fill(self, row, polys):
-        for off, index, poly in zip(self.offsets, self.index, polys):
-            for m, c in poly.terms.items():
-                row[off + index[m]] = c
-
     def coords(self, polys) -> np.ndarray:
         """Coordinate row of a vector given as one polynomial per position."""
         row = np.zeros(self.width, dtype=np.int64)
-        self._fill(row, polys)
+        for off, index, poly in zip(self.offsets, self.index, polys):
+            for m, c in poly.terms.items():
+                row[off + index[m]] = c
         return row
 
     def polys(self, row):
@@ -140,42 +138,48 @@ class PieceFrame:
     def multiples(self, vectors) -> np.ndarray:
         """Rows nf(mu * v) for each vector v and each mu in R_(t - deg v).
 
-        The rows come vector by vector, mu in `piece_monomials` order, and
-        are written into one preallocated array; zero vectors and vectors
-        of degree above t contribute none.
+        The rows come vector by vector, mu in `piece_monomials` order; zero
+        vectors and vectors of degree above t contribute none.  Each vector
+        is reduced once, and each run of vectors of equal degree is one
+        `shifts` of their coordinate rows into this frame.
         """
         curve = self.curve
-        shifts = []
-        for v in vectors:
-            d = vector_degree(v, self.twists)
-            if d is not None:
-                shifts.append((v, curve.piece_monomials(self.t - d)))
-        rows = np.zeros((sum(len(mus) for _, mus in shifts), self.width),
-                        dtype=np.int64)
-        r = 0
-        for v, mus in shifts:
-            for mu in mus:
-                self._fill(rows[r], [curve.nf(p.term_mul(mu, 1)) if p else p
-                                     for p in v])
-                r += 1
-        return rows
+        parts = [np.zeros((0, self.width), dtype=np.int64)]
+        degrees = [(vector_degree(v, self.twists), v) for v in vectors]
+        for d, run in groupby([dv for dv in degrees if dv[0] is not None],
+                              key=lambda dv: dv[0]):
+            frame = PieceFrame(curve, self.twists, d)
+            rows = np.array([frame.coords([curve.nf(p) for p in v])
+                             for _, v in run])
+            shifted = frame.shifts(rows, self)
+            parts.append(shifted.transpose(1, 0, 2).reshape(
+                len(shifted) * len(rows), self.width))
+        return np.concatenate(parts)
 
     def times(self, form: Polynomial) -> np.ndarray:
-        """Matrix of multiplication by a homogeneous form, row by row.
+        """Matrix of multiplication by a homogeneous form.
 
         Row r is nf(form * e_r) for the r-th basis vector e_r of this frame
         (monomial mu in position i), in the coordinates of the frame of
-        degree t + deg(form) on the same twists.
+        degree t + deg(form) on the same twists.  Per ambient position it
+        is the reduced form's coordinates contracted with
+        `CubicCurve.products`; positions of equal twist share one matrix.
         """
-        curve = self.curve
-        target = PieceFrame(curve, self.twists, self.t + form.degree())
+        curve, field = self.curve, self.curve.field
+        e = form.degree()
+        target = PieceFrame(curve, self.twists, self.t + e)
         out = np.zeros((self.width, target.width), dtype=np.int64)
-        r = 0
-        for off, index, ms in zip(target.offsets, target.index, self.monos):
-            for mu in ms:
-                for m, c in curve.nf(form.term_mul(mu, 1)).terms.items():
-                    out[r, off + index[m]] = c
-                r += 1
+        coords = PieceFrame(curve, (0,), e).coords((curve.nf(form),))
+        mats = {}
+        for a, start, ms, off in zip(self.twists, self.offsets, self.monos,
+                                     target.offsets):
+            if ms and coords.any():
+                if a not in mats:
+                    products = curve.products(e, self.t + a)
+                    mats[a] = field.matmul(coords[None, :], products.reshape(
+                        len(coords), -1)).reshape(len(ms), -1)
+                out[start:start + len(ms), off:off + mats[a].shape[1]] = \
+                    mats[a]
         return out
 
     def shifts(self, rows, target: "PieceFrame") -> np.ndarray:
@@ -261,18 +265,6 @@ class GradedMap:
                 if not entry.is_homogeneous() or entry.degree() != want:
                     raise ValueError(
                         f"entry ({i},{j}) must be homogeneous of degree {want}")
-
-    def apply(self, polys):
-        """Apply to a source vector given as a tuple of polynomials."""
-        field = self.matrix[0][0].field if self.matrix else None
-        out = []
-        for i in range(self.target.rank):
-            acc = Polynomial.zero(field)
-            for j in range(self.source.rank):
-                if self.matrix[i][j] and polys[j]:
-                    acc = acc + self.matrix[i][j] * polys[j]
-            out.append(acc)
-        return tuple(out)
 
     def columns(self):
         return [tuple(self.matrix[i][j] for i in range(self.target.rank))
@@ -368,26 +360,11 @@ class PresentedModule:
         return self._relation_degree
 
     def multiples(self, t: int) -> np.ndarray:
-        """Rows mu * g for each generator g and each mu in R_(t - deg g).
-
-        Generator by generator, mu in `piece_monomials` order, in frame(t)
-        coordinates: the rows of `frame(t).multiples(self.vectors)`, built
-        from the curve's normal-form tables instead of one normal form per
-        row (`PieceFrame.shifts`, once per run of generators of equal
-        degree).  Cached per degree.
-        """
+        """Rows mu * g for each generator g and each mu in R_(t - deg g):
+        `frame(t).multiples(self.vectors)`, cached per degree."""
         mat = self._multiples.get(t)
         if mat is None:
-            target = self.frame(t)
-            parts = [np.zeros((0, target.width), dtype=np.int64)]
-            for d, run in groupby(zip(self.gen_degrees(), self.vectors),
-                                  key=lambda dv: dv[0]):
-                frame = self.frame(d)
-                rows = np.array([frame.coords(v) for _, v in run])
-                shifted = frame.shifts(rows, target)
-                parts.append(shifted.transpose(1, 0, 2).reshape(
-                    len(shifted) * len(rows), target.width))
-            mat = self._multiples[t] = np.concatenate(parts)
+            mat = self._multiples[t] = self.frame(t).multiples(self.vectors)
         return mat
 
     def express_rows(self, t: int, rows):
@@ -471,11 +448,6 @@ class PresentedModule:
                         dim += 1
                         break
         return dim
-
-    def piece_basis(self, t: int):
-        """K-basis of the degree-t piece as ambient vectors of polynomials."""
-        frame = self.frame(t)
-        return [frame.polys(row) for row in self.piece_matrix(t)]
 
     # -- sheaf invariants -----------------------------------------------------------
 
@@ -606,27 +578,6 @@ class ModuleHom:
         self.codomain = codomain
         self.images = tuple(images)
 
-    def apply(self, polys):
-        """Image of an ambient vector lying in the domain."""
-        coeffs = self.domain.express(polys)
-        if coeffs is None:
-            raise ValueError("vector does not lie in the domain module")
-        curve = self.codomain.curve
-        out = [Polynomial.zero(curve.field)
-               for _ in range(self.codomain.ambient.rank)]
-        for c, img in zip(coeffs, self.images):
-            if not c:
-                continue
-            for i, p in enumerate(img):
-                if p:
-                    out[i] = out[i] + c * p
-        return tuple(curve.nf(p) for p in out)
-
-    def compose(self, other: "ModuleHom") -> "ModuleHom":
-        """self after other (other's codomain must be self's domain)."""
-        images = [self.apply(img) for img in other.images]
-        return ModuleHom(other.domain, self.codomain, images)
-
     def __repr__(self):
         return f"ModuleHom({len(self.images)} generator images)"
 
@@ -637,28 +588,17 @@ def image_conditions(N: PresentedModule, coeffs, blocks, t: int) -> np.ndarray:
     Each unknown w_u is a combination of the rows of blocks[u], coordinate
     rows in N.frame(d_u) with d_u = t - deg coeffs[u].  The columns stand
     for those rows, block after block: the column of a row v holds the
-    frame(t) coordinates of nf(coeffs[u] * v).  Per block and ambient
-    position i that is one product of the block's position-i coordinates
-    with the matrix of multiplication by coeffs[u] from R_(d_u + a_i)
-    (`CubicCurve.mult`).
+    frame(t) coordinates of nf(coeffs[u] * v), one product of the block
+    with the matrix of multiplication by coeffs[u] (`PieceFrame.times`).
     """
-    curve, field = N.curve, N.field
-    frame = N.frame(t)
-    cols = np.zeros((frame.width, sum(len(b) for b in blocks)),
+    field = N.field
+    cols = np.zeros((N.frame(t).width, sum(len(b) for b in blocks)),
                     dtype=np.int64)
     j = 0
     for h, block in zip(coeffs, blocks):
         if h and len(block):
-            d = t - h.degree()
-            mats = {}       # positions of equal twist share one matrix
-            for a, start, off in zip(N.ambient.twists, N.frame(d).offsets,
-                                     frame.offsets):
-                n = curve.piece_dim(d + a)
-                if n:
-                    if a not in mats:
-                        mats[a] = curve.mult(h, d + a)
-                    image = field.matmul(block[:, start:start + n], mats[a])
-                    cols[off:off + image.shape[1], j:j + len(block)] = image.T
+            image = field.matmul(block, N.frame(t - h.degree()).times(h))
+            cols[:, j:j + len(block)] = image.T
         j += len(block)
     return cols
 

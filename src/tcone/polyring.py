@@ -794,7 +794,8 @@ class CubicCurve:
 
     Carries the monic F as a reducer (lt(F) and the negated tail, for `nf`)
     and caches the monomial bases of the graded pieces of R and, per degree
-    asked for, the normal forms of all monomials of that degree (`mult`).
+    asked for, the normal forms of all monomials of that degree, from which
+    `products` gathers every product of two pieces' basis monomials.
     """
 
     __slots__ = ("F", "field", "_reducer", "_hasse", "_piece_cache",
@@ -955,27 +956,6 @@ class CubicCurve:
                     table[row(m)] = self.field.matmul(coeffs, table[rows])[0]
             self._nf_tables[D] = table
         return table
-
-    def mult(self, h: Polynomial, d: int) -> np.ndarray:
-        """Matrix of multiplication by a nonzero homogeneous form h, from
-        R_d to R_(d + deg h), in `piece_index` coordinates.
-
-        Row r is nf(h * mu_r) for the r-th monomial mu_r of
-        piece_monomials(d); h need not be reduced modulo F.  It is the sum,
-        over the terms c * m of h, of c times the rows of the monomials
-        m * mu_r gathered from the degree-(d + deg h) normal-form table.
-        """
-        source = self.piece_monomials(d)
-        D = d + h.degree()
-        if not source:
-            return np.zeros((0, self.piece_dim(D)), dtype=np.int64)
-        table = self._nf_table(D)
-        mus = np.array(source, dtype=np.int64)
-        ms = np.array(list(h.terms), dtype=np.int64)
-        rows = self._table_row(D, ms[:, :1] + mus[:, 0], ms[:, 2:] + mus[:, 2])
-        coeffs = np.array([list(h.terms.values())], dtype=np.int64)
-        return self.field.matmul(
-            coeffs, table[rows].reshape(len(ms), -1)).reshape(len(source), -1)
 
     def products(self, d1: int, d2: int) -> np.ndarray:
         """nf(mu * nu) for every mu in piece_monomials(d1) and nu in

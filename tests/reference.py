@@ -17,17 +17,29 @@ Kept out of `tcone` because the pipeline never calls them:
   relation's degree; the library uses the generator multiples and the
   relations at one degree instead.
 
-`block1_gb`, `groebner_basis`, `relations`, `express` and `contains` read
-as methods of `LiftBasis` and `PresentedModule`: they take that object as
-`self`.
+* `apply_map`, `apply_hom`, `compose` and `piece_basis` evaluate maps
+  and list graded pieces as polynomial vectors, for tests that check the
+  library's matrices against the maps they stand for.
+* `reference_multiples` and `reference_times` build
+  `PieceFrame.multiples` and `PieceFrame.times` one normal form per row,
+  where the library gathers them from the curve's normal-form tables;
+  `reference_mult` gathers the matrix of multiplication by a form from
+  R_d term by term of the unreduced form, where `PieceFrame.times`
+  contracts the reduced form's coordinates with `CubicCurve.products`.
+
+`block1_gb`, `groebner_basis`, `relations`, `express`, `contains`,
+`apply_map`, `apply_hom`, `compose` and `piece_basis` read as methods of
+`LiftBasis`, `GradedMap`, `ModuleHom` and `PresentedModule`: they take
+that object as `self`.
 """
 
 import numpy as np
 
-from tcone.gradedmod import (LiftBasis, PresentedModule, TwistedFree,
-                             closing_relations, hom_space, image_conditions,
-                             vec_from_polys, vector_degree)
-from tcone.polyring import Polynomial, mono_mul, vec_lt
+from tcone.gradedmod import (GradedMap, LiftBasis, ModuleHom, PieceFrame,
+                             PresentedModule, TwistedFree, closing_relations,
+                             hom_space, image_conditions, vec_from_polys,
+                             vector_degree)
+from tcone.polyring import CubicCurve, Polynomial, mono_mul, vec_lt
 
 
 def vec_to_polys(vec, npos, field):
@@ -197,3 +209,97 @@ class HomModule:
             if vec:
                 gens.append(vec_to_polys(vec, amb.rank, field))
         return PresentedModule(curve, amb, gens)
+
+
+def apply_map(self: GradedMap, polys):
+    """Apply to a source vector given as a tuple of polynomials."""
+    field = self.matrix[0][0].field if self.matrix else None
+    out = []
+    for i in range(self.target.rank):
+        acc = Polynomial.zero(field)
+        for j in range(self.source.rank):
+            if self.matrix[i][j] and polys[j]:
+                acc = acc + self.matrix[i][j] * polys[j]
+        out.append(acc)
+    return tuple(out)
+
+
+def apply_hom(self: ModuleHom, polys):
+    """Image of an ambient vector lying in the domain."""
+    coeffs = self.domain.express(polys)
+    if coeffs is None:
+        raise ValueError("vector does not lie in the domain module")
+    curve = self.codomain.curve
+    out = [Polynomial.zero(curve.field)
+           for _ in range(self.codomain.ambient.rank)]
+    for c, img in zip(coeffs, self.images):
+        if not c:
+            continue
+        for i, p in enumerate(img):
+            if p:
+                out[i] = out[i] + c * p
+    return tuple(curve.nf(p) for p in out)
+
+
+def compose(self: ModuleHom, other: ModuleHom) -> ModuleHom:
+    """self after other (other's codomain must be self's domain)."""
+    images = [apply_hom(self, img) for img in other.images]
+    return ModuleHom(other.domain, self.codomain, images)
+
+
+def piece_basis(self: PresentedModule, t: int):
+    """K-basis of the degree-t piece as ambient vectors of polynomials."""
+    frame = self.frame(t)
+    return [frame.polys(row) for row in self.piece_matrix(t)]
+
+
+def reference_multiples(frame: PieceFrame, vectors) -> np.ndarray:
+    """`PieceFrame.multiples`, one normal form per row: nf(mu * v) for
+    each vector v and each mu in R_(t - deg v), vector by vector."""
+    curve = frame.curve
+    rows = []
+    for v in vectors:
+        d = vector_degree(v, frame.twists)
+        if d is None:
+            continue
+        for mu in curve.piece_monomials(frame.t - d):
+            rows.append(frame.coords([curve.nf(p.term_mul(mu, 1)) if p else p
+                                      for p in v]))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), frame.width)
+
+
+def reference_times(frame: PieceFrame, form: Polynomial) -> np.ndarray:
+    """`PieceFrame.times`, one normal form per row: row r is
+    nf(form * e_r), in the frame of degree t + deg(form)."""
+    curve = frame.curve
+    target = PieceFrame(curve, frame.twists, frame.t + form.degree())
+    out = np.zeros((frame.width, target.width), dtype=np.int64)
+    r = 0
+    for off, index, ms in zip(target.offsets, target.index, frame.monos):
+        for mu in ms:
+            for m, c in curve.nf(form.term_mul(mu, 1)).terms.items():
+                out[r, off + index[m]] = c
+            r += 1
+    return out
+
+
+def reference_mult(curve: CubicCurve, h: Polynomial, d: int) -> np.ndarray:
+    """Matrix of multiplication by a nonzero homogeneous form h, from R_d
+    to R_(d + deg h), in `piece_index` coordinates.
+
+    Row r is nf(h * mu_r) for the r-th monomial mu_r of
+    piece_monomials(d); h need not be reduced modulo F.  It is the sum,
+    over the terms c * m of h, of c times the rows of the monomials
+    m * mu_r gathered from the degree-(d + deg h) normal-form table.
+    """
+    source = curve.piece_monomials(d)
+    D = d + h.degree()
+    if not source:
+        return np.zeros((0, curve.piece_dim(D)), dtype=np.int64)
+    table = curve._nf_table(D)
+    mus = np.array(source, dtype=np.int64)
+    ms = np.array(list(h.terms), dtype=np.int64)
+    rows = curve._table_row(D, ms[:, :1] + mus[:, 0], ms[:, 2:] + mus[:, 2])
+    coeffs = np.array([list(h.terms.values())], dtype=np.int64)
+    return curve.field.matmul(
+        coeffs, table[rows].reshape(len(ms), -1)).reshape(len(source), -1)

@@ -202,6 +202,10 @@ DECOMPOSE_PINS = {
     ("fermat5_check", 3): ((2, 0), 1, [(2, 0, 1, 1)]),
     ("fermat5_closure", 0): ((2, -18), 1, [(2, -18, 0, 18)]),
     ("fermat5_closure", 3): ((2, 0), 1, [(2, 0, 1, 1)]),
+    ("sheared_duplicate_generator", 0): ((2, -18), 1,
+                                         [(1, -6, 0, 6), (1, -12, 0, 12)]),
+    ("sheared_duplicate_generator", 3): ((2, 0), 1,
+                                         [(1, 3, 3, 0), (1, -3, 0, 3)]),
     ("sheared_fermat5", 0): ((2, -18), 1, [(2, -18, 0, 18)]),
     ("sheared_fermat5", 3): ((2, 0), 1, [(2, 0, 1, 1)]),
     ("ordinary_char101", 0): ((2, -18), 1, [(1, -9, 0, 9), (1, -9, 0, 9)]),
@@ -228,6 +232,42 @@ def test_decompose_json_on_the_demo_problems(name, twist):
         "extension_degree": ext,
         "summands": [{"rank": r, "degree": d, "h0": h0, "h1": h1}
                      for r, d, h0, h1 in rows]}
+
+
+def test_sheared_duplicate_generator_check_and_info():
+    """duplicate_generator.tc moved by y -> y + 4x: lt(F) = x^2*y, so the
+    oracle changes coordinates first; its verdict, summands and oracle line
+    (a search to e = 4, D = 1875) are the original's."""
+    demo = Path(__file__).resolve().parent.parent / "demos" / "problems"
+    moved, orig = (parse_problem((demo / f"{name}.tc").read_text())
+                   for name in ("sheared_duplicate_generator",
+                                "duplicate_generator"))
+    out, code = run_check(moved)
+    assert code == 1
+    assert out == """\
+verdict: non-member
+in ideal: no
+candidate: 4*x^2*z + x*y*z (degree 3)
+bundle degree: 0
+splitting extension degree: 1
+summands:
+  rank  degree  class_vanishes
+  1     3       yes
+  1     -3      no
+tight closure = plus closure (positive characteristic)
+frobenius oracle (supersingular curve): not found for e <= 4"""
+    assert out.splitlines()[-1] == run_check(orig)[0].splitlines()[-1]
+    out, code = run_info(moved)
+    assert code == 0
+    assert out == """\
+char: 5
+ext_degree: 1
+cubic: x^2*y + 4*x*y^2 + 2*y^3 + 2*z^3
+smooth: yes
+hasse: 0
+supersingular: yes
+ideal: (x^2, x^2 + 3*x*y + y^2, x^2)
+generator degrees: [2, 2, 2]"""
 
 
 def test_decompose_cross_checks_the_summand_invariants(monkeypatch):

@@ -19,6 +19,7 @@ from tcone.polyring import (CubicCurve, IdealData, Polynomial,
                             parse_polynomial)
 
 from .conftest import ideal_of, pp, random_homogeneous, random_primary_ideal, seeded
+from .reference import reference_multiples
 
 
 def test_membership_verdicts_worked_examples(fermat5, F5):
@@ -124,12 +125,14 @@ def _rank(rows, field):
 
 def _check_system(curve, powered, target, D):
     """_frobenius_system against the reference route, the full system of
-    every monomial multiple, one normal form per row; returns the answer
-    and the number of fixed columns."""
+    every monomial multiple, one normal form per row (no normal-form
+    table, which at D = 98 would take 12 MB and seconds); returns the
+    answer and the number of fixed columns."""
     field = curve.field
     rows, vec = _frobenius_system(curve, powered, target, D)
-    full = _ideal_piece_rows(curve, powered, D)
-    full_vec = PieceFrame(curve, (0,), D).coords((target,))
+    frame = PieceFrame(curve, (0,), D)
+    full = reference_multiples(frame, [(h,) for h in powered])
+    full_vec = frame.coords((target,))
     answer = row_space_contains(rows.copy(), vec, field)
     assert answer == row_space_contains(full.copy(), full_vec, field)
     n_fixed = full.shape[1] - rows.shape[1]
@@ -245,10 +248,9 @@ def _sheared(poly, s):
 ])
 def test_sheared_curves_match_their_fermat_originals(p, problems):
     # y -> y - x moves (1:-1:0) of the Fermat cubic to (1:0:0), so the
-    # sheared curve has lt(F) = x^2*y and the oracle takes the
-    # one-normal-form-per-row route, against the shift route on the
-    # original; the substitution is a graded isomorphism, so every answer,
-    # e and D agree
+    # sheared curve has lt(F) = x^2*y and the oracle first moves (0:0:1)
+    # to (1:0:0) (`_moved_off_curve`); both substitutions are graded
+    # isomorphisms, so every answer, e and D agree with the original's
     field = make_field(p)
     fermat = CubicCurve(pp("x^3 + y^3 + z^3", field), field)
     sheared = CubicCurve(_sheared(fermat.F, -1), field)
@@ -280,6 +282,123 @@ def test_sheared_demo_is_the_fermat_check():
     result = frobenius_member(orig.ideal, orig.candidate)
     assert result == FrobeniusResult(True, 1, 4)
     assert frobenius_member(moved.ideal, moved.candidate) == result
+
+
+def test_oracle_builds_no_normal_form_table(monkeypatch):
+    # the oracle's rows are shifts of three normal forms per power, on
+    # every curve; a table at D = 1875 would take about 80 GB
+    from tcone.cli import parse_problem
+    demo = Path(__file__).resolve().parent.parent / "demos" / "problems"
+    problems = {name: parse_problem((demo / f"{name}.tc").read_text())
+                for name in ("duplicate_generator",
+                             "sheared_duplicate_generator",
+                             "sheared_fermat5")}
+
+    def no_table(self, D):
+        raise AssertionError(f"normal-form table at degree {D}")
+
+    monkeypatch.setattr(CubicCurve, "_nf_table", no_table)
+    results = {name: frobenius_member(prob.ideal, prob.candidate)
+               for name, prob in problems.items()}
+    assert results == {
+        "duplicate_generator": FrobeniusResult(False, None, 4),
+        "sheared_duplicate_generator": FrobeniusResult(False, None, 4),
+        "sheared_fermat5": FrobeniusResult(True, 1, 4)}
+    assert problems["sheared_duplicate_generator"].curve.F \
+        .leading_monomial() == (2, 1, 0)
+
+
+# (field, cubic with lt(F) != x^3, the first point off it): points of the
+# forms (0:0:1) (the Fermat cubic sheared by y -> y + c x with c^3 = -1)
+# and (0:1:c) over F_2, F_4, F_5 and F_7; one of the form
+# (1:b:c) needs a curve through all q + 1 points of x = 0, and a smooth
+# cubic meets a line in at most 3 points, so only over F_2
+MOVED_CURVES = [
+    ((2, 1), "y^3 + x*y^2 + x^2*y + z^3", (0, 0, 1)),
+    ((2, 2), "y^3 + x*y^2 + x^2*y + z^3", (0, 0, 1)),
+    ((5, 1), "3*x^2*y + 2*x*y^2 + y^3 + z^3", (0, 0, 1)),
+    ((7, 1), "6*x^2*y + 2*x*y^2 + y^3 + z^3", (0, 0, 1)),
+    ((2, 1), "x^2*y + y^2*z + z^2*x", (0, 1, 1)),
+    ((2, 2), "x^2*y + y^2*z + z^2*x", (0, 1, 1)),
+    ((5, 1), "x^2*y + y^2*z + z^2*x", (0, 1, 1)),
+    ((7, 1), "x^2*y + y^2*z + z^2*x", (0, 1, 1)),
+    ((2, 1), "x^2*y + x*z^2 + y^2*z + y*z^2", (1, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("field_pk, cubic, point", MOVED_CURVES)
+def test_coordinate_change_gives_x_cubed(field_pk, cubic, point):
+    """`_moved_off_curve` takes the first point off the curve to (1:0:0):
+    the new F leads with x^3, is smooth and has as many K-points, and the
+    images are the substituted forms, reduced on the new curve."""
+    from tcone.polyring import is_smooth_cubic
+    field = make_field(*field_pk)
+    curve = CubicCurve(pp(cubic, field), field)
+    assert curve.F.leading_monomial() != (3, 0, 0)
+    assert closure._point_off_curve(curve) == (point, point.index(1))
+    polys = [pp("x^2", field), pp("y*z", field), pp("x*y + z^2", field)]
+    moved, images = closure._moved_off_curve(curve, polys)
+    assert moved.F.leading_monomial() == (3, 0, 0)
+    assert is_smooth_cubic(moved.F, field)
+    q = field.q
+    plane = [(0, 0, 1)] + [(0, 1, c) for c in range(q)] + \
+        [(1, b, c) for b in range(q) for c in range(q)]
+    assert sum(not closure._evaluate(moved.F, v) for v in plane) == \
+        sum(not closure._evaluate(curve.F, v) for v in plane)
+    assert [h.degree() for h in images] == [2, 2, 2]
+    assert images == [moved.nf(h) for h in images]
+    # x_i -> x and the other two coordinates -> P_j x + y, P_j' x + z, so
+    # x_i x_j is x (P_j x + y)
+    i = point.index(1)
+    j = [k for k in range(3) if k != i]
+    x, y = pp("x", field), pp("y", field)
+    monomial = [0, 0, 0]
+    monomial[i] += 1
+    monomial[j[0]] += 1
+    (image,) = closure._moved_off_curve(
+        curve, [Polynomial.monomial(field, monomial)])[1]
+    assert image == moved.nf(x * (x.scale(point[j[0]]) + y))
+
+
+def test_obstruction_budget_counts_the_normal_form_table(monkeypatch):
+    """The obstruction map's rows come from normal-form tables up to
+    degree T = max(m + N, 2N + m - min d_i), and its prediction adds the
+    degree-T table's 8 (T + 1)(T + 2)/2 * 3T bytes: a budget that the
+    matrices alone fit is refused, names the stage, and builds no table
+    of degree T."""
+    F5 = make_field(5)
+    curve = CubicCurve(pp("x^3 + y^3 + z^3", F5), F5)     # no tables yet
+    ideal = ideal_of(curve, "x^2", "y^2", "x^2")
+    f0 = pp("x*y*z", F5)
+    m, N = 3, 2
+    assert closure._full_degree(ideal) - m == N
+    T = max(m + N, 2 * N + m - 2)
+    table = 8 * (T + 1) * (T + 2) // 2 * 3 * T
+    built = []
+    real = CubicCurve._nf_table
+
+    def recorded(self, D):
+        if D not in self._nf_tables:
+            built.append(D)
+        return real(self, D)
+
+    monkeypatch.setattr(CubicCurve, "_nf_table", recorded)
+    monkeypatch.setattr(closure, "_MATRIX_BYTES", 1000)
+    with pytest.raises(closure.UndecidedError) as info:
+        tight_closure_member(ideal, f0)
+    size = info.value.size
+    assert info.value.stage == "class test"
+    assert size > table and size % 8 == 0
+    # the matrices alone fit, the table does not
+    for budget in (size - table, size - 8):
+        monkeypatch.setattr(closure, "_MATRIX_BYTES", budget)
+        with pytest.raises(closure.UndecidedError) as info:
+            tight_closure_member(ideal, f0)
+        assert (info.value.stage, info.value.size) == ("class test", size)
+    assert built and max(built) < T
+    monkeypatch.setattr(closure, "_MATRIX_BYTES", size)
+    assert tight_closure_member(ideal, f0).verdict == "non-member"
+    assert max(built) == T
 
 
 def test_slope_examples(fermat5):

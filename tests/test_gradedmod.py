@@ -22,8 +22,10 @@ from tcone.polyring import (CubicCurve, IdealData, Polynomial,
 
 from .conftest import (ideal_of, pp, random_homogeneous, random_primary_ideal,
                        seeded)
-from .reference import (HomModule, contains, groebner_basis,
-                        reference_image_conditions)
+from .reference import (HomModule, apply_hom, apply_map, contains,
+                        groebner_basis, piece_basis,
+                        reference_image_conditions, reference_mult,
+                        reference_multiples, reference_times)
 
 
 def syz_map(curve, gens_texts, m):
@@ -75,7 +77,7 @@ def test_syzygies_compose_to_zero(fermat5):
                         TwistedFree([m]), [list(ideal.gens)])
         M = syzygy_of_map(phi, fermat5)
         for g in M.gens:
-            img = phi.apply(g)
+            img = apply_map(phi, g)
             assert fermat5.nf(img[0]).is_zero()
 
 
@@ -83,10 +85,10 @@ def test_graded_piece_examples(fermat5, F5):
     R = free_module(fermat5, [0])
     assert R.piece_dim(2) == 6
     assert R.piece_dim(0) == 1
-    basis0 = R.piece_basis(0)
+    basis0 = piece_basis(R, 0)
     assert basis0 == [(Polynomial.constant(F5, 1),)]
     M = syzygy_of_map(syz_map(fermat5, ["x^2", "y^2", "z^2"], 3), fermat5)
-    basis = M.piece_basis(0)
+    basis = piece_basis(M, 0)
     assert len(basis) == 1
     assert basis[0] == (pp("x", F5), pp("y", F5), pp("z", F5))
 
@@ -103,7 +105,7 @@ def test_hilbert_examples(fermat5):
 def test_hilbert_matches_piece_basis(fermat5):
     M = syzygy_of_map(syz_map(fermat5, ["x^2", "y^2", "z^2"], 3), fermat5)
     for t in range(0, 5):
-        assert M.piece_dim(t) == len(M.piece_basis(t))
+        assert M.piece_dim(t) == len(piece_basis(M, t))
 
 
 def test_rank_and_degree_examples(fermat5):
@@ -170,7 +172,7 @@ def test_homs_respect_module_structure(fermat5, F5):
                 v = Polynomial.variable(F5, var)
                 moved = tuple(fermat5.nf(v * p) for p in g)
                 expect = tuple(fermat5.nf(v * p) for p in img)
-                assert h.apply(moved) == expect
+                assert apply_hom(h, moved) == expect
 
 
 def test_image_presentation_identity_and_zero(fermat5, F5):
@@ -949,8 +951,9 @@ def test_reference_relations_lie_in_degrees_up_to_max_b_plus_2():
 
 
 def test_generator_multiples_match_per_row_normal_forms():
-    """`PresentedModule.multiples(t)` is `frame(t).multiples(gens)` entry
-    for entry: bundles, twisted bundles, summands and enlarged modules."""
+    """`PresentedModule.multiples(t)`, gathered from the normal-form
+    tables, equals the per-row route (one normal form per row) entry for
+    entry: bundles, twisted bundles, summands and enlarged modules."""
     pairs = 0
     for n, (ideal, m) in enumerate(_differential_cases()):
         if n % 5:
@@ -965,10 +968,47 @@ def test_generator_multiples_match_per_row_normal_forms():
         for M in modules:
             degs = M.gen_degrees()
             for t in range(min(degs) - 1, max(degs) + 3):
-                want = M.frame(t).multiples(M.vectors)
+                want = reference_multiples(M.frame(t), M.vectors)
                 assert M.multiples(t).tolist() == want.tolist()
                 pairs += 1
     assert pairs >= 200
+
+
+def test_times_matches_nf_row_by_row():
+    """Row r of `PieceFrame.times(h)` is nf(h * e_r): against the per-row
+    reference and, on one position, against the gather term by term of
+    the unreduced form.  Forms not reduced modulo F and multiples of F
+    are included, frames at t = -1 and 0, cubics whose leading monomial
+    is not x^3, and a frame whose positions repeat a twist."""
+    rng = seeded(67)
+    for p, k in [(5, 1), (2, 2), (7, 1), (5, 2)]:
+        field = make_field(p, k)
+        for text in ("x^3 + y^3 + z^3", "y^2*z + x*y*z + x^3 + z^3",
+                     "x^2*y + y^2*z + z^2*x"):
+            curve = CubicCurve(pp(text, field), field, check_smooth=False)
+            lt = curve.F.leading_monomial()
+            for e in range(5):
+                for d in range(-1, 5):
+                    terms = {m: rng.randrange(field.q)
+                             for m in monomials_of_degree(e)}
+                    if e >= 3:
+                        terms[(lt[0] + e - 3, lt[1], lt[2])] = 1
+                    h = Polynomial(field, {m: c for m, c in terms.items()
+                                           if c})
+                    if not h:
+                        continue
+                    frame = PieceFrame(curve, (0,), d)
+                    got = frame.times(h)
+                    assert got.shape == (curve.piece_dim(d),
+                                         curve.piece_dim(d + e))
+                    assert np.array_equal(got, reference_times(frame, h))
+                    assert np.array_equal(got, reference_mult(curve, h, d))
+                wide = PieceFrame(curve, (0, 1, 0, -2), 1)
+                forms = [h, curve.F.term_mul((0, 0, e), 1)]
+                for form in forms:
+                    got = wide.times(form)
+                    assert np.array_equal(got, reference_times(wide, form))
+                assert not got.any()
 
 
 def test_express_round_trips_and_refuses_non_members():

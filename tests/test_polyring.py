@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -257,37 +256,6 @@ def test_hasse_supersingular_families():
         j1728 = pp("y^2*z - x^3 + x*z^2", field)
         assert hasse_invariant_of(fermat, field).is_zero() == (p % 3 == 2)
         assert hasse_invariant_of(j1728, field).is_zero() == (p % 4 == 3)
-
-
-def test_mult_matches_nf_row_by_row():
-    """Row r of mult(h, d) is nf(h * mu_r), mu_r the r-th basis monomial
-    of R_d: forms not reduced modulo F, d = 0 and d < 0 included, and a
-    cubic whose leading monomial is not x^3."""
-    rng = seeded(67)
-    for p, k in [(5, 1), (2, 2), (7, 1), (5, 2)]:
-        field = make_field(p, k)
-        for text in ("x^3 + y^3 + z^3", "y^2*z + x*y*z + x^3 + z^3",
-                     "x^2*y + y^2*z + z^2*x"):
-            curve = CubicCurve(pp(text, field), field, check_smooth=False)
-            lt = curve.F.leading_monomial()
-            for e in range(5):
-                for d in range(-1, 5):
-                    terms = {m: rng.randrange(field.q)
-                             for m in monomials_of_degree(e)}
-                    if e >= 3:
-                        terms[(lt[0] + e - 3, lt[1], lt[2])] = 1
-                    h = Polynomial(field, {m: c for m, c in terms.items()
-                                           if c})
-                    if not h:
-                        continue
-                    got = curve.mult(h, d)
-                    index = curve.piece_index(d + e)
-                    assert got.shape == (curve.piece_dim(d), len(index))
-                    for row, mu in zip(got, curve.piece_monomials(d)):
-                        want = np.zeros(len(index), dtype=np.int64)
-                        for m, c in curve.nf(h.term_mul(mu, 1)).terms.items():
-                            want[index[m]] = c
-                        assert np.array_equal(row, want)
 
 
 def _reference_curve_nf(curve, f):
