@@ -31,7 +31,7 @@ import numpy as np
 
 from .algebra import (FiniteAlgebra, UndecidedError, lift_idempotents,
                       semisimple_primitive_idempotents)
-from .field import Field, code_embedding, make_field
+from .field import Field, FieldError, code_embedding, make_field
 from .gradedmod import (GradedMap, ModuleHom, PresentedModule, TwistedFree,
                         combine_vectors, hom_space, hom_system,
                         image_conditions, image_presentation, syzygy_module,
@@ -348,13 +348,13 @@ def decompose_bundle(bundle: SyzygyBundle) -> Decomposition:
 
     Computes primitive idempotents of the endomorphism algebra modulo its
     radical, extending the base field until every simple factor is split
-    (relative degree at most _EXT_BOUND, else the computation is refused as
-    undecided), and lifts them through the radical.  One primitive
-    idempotent is the identity: the one summand is the bundle, with its
-    module, rank and degree.  Several summands are the images of their
-    projections (`image_presentation`), each with rank and degree from two
-    graded pieces (`_summand_invariants`).  Neither case runs a Groebner
-    basis.  Summands are ordered by (degree, rank) descending with a
+    (relative degree at most _EXT_BOUND, and a field `make_field` builds,
+    else the computation is refused as undecided), and lifts them through
+    the radical.  One primitive idempotent is the identity: the one summand
+    is the bundle, with its module, rank and degree.  Several summands are
+    the images of their projections (`image_presentation`), each with rank
+    and degree from two graded pieces (`_summand_invariants`).  Neither
+    case runs a Groebner basis.  Summands are ordered by (degree, rank) descending with a
     deterministic tiebreak on the projection data.
     """
     base_field = bundle.field
@@ -374,8 +374,15 @@ def decompose_bundle(bundle: SyzygyBundle) -> Decomposition:
         homs0, alg0 = ea.homs, ea.algebra
         if ext == 1:
             return ideal, module, homs0, alg0, (lambda c: c), ea.radical_rows
-        K = make_field(base_field.p, base_field.k * ext)
-        emb = code_embedding(base_field, K)
+        try:
+            K = make_field(base_field.p, base_field.k * ext)
+            emb = code_embedding(base_field, K)
+            emb(1)  # the embedding's root search, which can refuse too
+        except FieldError as exc:
+            raise UndecidedError(
+                f"splitting the endomorphism algebra needs a degree-{ext} "
+                f"extension: {exc}", stage="splitting extension",
+                size=ext) from exc
         ideal2 = ideal.embedded(K, emb)
         module2 = module.embedded(ideal2.curve, emb)
         homs2 = [ModuleHom(module2, module2,

@@ -29,6 +29,10 @@ class FieldError(ValueError):
 # which the array ops of Field use for vectorised arithmetic
 _TABLE_LIMIT = 1024
 
+# matrices hold element codes as int64, so every code, and the order, must
+# stay below this
+_ORDER_LIMIT = 1 << 63
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -194,6 +198,9 @@ class Field:
             raise FieldError(f"characteristic {p} exceeds the 2^16 bound")
         if k < 1:
             raise FieldError(f"extension degree must be >= 1, got {k}")
+        if p ** k >= _ORDER_LIMIT:
+            raise FieldError(f"field order {p}^{k} exceeds the 2^63 bound "
+                             f"of int64 element codes")
         self.p = p
         self.k = k
         self.q = p ** k
@@ -306,6 +313,12 @@ class Field:
     # place that knows how elements are stored: mod-p numpy for prime fields,
     # lookup tables up to _TABLE_LIMIT elements, and the scalar ops above
     # mapped over the entries beyond that.
+
+    @property
+    def vectorised(self) -> bool:
+        """True when the array ops are numpy arithmetic (prime and table
+        fields), False when they map the scalar ops over the entries."""
+        return self.k == 1 or self._mul_table is not None
 
     def _map(self, op, *arrays):
         return np.vectorize(op, otypes=[np.int64])(*arrays)

@@ -26,6 +26,7 @@ from itertools import chain
 
 import numpy as np
 
+from .algebra import UndecidedError
 from .field import Field, FieldElem, FieldError
 
 VARS = ("x", "y", "z")
@@ -773,6 +774,11 @@ def is_smooth_cubic(F: Polynomial, field: Field) -> bool:
     return ideal_contains_variable_powers(gb)
 
 
+# term products that hasse_invariant_of may take before it refuses: about
+# 10 s for a ten-term cubic at p = 170 on a 2-core machine
+_HASSE_TERMS = 5 * 10**7
+
+
 def hasse_invariant_of(F: Polynomial, field: Field):
     """Coefficient of (xyz)^(p-1) in F^(p-1); zero means supersingular.
 
@@ -780,8 +786,15 @@ def hasse_invariant_of(F: Polynomial, field: Field):
     terms with every exponent at most p - 1 are kept: exponents never
     decrease under multiplication, so no dropped term reaches (xyz)^(p-1),
     and at most p^2 terms survive each step instead of the full power's.
+    So the p - 1 products take at most (p - 1) p^2 |F| term products; past
+    _HASSE_TERMS that raises UndecidedError before any is taken.
     """
     e = field.p - 1
+    size = e * field.p ** 2 * len(F.terms)
+    if size > _HASSE_TERMS:
+        raise UndecidedError(
+            f"the Hasse invariant would take {size} term products, beyond "
+            f"the bound {_HASSE_TERMS}", stage="hasse invariant", size=size)
     power = Polynomial.constant(field, 1)
     for _ in range(e):
         power = Polynomial(field, {m: c for m, c in (power * F).terms.items()
@@ -795,11 +808,12 @@ class CubicCurve:
     Carries the monic F as a reducer (lt(F) and the negated tail, for `nf`)
     and caches the monomial bases of the graded pieces of R and, per degree
     asked for, the normal forms of all monomials of that degree, from which
-    `products` gathers every product of two pieces' basis monomials.
+    `products` gathers every product of two pieces' basis monomials (its
+    table rows cached per pair of degrees).
     """
 
     __slots__ = ("F", "field", "_reducer", "_hasse", "_piece_cache",
-                 "_index_cache", "_nf_tables")
+                 "_index_cache", "_nf_tables", "_product_rows")
 
     def __init__(self, F: Polynomial, field: Field, check_smooth: bool = True):
         if F.field != field:
@@ -817,6 +831,7 @@ class CubicCurve:
         self._piece_cache = {}
         self._index_cache = {}
         self._nf_tables = {}
+        self._product_rows = {}
 
     @property
     def hasse(self) -> FieldElem:
@@ -961,15 +976,20 @@ class CubicCurve:
         """nf(mu * nu) for every mu in piece_monomials(d1) and nu in
         piece_monomials(d2): a (dim R_d1, dim R_d2, dim R_(d1 + d2)) array
         in piece_index(d1 + d2) coordinates, one gather from the
-        degree-(d1 + d2) normal-form table."""
+        degree-(d1 + d2) normal-form table.  The table rows of the products
+        are kept per (d1, d2); the gathered array is new on every call."""
         D = d1 + d2
-        mus = np.array(self.piece_monomials(d1), dtype=np.int64).reshape(-1, 3)
-        nus = np.array(self.piece_monomials(d2), dtype=np.int64).reshape(-1, 3)
-        if not len(mus) or not len(nus):
-            return np.zeros((len(mus), len(nus), self.piece_dim(D)),
-                            dtype=np.int64)
-        rows = self._table_row(D, mus[:, None, 0] + nus[:, 0],
-                               mus[:, None, 2] + nus[:, 2])
+        rows = self._product_rows.get((d1, d2))
+        if rows is None:
+            mus = np.array(self.piece_monomials(d1),
+                           dtype=np.int64).reshape(-1, 3)
+            nus = np.array(self.piece_monomials(d2),
+                           dtype=np.int64).reshape(-1, 3)
+            rows = self._table_row(D, mus[:, None, 0] + nus[:, 0],
+                                   mus[:, None, 2] + nus[:, 2])
+            self._product_rows[(d1, d2)] = rows
+        if not rows.size:
+            return np.zeros(rows.shape + (self.piece_dim(D),), dtype=np.int64)
         return self._nf_table(D)[rows]
 
     def embedded(self, target_field: Field, embed_fn) -> "CubicCurve":

@@ -26,6 +26,8 @@ Kept out of `tcone` because the pipeline never calls them:
   `reference_mult` gathers the matrix of multiplication by a form from
   R_d term by term of the unreduced form, where `PieceFrame.times`
   contracts the reduced form's coordinates with `CubicCurve.products`.
+* `reference_products` is `CubicCurve.products` without its cached row
+  indices: the monomials of both pieces are listed again on every call.
 
 `block1_gb`, `groebner_basis`, `relations`, `express`, `contains`,
 `apply_map`, `apply_hom`, `compose` and `piece_basis` read as methods of
@@ -303,3 +305,17 @@ def reference_mult(curve: CubicCurve, h: Polynomial, d: int) -> np.ndarray:
     coeffs = np.array([list(h.terms.values())], dtype=np.int64)
     return curve.field.matmul(
         coeffs, table[rows].reshape(len(ms), -1)).reshape(len(source), -1)
+
+
+def reference_products(curve: CubicCurve, d1: int, d2: int) -> np.ndarray:
+    """nf(mu * nu) for mu in R_d1 and nu in R_d2, gathered from the
+    degree-(d1 + d2) normal-form table with the table rows recomputed."""
+    D = d1 + d2
+    mus = np.array(curve.piece_monomials(d1), dtype=np.int64).reshape(-1, 3)
+    nus = np.array(curve.piece_monomials(d2), dtype=np.int64).reshape(-1, 3)
+    if not len(mus) or not len(nus):
+        return np.zeros((len(mus), len(nus), curve.piece_dim(D)),
+                        dtype=np.int64)
+    rows = curve._table_row(D, mus[:, None, 0] + nus[:, 0],
+                            mus[:, None, 2] + nus[:, 2])
+    return curve._nf_table(D)[rows]

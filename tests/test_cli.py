@@ -363,6 +363,64 @@ def test_undecided_maps_to_exit_three(tmp_path, monkeypatch, capsys):
     assert "undecided" in capsys.readouterr().err
 
 
+def test_field_past_int64_codes_exits_two(tmp_path, capsys):
+    """F_(5^28) has more than 2^63 elements: E_CHAR and exit 2, not a
+    traceback in the coordinate code (whose exit code was the
+    non-member's)."""
+    f = tmp_path / "big.tc"
+    f.write_text("char = 5\next_degree = 28\n"
+                 'cubic = "x^3 + y^3 + z^3"\n'
+                 'generators = ["t*x^2", "y^2", "(t + 1)*z^2"]\n'
+                 'candidate = "x*y*z"\n')
+    for command in ("check", "info"):
+        assert main([command, str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{E_CHAR}]: ") and "2^63" in err
+
+
+def test_splitting_extension_past_the_field_bound_is_undecided(
+        monkeypatch, capsys):
+    """splitting_extension.tc needs F_25; with the field-order bound
+    lowered to 25, decompose_bundle refuses at stage "splitting extension"
+    and tc check and tc decompose exit 3, where they crashed with a
+    FieldError traceback before."""
+    import tcone.bundle as bundle_mod
+    import tcone.field as field_mod
+    from tcone.algebra import UndecidedError
+
+    demo = Path(__file__).resolve().parent.parent / "demos" / "problems"
+    path = demo / "splitting_extension.tc"
+    problem = parse_problem(path.read_text())
+    monkeypatch.setattr(field_mod, "_ORDER_LIMIT", 25)
+    # uncached, so that the lowered bound applies to F_25 as well
+    monkeypatch.setattr(bundle_mod, "make_field", field_mod.Field)
+    with pytest.raises(UndecidedError) as info:
+        bundle_mod.decompose_bundle(bundle_mod.syzygy_bundle(problem.ideal,
+                                                             0))
+    assert (info.value.stage, info.value.size) == ("splitting extension", 2)
+    for argv in (["check", str(path)], ["decompose", str(path)]):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("undecided: splitting the endomorphism algebra "
+                              "needs a degree-2 extension: ")
+
+
+def test_hasse_invariant_past_its_budget_exits_three(tmp_path, capsys):
+    """At p = 65521 the truncated product would take about 8e14 term
+    products: tc info and tc check refuse at once (exit 3), naming the
+    Hasse invariant, and tc decompose, which does not need it, answers."""
+    f = tmp_path / "large_char.tc"
+    f.write_text(FERMAT_CHECK.replace("char = 5", "char = 65521"))
+    for command in ("info", "check"):
+        start = time.perf_counter()
+        assert main([command, str(f)]) == 3
+        assert time.perf_counter() - start < 10
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("undecided: the Hasse invariant")
+    assert main(["decompose", str(f)]) == 0
+
+
 def test_extension_field_problem(tmp_path):
     text = """\
 char = 2

@@ -95,6 +95,19 @@ def test_make_field_errors():
         make_field(65537, 1)  # past the 2^16 bound
 
 
+def test_field_orders_past_int64_codes_are_refused():
+    """Element codes are int64, so q >= 2^63 is refused before the modulus
+    search; the largest powers below the bound are accepted by the same
+    test."""
+    for p, k in [(2, 63), (5, 28), (3, 40), (65521, 4)]:
+        assert p ** k >= 1 << 63
+        with pytest.raises(FieldError, match="2\\^63"):
+            make_field(p, k)
+    for p, k in [(2, 62), (5, 27), (3, 39), (65521, 3)]:
+        assert p ** k < 1 << 63
+    assert make_field(65521, 3).q == 65521 ** 3
+
+
 def test_make_field_shares_one_object_per_field():
     # the default extension degree and an explicit k = 1 are the same field
     assert make_field(5) is make_field(5, 1) is make_field(p=5, k=1)

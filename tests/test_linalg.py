@@ -9,7 +9,8 @@ import pytest
 
 from tcone.algebra import FiniteAlgebra, _is_commutative
 from tcone.field import _TABLE_LIMIT, make_field
-from tcone.linalg import (SpanBasis, _eliminate, nullspace,
+import tcone.linalg as linalg
+from tcone.linalg import (_DENSE_CELLS, SpanBasis, _eliminate, nullspace,
                           row_space_contains, rref, solve)
 
 FIELDS = [(5, 1), (2, 2), (5, 2), (7, 4)]
@@ -26,6 +27,9 @@ def test_fields_cover_every_representation():
              "table" if F.q <= _TABLE_LIMIT else "scalar")
             for F in (make_field(*pk) for pk in FIELDS)}
     assert reps == {"prime", "table", "scalar"}
+    # only scalar-mapped array ops are not vectorised
+    assert [make_field(*pk).vectorised for pk in FIELDS] == \
+        [True, True, True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +85,7 @@ def random_matrix(rng, shape, F, rank=None):
                     dtype=np.int64).reshape(shape)
 
 
-def matrices(F, seed):
+def matrices(F, seed, large=True):
     rng = random.Random(f"{F.p}^{F.k}:{seed}")
     out = [np.zeros(shape, dtype=np.int64) for shape in SHAPES]
     out += [random_matrix(rng, shape, F) for shape in SHAPES]
@@ -96,6 +100,29 @@ def matrices(F, seed):
         sparse[[[rng.random() < 0.8 for _ in range(shape[1])]
                 for _ in range(shape[0])]] = 0
         out.append(sparse)
+    if large and F.vectorised:
+        out += large_matrices(rng, F)
+    return out
+
+
+def large_matrices(rng, F):
+    """Shapes on both sides of linalg._DENSE_CELLS, so that each update
+    rule meets each test, on the fields with array arithmetic (the others
+    always take the sparse rule): matrices of low rank, and banded
+    ones shaped like the Frobenius oracle's systems (twice as many columns
+    as rows, each row a short band shifted two columns down the row
+    above, so each pivot column has few nonzeros)."""
+    assert 64 * 64 <= _DENSE_CELLS < 66 * 64
+    out = [random_matrix(rng, (64, 64), F, rank=6),
+           random_matrix(rng, (66, 64), F, rank=7)]
+    for rows in (44, 46):
+        assert (rows * 2 * rows <= _DENSE_CELLS) == (rows == 44)
+        band = np.zeros((rows, 2 * rows), dtype=np.int64)
+        for i in range(rows):
+            band[i, 2 * i:2 * i + 5] = [rng.randrange(F.q) for _ in range(5)
+                                        ][:2 * rows - 2 * i]
+        band[rows // 2] = band[rows // 3]   # a dependent row
+        out.append(band)
     return out
 
 
@@ -154,6 +181,34 @@ def test_forward_elimination_matches_reference(field):
             assert not m[r + 1:, pc].any()
         # same row space as the reduced form
         assert rref(m[:len(pivots)], field)[0].tolist() == ref
+
+
+def test_dense_and_sparse_rules_agree(field, monkeypatch):
+    """With the cutoff at 0 every matrix takes the sparse rule, with a huge
+    one every matrix on a vectorised field takes the dense rule: the same
+    pivots, rref rows, forward-echelon matrix and row-space answers.  Tall
+    and wide shapes past the default cutoff are added here only, since the
+    rules are compared with each other and not with the scalar reference."""
+    rng = random.Random(f"rules:{field.q}")
+    mats = matrices(field, 5)
+    if field.vectorised:
+        mats += [random_matrix(rng, (700, 6), field),
+                 random_matrix(rng, (120, 40), field, rank=30)]
+    vecs = [np.array([rng.randrange(field.q) for _ in range(mat.shape[1])],
+                     dtype=np.int64) for mat in mats]
+    results = []
+    for cutoff in (0, 10 ** 9):
+        monkeypatch.setattr(linalg, "_DENSE_CELLS", cutoff)
+        got = []
+        for mat, vec in zip(mats, vecs):
+            red, pivots = rref(mat, field)
+            forward = mat.copy()
+            fpiv = _eliminate(forward, field, reduced=False)
+            inside = [row_space_contains(mat.copy(), v, field)
+                      for v in (vec, mat[-1] if len(mat) else vec)]
+            got.append((red.tolist(), pivots, forward.tolist(), fpiv, inside))
+        results.append(got)
+    assert results[0] == results[1]
 
 
 def test_nullspace_matches_reference(field):
@@ -240,7 +295,9 @@ def test_solve_columns_match_one_column_solves(field):
 
 
 def test_span_basis_matches_reference(field):
-    for mat in matrices(field, 3):
+    # SpanBasis runs no `_eliminate`, so the shapes around its cutoff would
+    # only slow the prefix-rank reference down
+    for mat in matrices(field, 3, large=False):
         rows, cols = mat.shape
         span = SpanBasis(cols, field)
         prev = 0

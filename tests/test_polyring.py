@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,8 +7,8 @@ from tcone.polyring import (CubicCurve, IdealData, Polynomial, buchberger,
                             format_polynomial, grevlex_key,
                             hasse_invariant_of, ideal_membership,
                             is_irrelevant_primary, is_smooth_cubic,
-                            mono_divides, monomials_of_degree, normal_form,
-                            parse_polynomial)
+                            mono_divides, mono_mul, monomials_of_degree,
+                            normal_form, parse_polynomial)
 
 from .conftest import ideal_of, pp, random_homogeneous, seeded
 
@@ -258,6 +259,31 @@ def test_hasse_supersingular_families():
         assert hasse_invariant_of(j1728, field).is_zero() == (p % 4 == 3)
 
 
+def test_hasse_invariant_refuses_past_its_budget(monkeypatch):
+    """The work is predicted as (p - 1) p^2 |F| term products before any
+    is taken: a budget one below it refuses, naming the stage and the
+    size, and a budget equal to it computes the invariant."""
+    import tcone.polyring as polyring
+    from tcone.algebra import UndecidedError
+
+    field = make_field(7)
+    F = pp("y^2*z + x*y*z + x^3 + z^3", field)
+    size = 6 * 7 ** 2 * 4
+    monkeypatch.setattr(polyring, "_HASSE_TERMS", size - 1)
+    with pytest.raises(UndecidedError) as info:
+        hasse_invariant_of(F, field)
+    assert (info.value.stage, info.value.size) == ("hasse invariant", size)
+    assert "Hasse invariant" in str(info.value)
+    # the curve's property raises too, and nothing is cached
+    curve = CubicCurve(F, field)
+    with pytest.raises(UndecidedError):
+        curve.supersingular
+    monkeypatch.setattr(polyring, "_HASSE_TERMS", size)
+    e = field.p - 1
+    assert hasse_invariant_of(F, field).code == \
+        (F ** e).terms.get((e, e, e), 0)
+    assert curve.hasse == hasse_invariant_of(F, field)
+
 def _reference_curve_nf(curve, f):
     """Normal form modulo (F), rebuilding F's leading term and negated tail
     on every call."""
@@ -335,6 +361,38 @@ def test_curve_nf_matches_per_call_reference():
             assert list(got.terms.items()) == list(want.terms.items())
             lt = curve.F.leading_monomial()
             assert not any(mono_divides(lt, m) for m in got.terms)
+
+
+
+def test_products_match_the_uncached_gather():
+    """`products` keeps its table rows per (d1, d2) on the curve; every
+    call still equals the gather with the rows recomputed, on each curve
+    of `_nf_test_curves` (the embedded one included), with empty pieces
+    at negative degrees, when called again, and after a caller wrote into
+    an earlier result."""
+    from .reference import reference_products
+
+    pairs = [(0, 0), (1, 2), (2, 1), (3, 3), (0, 4), (-1, 3), (2, -2),
+             (-1, -1), (-3, 5)]
+    for curve in _nf_test_curves():
+        for d1, d2 in pairs:
+            want = reference_products(curve, d1, d2)
+            first = curve.products(d1, d2)
+            assert first.shape == (curve.piece_dim(d1), curve.piece_dim(d2),
+                                   curve.piece_dim(d1 + d2))
+            assert np.array_equal(first, want)
+            first += 1
+            again = curve.products(d1, d2)
+            assert again is not first
+            assert np.array_equal(again, want)
+        # one entry against the normal form it stands for
+        mu, nu = curve.piece_monomials(2)[-1], curve.piece_monomials(3)[0]
+        index = curve.piece_index(5)
+        row = np.zeros(curve.piece_dim(5), dtype=np.int64)
+        for m, c in curve.nf(Polynomial(curve.field, {mono_mul(mu, nu): 1})
+                             ).terms.items():
+            row[index[m]] = c
+        assert np.array_equal(curve.products(2, 3)[-1, 0], row)
 
 
 # -- membership ---------------------------------------------------------------
