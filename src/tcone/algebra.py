@@ -125,14 +125,17 @@ def _berlekamp_split(g, f):
         if len(b) <= 1:
             continue  # constants split nothing
         new_factors = []
-        for fac in factors:
+        for i, fac in enumerate(factors):
             if len(fac) - 1 <= 1:
                 new_factors.append(fac)
                 continue
             pieces = []
             rest = fac
             for c in range(f.q):
-                if len(rest) - 1 <= 0:
+                # rest is irreducible once it is linear, or once the
+                # factors found so far, rest among them, number r
+                if len(rest) - 1 <= 1 or (len(new_factors) + len(pieces) + 1
+                                          + len(factors) - i - 1 == r):
                     break
                 h = ugcd(rest, usub(b, [c], f), f)
                 if 1 <= len(h) - 1 < len(rest) - 1:

@@ -32,8 +32,8 @@ criterion.  Its normal forms come one p-th power at a time.  A K-point
 off the curve is moved to (1:0:0) first (`_moved_off_curve`), so lt(F) =
 x^3 and R is a free K[y, z]-module on 1, x, x^2: the rows of each power
 are (y, z)-shifts of three normal forms, and monomial rows fix their
-columns, which leave the system before it is allocated
-(`_frobenius_system`).  No normal-form table is built.
+columns, which leave the system (`_frobenius_system`).  The system stays
+sparse, rows keyed by their leads, and no normal-form table is built.
 """
 
 from __future__ import annotations
@@ -41,13 +41,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .algebra import UndecidedError
 from .bundle import decompose_bundle, syzygy_bundle
 from .gradedmod import PieceFrame, TwistedFree, _minimal_generators
-from .linalg import nullspace, row_space_contains, rref, solve
+from .linalg import (nullspace, row_space_contains, rref, solve,
+                     sparse_row_space_contains)
 from .polyring import (CubicCurve, IdealData, Polynomial,
                        format_polynomial, grevlex_key, ideal_membership,
                        mono_divides)
@@ -174,10 +176,10 @@ def tight_closure_member(ideal: IdealData, f0: Polynomial) -> ClosureCertificate
 # ---------------------------------------------------------------------------
 
 # The oracle refuses a degree whose full dense membership matrix (int64
-# codes; an upper bound on what it allocates) would take more than this,
-# and the obstruction map a degree whose solve or span-test matrix, with
-# its largest normal-form table, would; each size is predicted before
-# allocation.
+# codes; its sparse rows hold at most that many entries) would take more
+# than this, and the obstruction map a degree whose solve or span-test
+# matrix, with its largest normal-form table, would; each size is
+# predicted before allocation.
 _MATRIX_BYTES = 512 << 20
 
 
@@ -186,15 +188,22 @@ def _ideal_piece_rows(curve: CubicCurve, gens, D: int) -> np.ndarray:
     return PieceFrame(curve, (0,), D).multiples([(g,) for g in gens])
 
 
-def _column_table(curve: CubicCurve, D: int) -> np.ndarray:
+@lru_cache(maxsize=256)
+def _column_table(D: int) -> np.ndarray:
     """(3, D + 1) array: entry (a, c) is the column of x^a y^(D-a-c) z^c
     in `piece_monomials(D)`, or -1 where that monomial is not in the basis.
 
-    Meant for lt(F) = x^3, where every basis monomial has x-degree at most 2.
+    Meant for lt(F) = x^3, where the basis monomials are those of x-degree
+    at most 2, listed z ascending and then x descending: the ones with z^c
+    are x^top .. x^0 with top = min(2, D - c), from column start(c).  The
+    same few degrees recur in every search, so tables are cached, and read
+    only.
     """
-    table = np.full((3, D + 1), -1, dtype=np.int64)
-    for j, (a, _, c) in enumerate(curve.piece_monomials(D)):
-        table[a, c] = j
+    top = np.minimum(D - np.arange(D + 1), 2)
+    start = np.cumsum(top + 1) - (top + 1)
+    a = np.arange(3)[:, None]
+    table = np.where(a <= top, start + top - a, -1)
+    table.flags.writeable = False
     return table
 
 
@@ -203,9 +212,10 @@ def _frobenius_system(curve: CubicCurve, powered, target: Polynomial,
     """The oracle's degree-D membership system, for lt(F) = x^3.
 
     Returns (rows, vec): target lies in the degree-D piece of the ideal of
-    the reduced forms powered exactly when vec lies in the row space of
-    rows.  With lt(F) = x^3 every tail term of F has x-degree at most 2,
-    so a basis monomial of R times y or z is again one, and
+    the reduced forms powered exactly when the dense vector vec lies in
+    the row space of the sparse rows, as `linalg.sparse_row_space_contains`
+    takes them.  With lt(F) = x^3 every tail term of F has x-degree at
+    most 2, so a basis monomial of R times y or z is again one, and
     nf(y^b z^c P) = y^b z^c nf(P): R is free over K[y, z] on 1, x, x^2.
     The row of a multiplier x^a y^b z^c of a power h is therefore
     base_a = nf(x^a h) shifted by z^c (the y-exponent follows from the
@@ -213,48 +223,63 @@ def _frobenius_system(curve: CubicCurve, powered, target: Polynomial,
     A base with one term makes each of its shifts a unit row c e_j; as e_j
     is then in the row space, those rows are left out and their columns j
     dropped from the other rows and from the target, which changes no
-    answer and no rank beyond the count of the dropped columns.  The
-    remaining rows keep, power by power, the multipliers'
-    `piece_monomials` order, and are written by one scatter into one
-    preallocated array.
+    answer and no rank beyond the count of the dropped columns.
+
+    The entries of the remaining rows are gathered as (row, column,
+    value) triplets, and no dense array is built.  Rows are numbered power
+    by power, then by a, then by c.  The columns keep `piece_monomials`
+    order, or are reversed (in vec too) when more rows then have distinct
+    leads, that is, distinct first columns; the more rows with a new lead,
+    the fewer the elimination reduces.  The rows are then sorted by lead,
+    rows with equal leads in their numbered order, and rows left empty by
+    the dropped columns come last.
     """
-    col = _column_table(curve, D)
+    col = _column_table(D)
     fixed = np.zeros(curve.piece_dim(D), dtype=bool)
-    parts = []                            # (row of each multiplier, at, coeffs)
-    n_rows = 0
+    parts = []                    # (at, coeffs) of each base of 2+ terms
     for h in powered:
         K = D - h.degree()
-        if K < 0:
-            continue
-        pos = _column_table(curve, K)
-        keep = np.zeros(curve.piece_dim(K), dtype=bool)
-        bases = []
-        for a in range(min(K, 2) + 1):
+        for a in range(min(K, 2) + 1):    # none when K < 0
             base = curve.nf(h.term_mul((a, 0, 0), 1))
             terms = np.array(list(base.terms), dtype=np.int64)
-            cs = np.arange(K - a + 1)     # z-exponents of the multipliers
-            # at[i, k]: column of term k of base, shifted by z^cs[i]
-            at = col[terms[:, 0], terms[:, 2] + cs[:, None]]
+            # at[c, k]: column of term k of base, shifted by z^c
+            at = col[terms[:, 0], terms[:, 2] + np.arange(K - a + 1)[:, None]]
             if len(terms) == 1:
                 fixed[at[:, 0]] = True
             else:
-                keep[pos[a, cs]] = True
-                coeffs = np.array(list(base.terms.values()), dtype=np.int64)
-                bases.append((pos[a, cs], at, coeffs))
-        rank = n_rows + np.cumsum(keep) - 1
-        parts += [(rank[r], at, coeffs) for r, at, coeffs in bases]
-        n_rows += int(keep.sum())
-    new_col = np.cumsum(~fixed) - 1
-    rows = np.zeros((n_rows, int((~fixed).sum())), dtype=np.int64)
+                parts.append(
+                    (at, np.array(list(base.terms.values()), dtype=np.int64)))
+    kept = ~fixed
+    n_rows = sum(len(at) for at, _ in parts)
+    n_cols = int(kept.sum())
+    vec = PieceFrame(curve, (0,), D).coords((target,))[kept]
+    r = c = v = np.zeros(0, dtype=np.int64)
     if parts:
-        r = np.concatenate([np.repeat(p, at.shape[1]) for p, at, _ in parts])
-        c = np.concatenate([at.ravel() for _, at, _ in parts])
-        v = np.concatenate([np.tile(coeffs, at.shape[0])
-                            for _, at, coeffs in parts])
-        live = ~fixed[c]
-        rows[r[live], new_col[c[live]]] = v[live]
-    vec = PieceFrame(curve, (0,), D).coords((target,))[~fixed]
-    return rows, vec
+        r = np.repeat(np.arange(n_rows),
+                      np.repeat([at.shape[1] for at, _ in parts],
+                                [len(at) for at, _ in parts]))
+        c = np.concatenate([at.ravel() for at, _ in parts])
+        v = np.concatenate([np.repeat(coeffs[None], len(at), axis=0).ravel()
+                            for at, coeffs in parts])
+        live = kept[c]
+        r, c, v = r[live], (np.cumsum(kept) - 1)[c[live]], v[live]
+    # each row's first and last column, its lead in either order
+    first = np.full(n_rows, n_cols)
+    np.minimum.at(first, r, c)
+    last = np.full(n_rows, -1)
+    np.maximum.at(last, r, c)
+    filled = last >= 0
+    if len(set(last[filled].tolist())) > len(set(first[filled].tolist())):
+        c = n_cols - 1 - c
+        vec = vec[::-1].copy()
+        first[filled] = n_cols - 1 - last[filled]
+    # rows by lead, stably, with empty rows (lead n_cols) last
+    place = np.empty(n_rows, dtype=np.int64)
+    place[np.argsort(first, kind="stable")] = np.arange(n_rows)
+    r = place[r]
+    order = np.argsort(r * n_cols + c)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=n_rows))))
+    return (indptr, c[order], v[order]), vec
 
 
 def frobenius_member(ideal: IdealData, f0: Polynomial,
@@ -266,13 +291,14 @@ def frobenius_member(ideal: IdealData, f0: Polynomial,
     generator's p^e-th power come one p-th power at a time: in
     characteristic p, nf(nf(h)^[p]) = nf(h^p), with h^[p] the exact
     single-term expansion, so no Groebner computation at large degree is
-    needed.  At D = p^e deg(f0) the target is reduced against the forward
-    echelon form of rows spanning the powers' ideal in R_D (3D monomials,
-    generated directly): shifts of three normal forms per power
-    (`_frobenius_system`), after a change of coordinates to lt(F) = x^3
-    where needed (`_moved_off_curve`).  Before each degree the size of the
-    full matrix of all multiples is predicted, an upper bound on what is
-    allocated; past 512 MiB the search stops, inconclusive, and the result
+    needed.  At D = p^e deg(f0) the target is reduced against sparse rows
+    spanning the powers' ideal in R_D (3D monomials, generated directly):
+    shifts of three normal forms per power (`_frobenius_system`), after a
+    change of coordinates to lt(F) = x^3 where needed (`_moved_off_curve`),
+    whose leads key the pivots of `sparse_row_space_contains`.  Before
+    each degree the size of the full dense matrix of all multiples is
+    predicted; the sparse rows hold at most as many entries as it has
+    cells.  Past 512 MiB the search stops, inconclusive, and the result
     names that e and D ("inconclusive: stopped at e = ..., D = ...").
     """
     if e_max < 0:
@@ -300,8 +326,7 @@ def frobenius_member(ideal: IdealData, f0: Polynomial,
             target = curve.nf(target.frobenius_power(1))
             powered = [curve.nf(h.frobenius_power(1)) for h in powered]
         rows, vec = _frobenius_system(curve, powered, target, D)
-        # the rows are built here, so they are eliminated in place
-        if row_space_contains(rows, vec, curve.field):
+        if sparse_row_space_contains(rows, vec, curve.field):
             return FrobeniusResult(True, e, e_max)
     return FrobeniusResult(False, None, e_max)
 

@@ -262,7 +262,17 @@ class Field:
             return pow(a, -1, self.p)
         if self._inv_table is not None:
             return int(self._inv_table[a])
-        return self.pow(a, self.q - 2)
+        # extended Euclid on the digit polynomials: s * a = r mod modulus,
+        # until r is a nonzero constant
+        Fp = make_field(self.p)
+        r0, r1 = list(self.modulus), self._decode(a)
+        s0, s1 = [], [1]
+        while len(ustrip(r1)) > 1:
+            quo, rem = udivmod(r0, r1, Fp)
+            r0, r1 = r1, rem
+            s0, s1 = s1, usub(s0, umul(quo, s1, Fp), Fp)
+        c = pow(r1[0], -1, self.p)
+        return self._encode([x * c for x in s1])
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

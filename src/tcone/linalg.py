@@ -1,11 +1,12 @@
 """Exact linear algebra over the finite fields of :mod:`tcone.field`.
 
-Matrices are numpy int64 arrays of element codes.  Elimination is written
-once, in `_eliminate`, on the array ops of :class:`tcone.field.Field`, which
-alone know how an element is stored; a graded-piece span is the
-(rows, pivots) pair of its `rref`.  All routines are deterministic: reduced
-row echelon form is canonical, and nullspace bases are ordered by free
-column.
+Matrices are numpy int64 arrays of element codes.  Dense elimination is
+written once, in `_eliminate`, on the array ops of :class:`tcone.field.Field`,
+which alone know how an element is stored; a graded-piece span is the
+(rows, pivots) pair of its `rref`.  Large systems of sparse rows, the
+Frobenius oracle's, are decided by `sparse_row_space_contains` without a
+dense matrix.  All routines are deterministic: reduced row echelon form is
+canonical, and nullspace bases are ordered by free column.
 """
 
 from __future__ import annotations
@@ -28,12 +29,14 @@ def as_matrix(rows, ncols: int) -> np.ndarray:
 # update of whole rows; larger ones update only the rows and columns that
 # change.  Graded-piece matrices are mostly a few dozen cells (median 4 x 5),
 # where finding those rows and columns costs more numpy calls than the
-# arithmetic they save; the Frobenius oracle's systems (up to 1875 x 3750,
-# few nonzeros per column) are the other way round.  Replaying the
-# eliminations of seeded benchmark problems, the dense rule was faster up to
-# 2048 cells, level to 4096 and slower beyond.  Fields whose array ops map
-# scalar ops over the entries pay per cell, not per call, so they always
-# take the sparse rule.
+# arithmetic they save; large sparse matrices are the other way round.
+# Replaying the eliminations of seeded benchmark problems, the dense rule
+# was faster up to 2048 cells, level to 4096 and slower beyond.  Fields
+# whose array ops map scalar ops over the entries pay per cell, not per
+# call, so they always take the sparse rule.  Sparse systems of at most
+# this many cells are filled in and eliminated here too: on the oracle's
+# small systems of seeded benchmark problems, `sparse_row_space_contains`
+# without that took 1.6 to 2 times as long.
 _DENSE_CELLS = 4096
 
 
@@ -160,6 +163,74 @@ def row_space_contains(rows: np.ndarray, vec: np.ndarray, field: Field) -> bool:
     """
     pivots = _eliminate(rows, field, reduced=False)
     return not reduce_against(rows, pivots, vec, field).any()
+
+
+def _reduce_lead(w: np.ndarray, pivots: dict, field: Field):
+    """Reduce the dense vector w in place until its lead (first nonzero
+    column) is no pivot's; return that lead, or None once w vanishes.
+    pivots maps a lead column to (cols, vals) of a row with lead 1 there.
+    """
+    pos = 0
+    while True:
+        nz = np.flatnonzero(w[pos:])
+        if nz.size == 0:
+            return None
+        lead = pos + int(nz[0])
+        if lead not in pivots:
+            return lead
+        cols, vals = pivots[lead]
+        w[cols] = field.axpy(w[cols], int(w[lead]), vals)
+        pos = lead + 1
+
+
+def sparse_row_space_contains(rows, vec: np.ndarray, field: Field) -> bool:
+    """Membership of the dense vec in the row space of sparse rows.
+
+    rows is (indptr, cols, vals), int64 arrays in compressed-row form: row
+    i has the nonzero entries vals[indptr[i]:indptr[i + 1]] in the strictly
+    ascending columns cols[indptr[i]:indptr[i + 1]], and its first column
+    is its lead; a row may have no entries.  Pivots are keyed by lead.  The
+    first row of each lead becomes a pivot, scaled to lead 1, all in one
+    vectorised step; every other row is reduced until its lead is new,
+    when it becomes a pivot too, or until it vanishes.  The pivots are
+    then an echelon basis of the row space, so vec, reduced the same way,
+    vanishes exactly when it lies in it.  Nothing of size rows x columns is
+    allocated, unless that is at most `_DENSE_CELLS` cells: such systems
+    are filled in and go to `row_space_contains`, which is faster there.
+    """
+    indptr, cols, vals = rows
+    n, ncols = len(indptr) - 1, vec.shape[0]
+    starts, lens = indptr[:-1], np.diff(indptr)
+    if n * ncols <= _DENSE_CELLS:
+        dense = np.zeros((n, ncols), dtype=np.int64)
+        dense[np.repeat(np.arange(n), lens), cols] = vals
+        return row_space_contains(dense, vec, field)
+    filled = np.flatnonzero(lens)
+    _, first = np.unique(cols[starts[filled]], return_index=True)
+    heads = filled[first]
+    # the heads' entries, gathered into one array, each row scaled by the
+    # inverse of its lead
+    head_lens = lens[heads]
+    bounds = np.concatenate(([0], np.cumsum(head_lens)))
+    at = (np.arange(bounds[-1])
+          + np.repeat(starts[heads] - bounds[:-1], head_lens))
+    lead_vals = vals[starts[heads]].tolist()
+    inverse = {v: field.inv(v) for v in set(lead_vals)}
+    scale = np.array([inverse[v] for v in lead_vals], dtype=np.int64)
+    head_cols = cols[at]
+    head_vals = field.vmul(vals[at], np.repeat(scale, head_lens))
+    bounds = bounds.tolist()
+    pivots = {lead: (head_cols[s:e], head_vals[s:e])
+              for lead, s, e in zip(cols[starts[heads]].tolist(),
+                                    bounds[:-1], bounds[1:])}
+    for i in np.setdiff1d(filled, heads).tolist():
+        w = np.zeros(ncols, dtype=np.int64)
+        w[cols[indptr[i]:indptr[i + 1]]] = vals[indptr[i]:indptr[i + 1]]
+        lead = _reduce_lead(w, pivots, field)
+        if lead is not None:
+            nz = np.flatnonzero(w)
+            pivots[lead] = (nz, field.vmul(w[nz], field.inv(int(w[lead]))))
+    return _reduce_lead(vec.copy(), pivots, field) is None
 
 
 class SpanBasis:

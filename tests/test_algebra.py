@@ -248,6 +248,21 @@ def test_ufactor_reassembles():
                 assert len(ufactor(g, field)) == 1
 
 
+def test_ufactor_stops_once_the_factors_are_irreducible(monkeypatch):
+    # (t - 1)(t - 2) over F_625: the first scalar that splits the product
+    # leaves a linear rest, and the scan over the 625 scalars stops there
+    # instead of taking a gcd for every one of them
+    from tcone import algebra
+    F = make_field(5, 4)
+    calls = []
+    real = algebra.ugcd
+    monkeypatch.setattr(algebra, "ugcd",
+                        lambda *args: calls.append(args) or real(*args))
+    fac = ufactor(umul([F.neg(1), 1], [F.neg(2), 1], F), F)
+    assert fac == [([F.neg(2), 1], 1), ([F.neg(1), 1], 1)]
+    assert len(calls) <= 10
+
+
 def test_ufactor_known_split():
     F5 = make_field(5)
     # t^2 - 1 = (t+1)(t+4)... i.e. (t-1)(t+1)

@@ -13,7 +13,8 @@ from tcone.closure import (FrobeniusResult, frobenius_member,
                            _ideal_piece_rows)
 from tcone.field import make_field
 from tcone.gradedmod import PieceFrame
-from tcone.linalg import SpanBasis, reduce_against, row_space_contains, rref
+from tcone.linalg import (SpanBasis, reduce_against, row_space_contains, rref,
+                          sparse_row_space_contains)
 from tcone.polyring import (CubicCurve, IdealData, Polynomial,
                             format_polynomial, ideal_membership,
                             parse_polynomial)
@@ -123,28 +124,67 @@ def _rank(rows, field):
     return len(rref(rows, field)[1])
 
 
+def _densify(rows, ncols):
+    """The dense matrix of sparse rows (indptr, cols, vals), as
+    `linalg.sparse_row_space_contains` takes them."""
+    indptr, cols, vals = rows
+    out = np.zeros((len(indptr) - 1, ncols), dtype=np.int64)
+    out[np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), cols] = vals
+    return out
+
+
+def _leads(mat):
+    """Column of each row's first nonzero entry; the width for zero rows."""
+    stop = np.ones((mat.shape[0], 1), dtype=bool)
+    return np.hstack([mat != 0, stop]).argmax(axis=1)
+
+
 def _check_system(curve, powered, target, D):
     """_frobenius_system against the reference route, the full system of
     every monomial multiple, one normal form per row (no normal-form
     table, which at D = 98 would take 12 MB and seconds); returns the
     answer and the number of fixed columns."""
     field = curve.field
-    rows, vec = _frobenius_system(curve, powered, target, D)
+    sparse, vec = _frobenius_system(curve, powered, target, D)
     frame = PieceFrame(curve, (0,), D)
     full = reference_multiples(frame, [(h,) for h in powered])
     full_vec = frame.coords((target,))
-    answer = row_space_contains(rows.copy(), vec, field)
+    answer = sparse_row_space_contains(sparse, vec, field)
     assert answer == row_space_contains(full.copy(), full_vec, field)
+    rows = _densify(sparse, len(vec))
     n_fixed = full.shape[1] - rows.shape[1]
     assert _rank(rows, field) + n_fixed == _rank(full, field)
     # exactly: the reference's unit rows fix their columns, and the other
-    # rows, in order, lose those columns
+    # rows, in order, lose those columns, once the documented order is
+    # undone: rows numbered by (power, x-exponent a, z-exponent c) of
+    # their multipliers x^a y^b z^c, columns reversed when more rows then
+    # have distinct leads, rows sorted by lead (stably), empty rows last
     unit = np.count_nonzero(full, axis=1) == 1
     fixed = np.zeros(full.shape[1], dtype=bool)
     fixed[np.nonzero(full[unit])[1]] = True
-    assert np.array_equal(rows, full[~unit][:, ~fixed])
+    expect = full[~unit][:, ~fixed]
+    mults = np.array([(k, a, c) for k, h in enumerate(powered)
+                      for a, _, c in curve.piece_monomials(D - h.degree())],
+                     dtype=np.int64).reshape(-1, 3)[~unit]
+    numbered = np.lexsort((mults[:, 2], mults[:, 1], mults[:, 0]))
+    ordered = expect[numbered]
+    filled = ordered.any(axis=1)
+    forward, backward = _leads(ordered), _leads(ordered[:, ::-1])
+    if len(set(backward[filled])) > len(set(forward[filled])):
+        rows, vec, forward = rows[:, ::-1], vec[::-1], backward
+    undone = np.empty_like(rows)
+    undone[numbered[np.argsort(forward, kind="stable")]] = rows
+    assert np.array_equal(undone, expect)
     assert np.array_equal(vec, full_vec[~fixed])
     return answer, n_fixed
+
+
+def test_column_table_matches_piece_monomials(fermat5):
+    for D in range(12):
+        table = np.full((3, D + 1), -1)
+        for j, (a, _, c) in enumerate(fermat5.piece_monomials(D)):
+            table[a, c] = j
+        assert np.array_equal(closure._column_table(D), table)
 
 
 def _x_cubed_curves(field):
@@ -306,6 +346,26 @@ def test_oracle_builds_no_normal_form_table(monkeypatch):
         "sheared_fermat5": FrobeniusResult(True, 1, 4)}
     assert problems["sheared_duplicate_generator"].curve.F \
         .leading_monomial() == (2, 1, 0)
+
+
+def test_oracle_memory_stays_below_the_dense_system():
+    # at D = 1875 the dense system of duplicate_generator.tc was
+    # 1875 x 3750 int64 codes, 56 MB; its sparse rows hold about 60
+    # entries each.  The warm-up call fills the per-degree caches (the
+    # piece index, the curve's memoised data), which later calls reuse.
+    import tracemalloc
+    from tcone.cli import parse_problem
+    demo = Path(__file__).resolve().parent.parent / "demos" / "problems"
+    prob = parse_problem((demo / "duplicate_generator.tc").read_text())
+    frobenius_member(prob.ideal, prob.candidate)
+    tracemalloc.start()
+    try:
+        result = frobenius_member(prob.ideal, prob.candidate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == FrobeniusResult(False, None, 4)
+    assert peak < 28 << 20
 
 
 # (field, cubic with lt(F) != x^3, the first point off it): points of the

@@ -294,6 +294,23 @@ def test_tableless_mul_matches_reference(p, k):
         assert F.mul(a, b) == _ref_mul(F, a, b)
 
 
+@pytest.mark.parametrize("p,k,count", [(7, 4, 200), (5, 27, 12), (2, 40, 12)])
+def test_tableless_inverse_matches_fermat_power(p, k, count):
+    # the extended Euclidean inverse against a^(q - 2), about 2 log2(q)
+    # digit-list products each, on constants, the generator t (code p),
+    # t^(k - 1) and random elements
+    F = make_field(p, k)
+    assert F._inv_table is None
+    rng = random.Random(p * 100 + k)
+    for a in [1, p - 1, p, p ** (k - 1)] + [rng.randrange(1, F.q)
+                                         for _ in range(count)]:
+        inv = F.inv(a)
+        assert inv == F.pow(a, F.q - 2)
+        assert F.mul(a, inv) == 1
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+
+
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 4), (5, 2), (7, 2), (5, 4)])
 def test_tables_match_reference_multiply(p, k):
     """The add, neg, mul and inv tables equal tables built from the

@@ -11,7 +11,8 @@ from tcone.algebra import FiniteAlgebra, _is_commutative
 from tcone.field import _TABLE_LIMIT, make_field
 import tcone.linalg as linalg
 from tcone.linalg import (_DENSE_CELLS, SpanBasis, _eliminate, nullspace,
-                          row_space_contains, rref, solve)
+                          row_space_contains, rref, solve,
+                          sparse_row_space_contains)
 
 FIELDS = [(5, 1), (2, 2), (5, 2), (7, 4)]
 SHAPES = [(0, 3), (3, 0), (1, 1), (4, 4), (3, 6), (6, 3), (5, 5)]
@@ -209,6 +210,70 @@ def test_dense_and_sparse_rules_agree(field, monkeypatch):
             got.append((red.tolist(), pivots, forward.tolist(), fpiv, inside))
         results.append(got)
     assert results[0] == results[1]
+
+
+def sparse_systems(rng, F):
+    """Matrices of sparse rows: no rows, zero rows, and rows of one to four
+    nonzeros of which about half are combinations of two or three others,
+    so that leads are shared, reductions fill in and some rows vanish; the
+    last two shapes are past `_DENSE_CELLS`."""
+    out = [np.zeros((0, 6), dtype=np.int64), np.zeros((0, 80), dtype=np.int64),
+           np.zeros((3, 6), dtype=np.int64)]
+    for rows, cols in [(6, 10), (20, 30), (40, 120), (70, 90)]:
+        base = np.zeros((rows // 2, cols), dtype=np.int64)
+        for row in base:
+            at = rng.sample(range(cols), rng.randint(1, 4))
+            row[at] = [rng.randrange(1, F.q) for _ in at]
+        mixed = []
+        for _ in range(rows - len(base) - 1):
+            mix = np.zeros(cols, dtype=np.int64)
+            for i in rng.sample(range(len(base)), rng.randint(2, 3)):
+                mix = F.vadd(mix, F.vmul(rng.randrange(1, F.q), base[i]))
+            mixed.append(mix)
+        mat = np.vstack([base, mixed, np.zeros((1, cols), dtype=np.int64)])
+        out.append(mat[rng.sample(range(rows), rows)])
+    assert [m.size > _DENSE_CELLS for m in out[-2:]] == [True, True]
+    return out
+
+
+def sparse_form(mat):
+    """mat's rows as (indptr, cols, vals), the input of
+    `sparse_row_space_contains`."""
+    r, c = np.nonzero(mat)
+    counts = np.count_nonzero(mat, axis=1)
+    return np.concatenate(([0], np.cumsum(counts))), c, mat[r, c]
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (5, 1), (7, 1), (5, 2)])
+def test_sparse_row_space_contains_matches_dense(p, k, monkeypatch):
+    """Against `row_space_contains`, in both column orders, with a zero
+    target, a combination of the rows, a random sparse vector and a
+    combination plus a unit vector; with the cutoff at 0 even the small
+    systems and those with no rows take the sparse route."""
+    F = make_field(p, k)
+    rng = random.Random(f"sparse:{p}^{k}")
+    answers = set()
+    for mat in sparse_systems(rng, F):
+        for m in (mat, np.ascontiguousarray(mat[:, ::-1])):
+            rows, cols = m.shape
+            comb = np.zeros(cols, dtype=np.int64)
+            for row in m:
+                comb = F.vadd(comb, F.vmul(rng.randrange(F.q), row))
+            unit = np.zeros(cols, dtype=np.int64)
+            unit[rng.randrange(cols)] = rng.randrange(1, F.q)
+            loose = np.zeros(cols, dtype=np.int64)
+            at = rng.sample(range(cols), min(cols, 3))
+            loose[at] = [rng.randrange(1, F.q) for _ in at]
+            for vec in (np.zeros(cols, dtype=np.int64), comb, loose,
+                        F.vadd(comb, unit)):
+                expect = row_space_contains(m.copy(), vec, F)
+                answers.add(expect)
+                for cutoff in (_DENSE_CELLS, 0):
+                    monkeypatch.setattr(linalg, "_DENSE_CELLS", cutoff)
+                    assert sparse_row_space_contains(sparse_form(m), vec,
+                                                     F) == expect
+                monkeypatch.setattr(linalg, "_DENSE_CELLS", _DENSE_CELLS)
+    assert answers == {True, False}
 
 
 def test_nullspace_matches_reference(field):
