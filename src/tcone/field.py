@@ -29,6 +29,13 @@ class FieldError(ValueError):
 # which the array ops of Field use for vectorised arithmetic
 _TABLE_LIMIT = 1024
 
+# table fields with at most this many elements also keep their mul and add
+# tables as nested Python lists (`Field.list_tables`), for loops over
+# single elements, where indexing a list is cheaper than the scalar ops'
+# numpy lookups; as lists the two tables of F_625 take 20 MB (6 MB as
+# arrays) and those of F_1024 64 MB, so larger fields keep the arrays only
+_LIST_TABLE_LIMIT = 256
+
 # matrices hold element codes as int64, so every code, and the order, must
 # stay below this
 _ORDER_LIMIT = 1 << 63
@@ -186,10 +193,13 @@ class Field:
 
     Immutable; obtain instances through :func:`make_field` so that equal
     parameters share one object (embeddings are memoised per field pair).
+    `list_tables` is the pair (mul, add) of lookup tables as nested Python
+    lists on table fields of at most `_LIST_TABLE_LIMIT` elements, else
+    None.
     """
 
     __slots__ = ("p", "k", "q", "modulus", "_mul_table", "_inv_table",
-                 "_add_table", "_neg_table", "_embed_cache")
+                 "_add_table", "_neg_table", "list_tables", "_embed_cache")
 
     def __init__(self, p: int, k: int):
         if not _is_prime(p):
@@ -209,6 +219,7 @@ class Field:
         self._inv_table = None
         self._add_table = None
         self._neg_table = None
+        self.list_tables = None
         self._embed_cache = {}
         if 1 < self.q <= _TABLE_LIMIT and k > 1:
             self._build_tables()
@@ -317,18 +328,14 @@ class Field:
         inv[1:] = exp[q - 1 - log[1:]]
         self._neg_table = -digits % p @ place
         self._add_table, self._mul_table, self._inv_table = add, mul, inv
+        if q <= _LIST_TABLE_LIMIT:
+            self.list_tables = (mul.tolist(), add.tolist())
 
     # -- array arithmetic -------------------------------------------------------
     # Elementwise (numpy-broadcasting) ops on int64 arrays of codes, the one
     # place that knows how elements are stored: mod-p numpy for prime fields,
     # lookup tables up to _TABLE_LIMIT elements, and the scalar ops above
     # mapped over the entries beyond that.
-
-    @property
-    def vectorised(self) -> bool:
-        """True when the array ops are numpy arithmetic (prime and table
-        fields), False when they map the scalar ops over the entries."""
-        return self.k == 1 or self._mul_table is not None
 
     def _map(self, op, *arrays):
         return np.vectorize(op, otypes=[np.int64])(*arrays)

@@ -1,12 +1,14 @@
 """Exact linear algebra over the finite fields of :mod:`tcone.field`.
 
 Matrices are numpy int64 arrays of element codes.  Dense elimination is
-written once, in `_eliminate`, on the array ops of :class:`tcone.field.Field`,
-which alone know how an element is stored; a graded-piece span is the
-(rows, pivots) pair of its `rref`.  Large systems of sparse rows, the
-Frobenius oracle's, are decided by `sparse_row_space_contains` without a
-dense matrix.  All routines are deterministic: reduced row echelon form is
-canonical, and nullspace bases are ordered by free column.
+written once, in `_eliminate`, with two update rules: small matrices go
+through Python lists, on mod-p arithmetic or the list tables of
+:class:`tcone.field.Field`, and the others through the Field's array ops,
+which alone know how an element is stored in an array.  A graded-piece
+span is the (rows, pivots) pair of its `rref`.  Large systems of sparse
+rows, the Frobenius oracle's, are decided by `sparse_row_space_contains`
+without a dense matrix.  All routines are deterministic: reduced row
+echelon form is canonical, and nullspace bases are ordered by free column.
 """
 
 from __future__ import annotations
@@ -25,18 +27,19 @@ def as_matrix(rows, ncols: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
 
 
-# Matrices with at most this many cells clear each pivot column with one
-# update of whole rows; larger ones update only the rows and columns that
-# change.  Graded-piece matrices are mostly a few dozen cells (median 4 x 5),
-# where finding those rows and columns costs more numpy calls than the
-# arithmetic they save; large sparse matrices are the other way round.
-# Replaying the eliminations of seeded benchmark problems, the dense rule
-# was faster up to 2048 cells, level to 4096 and slower beyond.  Fields
-# whose array ops map scalar ops over the entries pay per cell, not per
-# call, so they always take the sparse rule.  Sparse systems of at most
-# this many cells are filled in and eliminated here too: on the oracle's
-# small systems of seeded benchmark problems, `sparse_row_space_contains`
-# without that took 1.6 to 2 times as long.
+# Matrices with at most this many cells, over prime fields and table
+# fields with list tables (`Field.list_tables`), are eliminated on Python
+# lists; larger ones, and the other fields, with numpy on the rows and
+# columns that change.  Graded-piece matrices are mostly a few dozen cells
+# (median 25), where each numpy call costs more than the arithmetic it
+# does; large sparse matrices are the other way round.  Replaying every
+# elimination of 300 seeded closure and membership problems and 80
+# frobenius problems, the list rule was 1.6 to 4.8 times as fast as the
+# numpy rule up to 3072 cells, level from 3072 to 4096 (a handful of tall
+# matrices of low rank) and 1.1 to 2 times as slow beyond.  Sparse systems
+# of at most this many cells are filled in and eliminated here too: on
+# the oracle's small systems of seeded benchmark problems,
+# `sparse_row_space_contains` without that took 1.6 to 2 times as long.
 _DENSE_CELLS = 4096
 
 
@@ -47,59 +50,95 @@ def _eliminate(m: np.ndarray, field: Field, reduced: bool):
     c, so the pivot row is too.  With reduced=True the pivot column is
     cleared in every other row (reduced echelon form); with reduced=False
     only in the rows below (echelon form, pivots 1).  The nonzero rows come
-    first.  Both update rules give the same matrix: the dense one scales
-    the whole pivot row (unless the pivot is 1) and subtracts multiples of
-    it from whole rows, where a zero factor leaves a row as it is; the
-    sparse one scales and subtracts only the live columns, those where the
-    pivot row is nonzero, in the rows that are nonzero in column c.
+    first.  Both update rules give the same matrix: they scale the pivot
+    row and subtract multiples of it only in its nonzero columns, from the
+    rows that are nonzero in column c, one element at a time on lists
+    (`_eliminate_lists`) or all at once on arrays.
     """
+    if m.size <= _DENSE_CELLS and (field.k == 1
+                                   or field.list_tables is not None):
+        return _eliminate_lists(m, field, reduced)
     rows, cols = m.shape
-    dense = field.vectorised and m.size <= _DENSE_CELLS
     pivots = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        if dense:
-            for i, v in enumerate(m[r:, c].tolist()):
-                if v:
-                    break
-            else:
-                continue
-            piv = r + i
-        else:
-            nz = np.nonzero(m[r:, c])[0]
-            if nz.size == 0:
-                continue
-            piv = r + int(nz[0])
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
         if piv != r:
             top = m[r, c:].copy()
             m[r, c:] = m[piv, c:]
             m[piv, c:] = top
-        lead = int(m[r, c])
-        if dense:
-            if lead != 1:
-                m[r] = field.vmul(m[r], field.inv(lead))
-            if reduced:
-                factors = m[:, c, None].copy()
-                factors[r] = 0
-                m[:] = field.axpy(m, factors, m[r])
-            else:
-                m[r + 1:] = field.axpy(m[r + 1:], m[r + 1:, c, None], m[r])
+        live = c + np.nonzero(m[r, c:])[0]
+        m[r, live] = field.vmul(m[r, live], field.inv(int(m[r, c])))
+        if reduced:
+            other = np.nonzero(m[:, c])[0]
+            other = other[other != r]
         else:
-            live = c + np.nonzero(m[r, c:])[0]
-            m[r, live] = field.vmul(m[r, live], field.inv(lead))
-            if reduced:
-                other = np.nonzero(m[:, c])[0]
-                other = other[other != r]
-            else:
-                other = r + 1 + np.nonzero(m[r + 1:, c])[0]
-            if other.size:
-                block = other[:, None], live
-                m[block] = field.axpy(m[block], m[other, c][:, None],
-                                      m[r, live])
+            other = r + 1 + np.nonzero(m[r + 1:, c])[0]
+        if other.size:
+            block = other[:, None], live
+            m[block] = field.axpy(m[block], m[other, c][:, None], m[r, live])
         pivots.append(c)
         r += 1
+    return pivots
+
+
+def _eliminate_lists(m: np.ndarray, field: Field, reduced: bool):
+    """`_eliminate` on m.tolist(), written back once: mod-p integer
+    arithmetic on a prime field, else lookups in the field's (mul, add)
+    list tables, where -f is mul[-1][f]."""
+    a = m.tolist()
+    rows, cols = m.shape
+    p = field.p
+    tables = field.list_tables
+    if tables is not None:
+        mul, add = tables
+        minus = mul[p - 1]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        for piv in range(r, rows):
+            if a[piv][c]:
+                break
+        else:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        row = a[r]
+        live = [j for j in range(c, cols) if row[j]]
+        if row[c] != 1:
+            inv = field.inv(row[c])
+            if tables is None:
+                for j in live:
+                    row[j] = row[j] * inv % p
+            else:
+                scale = mul[inv]
+                for j in live:
+                    row[j] = scale[row[j]]
+        terms = [(j, row[j]) for j in live]
+        for i in range(0 if reduced else r + 1, rows):
+            other = a[i]
+            f = other[c]
+            if not f or i == r:
+                continue
+            if tables is None:
+                for j, v in terms:
+                    other[j] = (other[j] - f * v) % p
+            else:
+                times = mul[minus[f]]
+                for j, v in terms:
+                    other[j] = add[other[j]][times[v]]
+        pivots.append(c)
+        r += 1
+    # rows r and below are zero now
+    if r:
+        m[:r] = a[:r]
+        m[r:] = 0
     return pivots
 
 

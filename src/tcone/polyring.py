@@ -487,15 +487,12 @@ def vec_reducer(g, field):
 
 @cache
 def _addmul(field: Field):
-    """(a, f, c) -> a + f * c in field, for `vec_nf`'s inner loop.
-
-    A table field (q <= `_TABLE_LIMIT`, k > 1) gets its mul and add tables
-    as Python lists, built once per field: indexing a list is cheaper than
-    the `Field` scalar ops, whose table lookups index numpy arrays.  Other
-    fields use the `Field` ops.
-    """
-    if field._mul_table is not None:
-        mul, add = field._mul_table.tolist(), field._add_table.tolist()
+    """(a, f, c) -> a + f * c in field, for `vec_nf`'s inner loop: on the
+    list tables of small table fields (`Field.list_tables`), else on the
+    `Field` scalar ops."""
+    tables = field.list_tables
+    if tables is not None:
+        mul, add = tables
         return lambda a, f, c: add[a][mul[f][c]]
     fadd, fmul = field.add, field.mul
     return lambda a, f, c: fadd(a, fmul(f, c))

@@ -190,8 +190,8 @@ def test_decompose_degree_flag_overrides():
 
 # `tc decompose --json` on every demo problem at twists 0 and 3: twist,
 # bundle (rank, degree), splitting extension degree and each summand's
-# (rank, degree, h0, h1); at twist 0 four of the problems split, over
-# F_5, F_101 and F_25
+# (rank, degree, h0, h1); at twist 0 five of the problems split, over
+# F_5, F_101, F_25 and F_625
 DECOMPOSE_PINS = {
     ("duplicate_generator", 0): ((2, -18), 1,
                                  [(1, -6, 0, 6), (1, -12, 0, 12)]),
@@ -210,6 +210,8 @@ DECOMPOSE_PINS = {
     ("sheared_fermat5", 3): ((2, 0), 1, [(2, 0, 1, 1)]),
     ("ordinary_char101", 0): ((2, -18), 1, [(1, -9, 0, 9), (1, -9, 0, 9)]),
     ("ordinary_char101", 3): ((2, 0), 1, [(1, 0, 0, 0), (1, 0, 0, 0)]),
+    ("ordinary_f625", 0): ((2, -18), 1, [(1, -9, 0, 9), (1, -9, 0, 9)]),
+    ("ordinary_f625", 3): ((2, 0), 1, [(1, 0, 0, 0), (1, 0, 0, 0)]),
     ("splitting_extension", 0): ((2, -18), 2, [(1, -9, 0, 9), (1, -9, 0, 9)]),
     ("splitting_extension", 3): ((2, 0), 2, [(1, 0, 0, 0), (1, 0, 0, 0)]),
     ("wide_window", 0): ((3, -36), 1, [(1, -9, 0, 9), (2, -27, 0, 27)]),

@@ -550,7 +550,8 @@ def _homogeneous_vec(rng, field, twists, degree, nterms):
     return vec
 
 
-@pytest.mark.parametrize("p, k", [(5, 1), (2, 2), (7, 4)])
+# a prime field, list tables, array tables only, and scalar ops
+@pytest.mark.parametrize("p, k", [(5, 1), (2, 2), (5, 4), (7, 4)])
 def test_vec_nf_matches_rescan_reference(p, k):
     field = make_field(p, k)
     rng = seeded(100 + p * 10 + k)
@@ -1050,17 +1051,19 @@ def test_express_round_trips_and_refuses_non_members():
 
 def test_vec_nf_list_tables_only_on_table_fields():
     """`vec_nf`'s tail update, `_addmul`, is a + f * c on every field; it
-    reads list tables only on table fields.  F_(7^4), beyond
-    `_TABLE_LIMIT`, has no tables and keeps the `Field` scalar ops, and an
-    ideal's augmented basis over it matches the every-pair reference."""
-    from tcone.field import _TABLE_LIMIT
+    reads list tables only on table fields of at most `_LIST_TABLE_LIMIT`
+    elements.  F_625 keeps its tables as arrays only, F_(7^4), beyond
+    `_TABLE_LIMIT`, has no tables; both use the `Field` scalar ops, and an
+    ideal's augmented basis over F_(7^4) matches the every-pair
+    reference."""
+    from tcone.field import _LIST_TABLE_LIMIT, _TABLE_LIMIT
     rng = seeded(77)
-    for p, k in ((5, 1), (2, 2), (5, 2), (7, 4)):
+    for p, k in ((5, 1), (2, 2), (5, 2), (5, 4), (7, 4)):
         field = make_field(p, k)
         addmul = polyring._addmul(field)
         tables = [cell.cell_contents for cell in addmul.__closure__]
         assert any(isinstance(t, list) for t in tables) == (
-            k > 1 and field.q <= _TABLE_LIMIT)
+            k > 1 and field.q <= _LIST_TABLE_LIMIT)
         for _ in range(50):
             a, f, c = (rng.randrange(field.q) for _ in range(3))
             assert addmul(a, f, c) == field.add(a, field.mul(f, c))

@@ -1,20 +1,23 @@
 """The array ops of Field and the elimination built on them, against a
 plain scalar Gauss-Jordan on Python lists, over a prime field, two
-table-backed extension fields and one field past the table limit."""
+extension fields with list tables, one with array tables only and one
+past the table limit."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tcone.algebra import FiniteAlgebra, _is_commutative
-from tcone.field import _TABLE_LIMIT, make_field
+from tcone.field import _LIST_TABLE_LIMIT, _TABLE_LIMIT, make_field
 import tcone.linalg as linalg
 from tcone.linalg import (_DENSE_CELLS, SpanBasis, _eliminate, nullspace,
                           row_space_contains, rref, solve,
                           sparse_row_space_contains)
+from tcone.polyring import vec_nf, vec_reducer
 
-FIELDS = [(5, 1), (2, 2), (5, 2), (7, 4)]
+FIELDS = [(5, 1), (2, 2), (5, 2), (5, 4), (7, 4)]
 SHAPES = [(0, 3), (3, 0), (1, 1), (4, 4), (3, 6), (6, 3), (5, 5)]
 
 
@@ -24,13 +27,36 @@ def field(request):
 
 
 def test_fields_cover_every_representation():
-    reps = {("prime" if F.k == 1 else
-             "table" if F.q <= _TABLE_LIMIT else "scalar")
-            for F in (make_field(*pk) for pk in FIELDS)}
-    assert reps == {"prime", "table", "scalar"}
-    # only scalar-mapped array ops are not vectorised
-    assert [make_field(*pk).vectorised for pk in FIELDS] == \
-        [True, True, True, False]
+    reps = [("prime" if F.k == 1 else
+             "list tables" if F.q <= _LIST_TABLE_LIMIT else
+             "array tables" if F.q <= _TABLE_LIMIT else "scalar")
+            for F in (make_field(*pk) for pk in FIELDS)]
+    assert reps == ["prime", "list tables", "list tables", "array tables",
+                    "scalar"]
+    # only small table fields lend their tables out as lists
+    assert [make_field(*pk).list_tables is not None for pk in FIELDS] == \
+        [False, True, True, False, False]
+
+
+def test_large_table_fields_allocate_no_list_tables():
+    """An rref and a vec_nf over F_1024 allocate less than 2 MB, not the
+    64 MB that its mul and add tables take as Python lists."""
+    F = make_field(2, 10)
+    rng = random.Random("F1024")
+    mat = random_matrix(rng, (6, 8), F)
+    vec = {(0, (3, 1, 0)): 5, (0, (1, 1, 2)): 700, (1, (2, 0, 0)): 3}
+    reducers = [vec_reducer({(0, (1, 1, 0)): 9, (0, (0, 1, 1)): 1000,
+                             (1, (0, 0, 0)): 1}, F)]
+    tracemalloc.start()
+    try:
+        red, pivots = rref(mat, F)
+        rest = vec_nf(vec, reducers, F)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pivots == ref_rref(mat.tolist(), 8, F)[1]
+    assert rest and (0, (3, 1, 0)) not in rest
+    assert peak < 2 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +127,7 @@ def matrices(F, seed, large=True):
         sparse[[[rng.random() < 0.8 for _ in range(shape[1])]
                 for _ in range(shape[0])]] = 0
         out.append(sparse)
-    if large and F.vectorised:
+    if large and F.q <= _TABLE_LIMIT:
         out += large_matrices(rng, F)
     return out
 
@@ -109,7 +135,7 @@ def matrices(F, seed, large=True):
 def large_matrices(rng, F):
     """Shapes on both sides of linalg._DENSE_CELLS, so that each update
     rule meets each test, on the fields with array arithmetic (the others
-    always take the sparse rule): matrices of low rank, and banded
+    are too slow at this size): matrices of low rank, and banded
     ones shaped like the Frobenius oracle's systems (twice as many columns
     as rows, each row a short band shifted two columns down the row
     above, so each pivot column has few nonzeros)."""
@@ -185,21 +211,27 @@ def test_forward_elimination_matches_reference(field):
 
 
 def test_dense_and_sparse_rules_agree(field, monkeypatch):
-    """With the cutoff at 0 every matrix takes the sparse rule, with a huge
-    one every matrix on a vectorised field takes the dense rule: the same
-    pivots, rref rows, forward-echelon matrix and row-space answers.  Tall
-    and wide shapes past the default cutoff are added here only, since the
-    rules are compared with each other and not with the scalar reference."""
+    """With the cutoff at -1 every matrix, even an empty one, takes the
+    numpy sparse rule; with a huge one every matrix over a prime field or a
+    field with list tables takes the list rule, and the others still the
+    sparse rule: the same pivots, rref rows, forward-echelon matrix and
+    row-space answers.  Tall and wide shapes past the default cutoff are
+    added here only, since the rules are compared with each other and not
+    with the scalar reference."""
     rng = random.Random(f"rules:{field.q}")
     mats = matrices(field, 5)
-    if field.vectorised:
+    if field.q <= _TABLE_LIMIT:
         mats += [random_matrix(rng, (700, 6), field),
                  random_matrix(rng, (120, 40), field, rank=30)]
     vecs = [np.array([rng.randrange(field.q) for _ in range(mat.shape[1])],
                      dtype=np.int64) for mat in mats]
-    results = []
-    for cutoff in (0, 10 ** 9):
+    list_rule = linalg._eliminate_lists
+    results, list_calls = [], []
+    for cutoff in (-1, 10 ** 9):
+        calls = []
         monkeypatch.setattr(linalg, "_DENSE_CELLS", cutoff)
+        monkeypatch.setattr(linalg, "_eliminate_lists",
+                            lambda *args: calls.append(1) or list_rule(*args))
         got = []
         for mat, vec in zip(mats, vecs):
             red, pivots = rref(mat, field)
@@ -209,7 +241,10 @@ def test_dense_and_sparse_rules_agree(field, monkeypatch):
                       for v in (vec, mat[-1] if len(mat) else vec)]
             got.append((red.tolist(), pivots, forward.tolist(), fpiv, inside))
         results.append(got)
+        list_calls.append(len(calls))
     assert results[0] == results[1]
+    takes_lists = field.k == 1 or field.q <= _LIST_TABLE_LIMIT
+    assert list_calls == [0, 4 * len(mats) if takes_lists else 0]
 
 
 def sparse_systems(rng, F):
