@@ -23,6 +23,7 @@ its size.  Everything is deterministic.
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
 import numpy as np
 
@@ -98,11 +99,28 @@ def usquarefree_decomposition(a, f):
     return out
 
 
+def _utrace(u, m, f):
+    """Tr(u) = u + u^p + ... + u^(p^(k-1)) mod m, for f = F_(p^k)."""
+    term = udivmod(u, m, f)[1]
+    acc = term
+    for _ in range(f.k - 1):
+        term = upowmod(term, f.p, m, f)
+        acc = ustrip([f.add(x, y)
+                      for x, y in zip_longest(acc, term, fillvalue=0)])
+    return acc
+
+
 def _berlekamp_split(g, f):
     """Factor a squarefree monic g into irreducibles (deterministic).
 
-    Kernel of the Frobenius map on F_q[t]/(g) counts the factors; kernel
-    elements are split off by gcds with b - c over all scalars c.
+    Kernel of the Frobenius map on F_q[t]/(g) counts the factors, r of
+    them.  A kernel element b is a constant c_i of F_q modulo each
+    irreducible factor g_i, so Tr(beta * b) is the constant Tr(beta * c_i)
+    of F_p there, and gcd(g, Tr(beta * b) - c) for c in F_p collects the
+    factors with Tr(beta * c_i) = c (Berlekamp's trace algorithm).  With
+    beta running over the power basis t^j of F_q these k * p gcds separate
+    every two factors that b separates, since the trace form is
+    nondegenerate, as the gcds with b - c over all of F_q would.
     """
     n = len(g) - 1
     if n <= 1:
@@ -124,29 +142,25 @@ def _berlekamp_split(g, f):
         b = ustrip([int(c) for c in kv])
         if len(b) <= 1:
             continue  # constants split nothing
-        new_factors = []
-        for i, fac in enumerate(factors):
-            if len(fac) - 1 <= 1:
-                new_factors.append(fac)
-                continue
-            pieces = []
-            rest = fac
-            for c in range(f.q):
-                # rest is irreducible once it is linear, or once the
-                # factors found so far, rest among them, number r
-                if len(rest) - 1 <= 1 or (len(new_factors) + len(pieces) + 1
-                                          + len(factors) - i - 1 == r):
-                    break
-                h = ugcd(rest, usub(b, [c], f), f)
-                if 1 <= len(h) - 1 < len(rest) - 1:
-                    pieces.append(h)
-                    rest = udivmod(rest, h, f)[0]
-            if len(rest) > 1:
-                pieces.append(umonic(rest, f))
-            new_factors.extend(pieces if pieces else [fac])
-        factors = new_factors
-        if len(factors) == r:
-            break
+        for j in range(f.k):
+            tr = _utrace(umul([f.p ** j], b, f), g, f)
+            new_factors = []
+            for i, fac in enumerate(factors):
+                rest = fac
+                for c in range(f.p):
+                    # rest is irreducible once it is linear, or once the
+                    # factors found so far, rest among them, number r
+                    if len(rest) - 1 <= 1 or (len(new_factors) + 1
+                                              + len(factors) - i - 1 == r):
+                        break
+                    h = ugcd(rest, usub(tr, [c], f), f)
+                    if 1 <= len(h) - 1 < len(rest) - 1:
+                        new_factors.append(h)
+                        rest = udivmod(rest, h, f)[0]
+                new_factors.append(rest)
+            factors = new_factors
+            if len(factors) == r:
+                return factors
     return factors
 
 

@@ -9,6 +9,21 @@ from the same (p, k) is identical across runs and machines.
 
 The code order doubles as the canonical order on field elements; "smallest
 root" choices elsewhere in the library refer to it.
+
+Arithmetic on codes takes one of four routes, chosen by the order q:
+
+* prime fields: integers mod p;
+* extension fields of at most `_LIST_TABLE_LIMIT` = 256 elements: full
+  q x q add and mul tables, as numpy arrays and as nested Python lists;
+* extension fields of at most `_LOG_TABLE_LIMIT` = 2^20 elements: tables
+  of O(q) entries on a primitive element g, exp (the codes of g^i) and log,
+  where a product is exp[log a + log b]; a sum is an XOR of codes in
+  characteristic 2, and else goes through Zech's logarithm log(1 + g^n);
+  at most 16 bytes per element, so 16 MiB for the largest such field;
+* larger extension fields: digit-list products reduced by the modulus,
+  mapped over arrays by np.vectorize.
+
+All routes give the same codes, so the route never shows in a result.
 """
 
 from __future__ import annotations
@@ -25,16 +40,26 @@ class FieldError(ValueError):
     """Invalid field construction or incompatible field operation."""
 
 
-# fields with at most this many elements get full add/mul lookup tables,
-# which the array ops of Field use for vectorised arithmetic
-_TABLE_LIMIT = 1024
-
-# table fields with at most this many elements also keep their mul and add
-# tables as nested Python lists (`Field.list_tables`), for loops over
-# single elements, where indexing a list is cheaper than the scalar ops'
-# numpy lookups; as lists the two tables of F_625 take 20 MB (6 MB as
-# arrays) and those of F_1024 64 MB, so larger fields keep the arrays only
+# extension fields with at most this many elements get full q x q add and
+# mul tables, as arrays for the array ops and as nested Python lists
+# (`Field.list_tables`) for loops over single elements, where indexing a
+# list is cheaper than numpy lookups; as lists the two tables of F_625
+# would take 20 MB and those of F_1024 64 MB
 _LIST_TABLE_LIMIT = 256
+
+# extension fields with at most this many elements get exp/log tables:
+# exp as int64 codes, log and Zech's logarithm as int32, at most 16 bytes
+# per element, so that the tables of the largest such field, F_(2^20) or
+# F_(1021^2), stay within 16 MiB, while the quadratic extensions of every
+# input field of up to 1024 elements fit; the fields of at most
+# _LIST_TABLE_LIMIT elements build their q x q tables from them, the others
+# compute on them, and past this limit every product is a digit-list
+# product (F_(5^9), F_(5^27))
+_LOG_TABLE_LIMIT = 1 << 20
+
+# the exp table is built by multiplying rows of this many digit vectors by
+# a k x k matrix, so that its temporaries stay small next to the table
+_EXP_BLOCK = 1 << 12
 
 # matrices hold element codes as int64, so every code, and the order, must
 # stay below this
@@ -194,12 +219,13 @@ class Field:
     Immutable; obtain instances through :func:`make_field` so that equal
     parameters share one object (embeddings are memoised per field pair).
     `list_tables` is the pair (mul, add) of lookup tables as nested Python
-    lists on table fields of at most `_LIST_TABLE_LIMIT` elements, else
+    lists on extension fields of at most `_LIST_TABLE_LIMIT` elements, else
     None.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "_mul_table", "_inv_table",
-                 "_add_table", "_neg_table", "list_tables", "_embed_cache")
+    __slots__ = ("p", "k", "q", "modulus", "_exp", "_log", "_zech",
+                 "_mul_table", "_inv_table", "_add_table", "_neg_table",
+                 "list_tables", "_embed_cache")
 
     def __init__(self, p: int, k: int):
         if not _is_prime(p):
@@ -215,14 +241,19 @@ class Field:
         self.k = k
         self.q = p ** k
         self.modulus = find_irreducible(p, k)
+        self._exp = None
+        self._log = None
+        self._zech = None
         self._mul_table = None
         self._inv_table = None
         self._add_table = None
         self._neg_table = None
         self.list_tables = None
         self._embed_cache = {}
-        if 1 < self.q <= _TABLE_LIMIT and k > 1:
-            self._build_tables()
+        if k > 1 and self.q <= _LOG_TABLE_LIMIT:
+            self._build_log_tables()
+            if self.q <= _LIST_TABLE_LIMIT:
+                self._build_tables()
 
     # -- code-level arithmetic ------------------------------------------------
 
@@ -244,6 +275,17 @@ class Field:
             return (a + b) % self.p
         if self._add_table is not None:
             return int(self._add_table[a, b])
+        if self._exp is not None:
+            if self.p == 2:
+                return int(a ^ b)
+            if not a or not b:
+                return int(a or b)
+            n = self.q - 1
+            la = int(self._log[a])
+            d = (int(self._log[b]) - la) % n
+            # 1 + g^d = 0 exactly when g^d = -1, that is d = n / 2
+            return 0 if 2 * d == n else int(
+                self._exp[(la + int(self._zech[d])) % n])
         ca, cb = self._decode(a), self._decode(b)
         return self._encode([(x + y) % self.p for x, y in zip(ca, cb)])
 
@@ -252,6 +294,8 @@ class Field:
             return (-a) % self.p
         if self._neg_table is not None:
             return int(self._neg_table[a])
+        if self._exp is not None:
+            return self.mul(a, self.p - 1)
         return self._encode([(-x) % self.p for x in self._decode(a)])
 
     def sub(self, a: int, b: int) -> int:
@@ -262,6 +306,11 @@ class Field:
             return (a * b) % self.p
         if self._mul_table is not None:
             return int(self._mul_table[a, b])
+        if self._exp is not None:
+            if not a or not b:
+                return 0
+            return int(self._exp[(int(self._log[a]) + int(self._log[b]))
+                                 % (self.q - 1)])
         Fp = make_field(self.p)
         return self._encode(udivmod(umul(self._decode(a), self._decode(b), Fp),
                                     self.modulus, Fp)[1])
@@ -273,6 +322,8 @@ class Field:
             return pow(a, -1, self.p)
         if self._inv_table is not None:
             return int(self._inv_table[a])
+        if self._exp is not None:
+            return int(self._exp[-int(self._log[a]) % (self.q - 1)])
         # extended Euclid on the digit polynomials: s * a = r mod modulus,
         # until r is a nonzero constant
         Fp = make_field(self.p)
@@ -302,49 +353,97 @@ class Field:
     def elements(self):
         return range(self.q)
 
+    def _build_log_tables(self):
+        """exp, the codes of g^0, ..., g^(q-2) for the smallest primitive
+        element g; log, its inverse (log 0 = 0 is never read); and, for
+        odd p, zech[n] = log(1 + g^n) (Zech's logarithm).
+
+        exp is built by doubling: with g^0, ..., g^(m-1) known, the next m
+        powers are their digit vectors times the matrix of multiplication
+        by g^m, which is squared for the next round.
+        """
+        p, k, q = self.p, self.k, self.q
+        n = q - 1
+        factors = _prime_factors(n)
+        # the elements of F_p have orders dividing p - 1, so none is primitive
+        g = next(g for g in range(p, q)
+                 if all(self.pow(g, n // ell) != 1 for ell in factors))
+        place = p ** np.arange(k, dtype=np.int64)
+        # column j: the digits of g * t^j
+        by_g = np.array([self._decode(self.mul(g, p ** j)) for j in range(k)],
+                        dtype=np.int64).T
+        exp = np.empty(n, dtype=np.int64)
+        exp[0] = 1
+        done = 1
+        while done < n:
+            step = min(done, n - done)
+            for s in range(0, step, _EXP_BLOCK):
+                e = min(s + _EXP_BLOCK, step)
+                digits = exp[s:e, None] // place % p
+                exp[done + s:done + e] = digits @ by_g.T % p @ place
+            by_g = by_g @ by_g % p
+            done += step
+        log = np.zeros(q, dtype=np.int32)
+        log[exp] = np.arange(n, dtype=np.int32)
+        if p > 2:
+            # 1 + g^n adds 1 to the lowest digit; at n = (q - 1)/2 it is 0
+            one_plus = exp + 1
+            one_plus[exp % p == p - 1] -= p
+            self._zech = log[one_plus]
+        self._exp, self._log = exp, log
+
     def _build_tables(self):
-        """Add and neg tables from base-p digits; mul and inv tables from
-        the exp/log tables of the smallest primitive element."""
+        """The q x q add and mul tables and the neg and inv tables, from
+        the digits and the exp/log tables, and their list copies."""
         p, q = self.p, self.q
         place = p ** np.arange(self.k, dtype=np.int64)
         digits = np.arange(q, dtype=np.int64)[:, None] // place % p
         add = np.empty((q, q), dtype=np.int64)
         for a in range(q):
             add[a] = (digits[a] + digits) % p @ place
-        factors = _prime_factors(q - 1)
-        g = next(g for g in range(2, q)
-                 if all(self.pow(g, (q - 1) // ell) != 1 for ell in factors))
-        exp = np.empty(2 * (q - 1), dtype=np.int64)  # doubled: no mod q - 1
-        x = 1
-        for i in range(q - 1):
-            exp[i] = exp[i + q - 1] = x
-            x = self.mul(x, g)
-        log = np.zeros(q, dtype=np.int64)
-        log[exp[:q - 1]] = np.arange(q - 1)
+        exp, log = self._exp, self._log
         mul = np.zeros((q, q), dtype=np.int64)
         for a in range(1, q):
-            mul[a, 1:] = exp[log[a] + log[1:]]
+            mul[a, 1:] = exp[(log[a] + log[1:]) % (q - 1)]
         inv = np.zeros(q, dtype=np.int64)
-        inv[1:] = exp[q - 1 - log[1:]]
+        inv[1:] = exp[-log[1:] % (q - 1)]
         self._neg_table = -digits % p @ place
         self._add_table, self._mul_table, self._inv_table = add, mul, inv
-        if q <= _LIST_TABLE_LIMIT:
-            self.list_tables = (mul.tolist(), add.tolist())
+        self.list_tables = (mul.tolist(), add.tolist())
 
     # -- array arithmetic -------------------------------------------------------
     # Elementwise (numpy-broadcasting) ops on int64 arrays of codes, the one
     # place that knows how elements are stored: mod-p numpy for prime fields,
-    # lookup tables up to _TABLE_LIMIT elements, and the scalar ops above
-    # mapped over the entries beyond that.
+    # q x q tables up to _LIST_TABLE_LIMIT elements, exp/log tables up to
+    # _LOG_TABLE_LIMIT, and the scalar ops above mapped over the entries
+    # beyond that.
 
     def _map(self, op, *arrays):
         return np.vectorize(op, otypes=[np.int64])(*arrays)
+
+    def _log_mul(self, a, b):
+        out = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return np.where((a == 0) | (b == 0), 0, out)
+
+    def _zech_add(self, a, b, negate):
+        """a + b, or a - b with negate, for odd p: g^i + g^j is
+        g^(i + zech[j - i]), or 0 when g^(j - i) = -1 = g^((q - 1)/2)."""
+        n = self.q - 1
+        half = n // 2
+        la = self._log[a]
+        lb = self._log[b] + half if negate else self._log[b]
+        d = (lb - la) % n
+        out = np.where(d == half, 0, self._exp[(la + self._zech[d]) % n])
+        out = np.where(a == 0, self._exp[lb % n], out)
+        return np.where(b == 0, a, out)
 
     def vadd(self, a, b):
         if self.k == 1:
             return (a + b) % self.p
         if self._add_table is not None:
             return self._add_table[a, b]
+        if self._exp is not None:
+            return a ^ b if self.p == 2 else self._zech_add(a, b, False)
         return self._map(self.add, a, b)
 
     def vneg(self, a):
@@ -352,6 +451,8 @@ class Field:
             return -a % self.p
         if self._neg_table is not None:
             return self._neg_table[a]
+        if self._exp is not None:
+            return np.copy(a) if self.p == 2 else self._log_mul(a, self.p - 1)
         return self._map(self.neg, a)
 
     def vsub(self, a, b):
@@ -359,6 +460,8 @@ class Field:
             return (a - b) % self.p
         if self._add_table is not None:
             return self._add_table[a, self._neg_table[b]]
+        if self._exp is not None:
+            return a ^ b if self.p == 2 else self._zech_add(a, b, True)
         return self._map(self.sub, a, b)
 
     def vmul(self, a, b):
@@ -366,6 +469,8 @@ class Field:
             return a * b % self.p
         if self._mul_table is not None:
             return self._mul_table[a, b]
+        if self._exp is not None:
+            return self._log_mul(a, b)
         return self._map(self.mul, a, b)
 
     def axpy(self, y, c, x):

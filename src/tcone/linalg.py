@@ -247,6 +247,10 @@ def sparse_row_space_contains(rows, vec: np.ndarray, field: Field) -> bool:
     filled = np.flatnonzero(lens)
     _, first = np.unique(cols[starts[filled]], return_index=True)
     heads = filled[first]
+    # the other filled rows, in order, by a mask: np.setdiff1d would
+    # import numpy.ma on its first call in a process
+    others = np.ones(len(filled), dtype=bool)
+    others[first] = False
     # the heads' entries, gathered into one array, each row scaled by the
     # inverse of its lead
     head_lens = lens[heads]
@@ -262,7 +266,7 @@ def sparse_row_space_contains(rows, vec: np.ndarray, field: Field) -> bool:
     pivots = {lead: (head_cols[s:e], head_vals[s:e])
               for lead, s, e in zip(cols[starts[heads]].tolist(),
                                     bounds[:-1], bounds[1:])}
-    for i in np.setdiff1d(filled, heads).tolist():
+    for i in filled[others].tolist():
         w = np.zeros(ncols, dtype=np.int64)
         w[cols[indptr[i]:indptr[i + 1]]] = vals[indptr[i]:indptr[i + 1]]
         lead = _reduce_lead(w, pivots, field)

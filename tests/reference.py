@@ -28,6 +28,9 @@ Kept out of `tcone` because the pipeline never calls them:
   contracts the reduced form's coordinates with `CubicCurve.products`.
 * `reference_products` is `CubicCurve.products` without its cached row
   indices: the monomials of both pieces are listed again on every call.
+* `berlekamp_split_scan` splits off the factors of a squarefree
+  polynomial by gcds with b - c over every scalar c of F_q, where
+  `algebra._berlekamp_split` takes k * p gcds with traces.
 
 `block1_gb`, `groebner_basis`, `relations`, `express`, `contains`,
 `apply_map`, `apply_hom`, `compose` and `piece_basis` read as methods of
@@ -37,10 +40,12 @@ that object as `self`.
 
 import numpy as np
 
+from tcone.field import udivmod, ugcd, umonic, umul, upowmod, usub, ustrip
 from tcone.gradedmod import (GradedMap, LiftBasis, ModuleHom, PieceFrame,
                              PresentedModule, TwistedFree, closing_relations,
                              hom_space, image_conditions, vec_from_polys,
                              vector_degree)
+from tcone.linalg import nullspace
 from tcone.polyring import CubicCurve, Polynomial, mono_mul, vec_lt
 
 
@@ -319,3 +324,50 @@ def reference_products(curve: CubicCurve, d1: int, d2: int) -> np.ndarray:
     rows = curve._table_row(D, mus[:, None, 0] + nus[:, 0],
                             mus[:, None, 2] + nus[:, 2])
     return curve._nf_table(D)[rows]
+
+
+def berlekamp_split_scan(g, f):
+    """Factor a squarefree monic g into irreducibles: the kernel of the
+    Frobenius map on F_q[t]/(g) counts the factors, and kernel elements b
+    split them off by gcds with b - c over all q scalars c."""
+    n = len(g) - 1
+    if n <= 1:
+        return [g]
+    mat = np.zeros((n, n), dtype=np.int64)
+    tq = upowmod([0, 1], f.q, g, f)
+    cur = [1]
+    for i in range(n):
+        for j, c in enumerate(cur):
+            mat[j, i] = c
+        cur = udivmod(umul(cur, tq, f), g, f)[1]
+    kernel = nullspace(f.vsub(mat, np.eye(n, dtype=np.int64)), f)
+    r = kernel.shape[0]
+    if r <= 1:
+        return [g]
+    factors = [g]
+    for kv in kernel:
+        b = ustrip([int(c) for c in kv])
+        if len(b) <= 1:
+            continue
+        new_factors = []
+        for i, fac in enumerate(factors):
+            if len(fac) - 1 <= 1:
+                new_factors.append(fac)
+                continue
+            pieces = []
+            rest = fac
+            for c in range(f.q):
+                if len(rest) - 1 <= 1 or (len(new_factors) + len(pieces) + 1
+                                          + len(factors) - i - 1 == r):
+                    break
+                h = ugcd(rest, usub(b, [c], f), f)
+                if 1 <= len(h) - 1 < len(rest) - 1:
+                    pieces.append(h)
+                    rest = udivmod(rest, h, f)[0]
+            if len(rest) > 1:
+                pieces.append(umonic(rest, f))
+            new_factors.extend(pieces if pieces else [fac])
+        factors = new_factors
+        if len(factors) == r:
+            break
+    return factors

@@ -1,10 +1,14 @@
+import random
+
 import numpy as np
 import pytest
 
-from tcone.algebra import (FiniteAlgebra, UndecidedError, lift_idempotents,
-                           semisimple_primitive_idempotents, ufactor, umul,
-                           usquarefree_decomposition)
+from tcone.algebra import (FiniteAlgebra, UndecidedError, _berlekamp_split,
+                           lift_idempotents, semisimple_primitive_idempotents,
+                           ufactor, umul, usquarefree_decomposition)
 from tcone.field import make_field
+
+from .reference import berlekamp_split_scan
 
 
 def _matrix_units_algebra(field, n):
@@ -248,10 +252,35 @@ def test_ufactor_reassembles():
                 assert len(ufactor(g, field)) == 1
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (5, 1), (7, 1), (5, 2),
+                                 (3, 3), (2, 6), (5, 4), (2, 10)])
+def test_trace_split_matches_the_scalar_scan(p, k):
+    # the squarefree parts of random polynomials of degree 2 to 7 split
+    # into the same factors by traces (k * p gcds per kernel element) as
+    # by gcds with b - c for every scalar c of F_q, and the factors
+    # multiply back to the part; the scan is slow past a few hundred
+    # elements, so the large fields get fewer polynomials
+    rng = random.Random(p ** k)
+    field = make_field(p, k)
+    count = 0
+    for _ in range(40 if field.q <= 64 else 6):
+        deg = rng.randint(2, 7)
+        poly = [rng.randrange(field.q) for _ in range(deg)] + [1]
+        for part, _m in usquarefree_decomposition(poly, field):
+            got = _berlekamp_split(part, field)
+            assert sorted(got) == sorted(berlekamp_split_scan(part, field))
+            prod = [1]
+            for g in got:
+                prod = umul(prod, g, field)
+            assert prod == part
+            count += len(got) > 1
+    assert count
+
+
 def test_ufactor_stops_once_the_factors_are_irreducible(monkeypatch):
-    # (t - 1)(t - 2) over F_625: the first scalar that splits the product
-    # leaves a linear rest, and the scan over the 625 scalars stops there
-    # instead of taking a gcd for every one of them
+    # (t - 1)(t - 2) over F_625: the first trace that splits the product
+    # leaves a linear rest, and the split stops there instead of taking
+    # the other gcds of the k * p = 20 for this kernel element
     from tcone import algebra
     F = make_field(5, 4)
     calls = []

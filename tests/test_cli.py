@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -190,8 +193,8 @@ def test_decompose_degree_flag_overrides():
 
 # `tc decompose --json` on every demo problem at twists 0 and 3: twist,
 # bundle (rank, degree), splitting extension degree and each summand's
-# (rank, degree, h0, h1); at twist 0 five of the problems split, over
-# F_5, F_101, F_25 and F_625
+# (rank, degree, h0, h1); at twist 0 six of the problems split, over
+# F_5, F_101, F_25, F_625 and F_(5^8)
 DECOMPOSE_PINS = {
     ("duplicate_generator", 0): ((2, -18), 1,
                                  [(1, -6, 0, 6), (1, -12, 0, 12)]),
@@ -202,6 +205,9 @@ DECOMPOSE_PINS = {
     ("fermat5_check", 3): ((2, 0), 1, [(2, 0, 1, 1)]),
     ("fermat5_closure", 0): ((2, -18), 1, [(2, -18, 0, 18)]),
     ("fermat5_closure", 3): ((2, 0), 1, [(2, 0, 1, 1)]),
+    ("f625_splits_over_f5_8", 0): ((2, -18), 2,
+                                   [(1, -9, 0, 9), (1, -9, 0, 9)]),
+    ("f625_splits_over_f5_8", 3): ((2, 0), 2, [(1, 0, 0, 0), (1, 0, 0, 0)]),
     ("sheared_duplicate_generator", 0): ((2, -18), 1,
                                          [(1, -6, 0, 6), (1, -12, 0, 12)]),
     ("sheared_duplicate_generator", 3): ((2, 0), 1,
@@ -270,6 +276,48 @@ hasse: 0
 supersingular: yes
 ideal: (x^2, x^2 + 3*x*y + y^2, x^2)
 generator degrees: [2, 2, 2]"""
+
+
+def test_f625_problem_splits_over_f5_8():
+    """An ordinary cubic over F_625 whose End algebra splits only over
+    F_(5^8): the factorisations there take k * p gcds per kernel element by
+    traces, where a scan over the 390,625 scalars took 156,257 gcds and
+    about a minute."""
+    demo = Path(__file__).resolve().parent.parent / "demos" / "problems"
+    problem = parse_problem((demo / "f625_splits_over_f5_8.tc").read_text())
+    start = time.perf_counter()
+    out, code = run_check(problem)
+    assert time.perf_counter() - start < 20
+    assert code == 0
+    assert out == """\
+verdict: member
+in ideal: yes
+candidate: x*y*z (degree 3)
+bundle degree: 0
+splitting extension degree: 2
+summands:
+  rank  degree  class_vanishes
+  1     0       yes
+  1     0       yes
+tight closure = plus closure (positive characteristic)"""
+
+
+def test_cold_check_does_not_import_numpy_ma():
+    """A fresh `tc check` on duplicate_generator.tc reaches the sparse
+    oracle systems, which sort their rows without np.setdiff1d: its first
+    call in a process imports numpy.ma."""
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys\n"
+            "from tcone.cli import main\n"
+            "status = main(['check', sys.argv[1]])\n"
+            "print(status, 'numpy.ma' in sys.modules)\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code,
+         str(root / "demos" / "problems" / "duplicate_generator.tc")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120, check=True)
+    assert "frobenius oracle" in done.stdout
+    assert done.stdout.splitlines()[-1] == "1 False"
 
 
 def test_decompose_cross_checks_the_summand_invariants(monkeypatch):

@@ -1,11 +1,13 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcone.field import (Field, FieldElem, FieldError, _root_of_modulus,
-                         embed, find_irreducible, make_field)
+from tcone.field import (_LOG_TABLE_LIMIT, Field, FieldElem, FieldError,
+                         _root_of_modulus, embed, find_irreducible,
+                         make_field)
 
 
 # -- independent oracle: smallest irreducible by exhaustive trial division --
@@ -284,10 +286,12 @@ def test_find_irreducible_matches_reference_arithmetic(p, k):
     assert find_irreducible(p, k) == _ref_find_irreducible(p, k)
 
 
-@pytest.mark.parametrize("p,k", [(7, 4), (2, 11), (3, 7)])
+@pytest.mark.parametrize("p,k", [(7, 4), (2, 11), (3, 7), (5, 9), (2, 21)])
 def test_tableless_mul_matches_reference(p, k):
+    # exp/log tables up to 2^20 elements, digit-list products beyond
     F = make_field(p, k)
-    assert F._mul_table is None  # beyond the table limit
+    assert F._mul_table is None  # beyond the q x q table limit
+    assert (F._exp is None) == (F.q > _LOG_TABLE_LIMIT)
     rng = random.Random(p * 100 + k)
     for _ in range(300):
         a, b = rng.randrange(F.q), rng.randrange(F.q)
@@ -313,24 +317,121 @@ def test_tableless_inverse_matches_fermat_power(p, k, count):
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 4), (5, 2), (7, 2), (5, 4)])
 def test_tables_match_reference_multiply(p, k):
-    """The add, neg, mul and inv tables equal tables built from the
-    reference multiply.  Multiplication by a is F_p-linear, so row a of the
-    mul table is the digit matrix of b times the reference products of a
-    with the power basis t^0, ..., t^(k-1)."""
+    """exp lists the powers of one primitive element by the reference
+    multiply, log inverts it and Zech's logarithm is log(1 + g^n) by
+    digit-wise addition; and the add, neg, mul, sub and inv ops, on the
+    q x q tables up to 256 elements and on these tables beyond, equal
+    tables built from the reference multiply.  Multiplication by a is
+    F_p-linear, so row a of the mul table is the digit matrix of b times
+    the reference products of a with the power basis t^0, ..., t^(k-1)."""
     F = make_field(p, k)
     q = F.q
     place = p ** np.arange(k)
     digits = np.arange(q)[:, None] // place % p
-    assert np.array_equal(F._add_table,
-                          (digits[:, None, :] + digits[None, :, :]) % p @ place)
-    assert np.array_equal(F._neg_table, -digits % p @ place)
+    g = int(F._exp[1])
+    powers = [1]
+    for _ in range(q - 2):
+        powers.append(_ref_mul(F, powers[-1], g))
+    assert F._exp.tolist() == powers
+    assert sorted(powers) == list(range(1, q))
+    assert [F._log[x] for x in powers] == list(range(q - 1))
+    if p == 2:
+        assert F._zech is None
+    else:
+        unit = np.eye(k, dtype=np.int64)[0]
+        one_plus = [int((digits[x] + unit) % p @ place) for x in powers]
+        half = (q - 1) // 2
+        assert one_plus.index(0) == half
+        assert [F._exp[z] for n, z in enumerate(F._zech) if n != half] == \
+            [x for x in one_plus if x]
+    assert (F._add_table is None) == (q > 256)
+    A, B = np.arange(q)[:, None], np.arange(q)[None, :]
+    add = (digits[:, None, :] + digits[None, :, :]) % p @ place
+    neg = -digits % p @ place
+    assert np.array_equal(F.vadd(A, B), add)
+    assert np.array_equal(F.vneg(np.arange(q)), neg)
+    assert np.array_equal(F.vsub(A, B), add[:, neg])
+    products = F.vmul(A, B)
     for a in range(q):
         by_a = np.array([F._decode(_ref_mul(F, a, p ** j)) for j in range(k)])
         row = digits @ by_a % p @ place
-        assert np.array_equal(F._mul_table[a], row)
+        assert np.array_equal(products[a], row)
         if a:
-            assert F._inv_table[a] == np.flatnonzero(row == 1)[0]
-    assert F._inv_table[0] == 0
+            assert F.inv(a) == np.flatnonzero(row == 1)[0]
+        for b in (0, 1, a, q - 1 - a):
+            assert F.add(a, b) == add[a, b] and F.mul(a, b) == row[b]
+            assert F.sub(a, b) == add[a, neg[b]] and F.neg(b) == neg[b]
+
+
+def _ref_pow(F, x, e):
+    result = 1
+    while e:
+        if e & 1:
+            result = _ref_mul(F, result, x)
+        x = _ref_mul(F, x, x)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p,k", [(5, 4), (3, 6), (31, 2), (2, 10), (7, 4),
+                                 (5, 8)])
+def test_log_table_fields_match_reference_arithmetic(p, k):
+    """Fields of 257 to 2^20 elements: their scalar and array ops against
+    the reference multiply and digit-wise addition, on random pairs and on
+    pairs with a zero, a one, a repeat or a negative; and exp[n + 1] is
+    exp[n] times g, with log inverting exp, at random n."""
+    F = make_field(p, k)
+    assert F._mul_table is None and F.list_tables is None
+    rng = random.Random(f"log:{p}^{k}")
+    xs = [rng.randrange(F.q) for _ in range(400)]
+    ys = [rng.randrange(F.q) for _ in range(400)]
+    for x in xs[:20]:
+        neg = F._encode([-d for d in F._decode(x)])
+        xs += [x, 0, x, 1, x]
+        ys += [0, x, x, x, neg]
+    def add(x, y):
+        return F._encode([a + b for a, b in zip(F._decode(x), F._decode(y))])
+    neg = [F._encode([-d for d in F._decode(y)]) for y in ys]
+    want = {"mul": [_ref_mul(F, x, y) for x, y in zip(xs, ys)],
+            "add": [add(x, y) for x, y in zip(xs, ys)],
+            "sub": [add(x, y) for x, y in zip(xs, neg)]}
+    a, b = np.array(xs), np.array(ys)
+    assert F.vmul(a, b).tolist() == want["mul"]
+    assert F.vadd(a, b).tolist() == want["add"]
+    assert F.vsub(a, b).tolist() == want["sub"]
+    assert F.vneg(b).tolist() == neg
+    assert [F.mul(x, y) for x, y in zip(xs, ys)] == want["mul"]
+    assert [F.add(x, y) for x, y in zip(xs, ys)] == want["add"]
+    assert [F.sub(x, y) for x, y in zip(xs, ys)] == want["sub"]
+    assert [F.neg(y) for y in ys] == neg
+    for x in xs[:50]:
+        if x:
+            assert _ref_mul(F, x, F.inv(x)) == 1
+            e = rng.randrange(2 * F.q)
+            assert F.pow(x, e) == _ref_pow(F, x, e)
+    g = int(F._exp[1])
+    for n in [0, F.q - 3] + [rng.randrange(F.q - 2) for _ in range(50)]:
+        assert F._exp[n + 1] == _ref_mul(F, int(F._exp[n]), g)
+        assert F._log[F._exp[n]] == n
+
+
+def test_log_tables_stay_within_their_budget():
+    """F_1024 keeps under 0.5 MiB of tables (its q x q tables took 16 MiB
+    as arrays); F_(1021^2), the largest field with exp/log tables and one
+    of odd characteristic, so with Zech's logarithm too, keeps 16 bytes per
+    element, under 16 MiB, and at most twice that while building them."""
+    for (p, k), budget in (((2, 10), 1 << 19), ((1021, 2), 16 << 20)):
+        tracemalloc.start()
+        try:
+            F = Field(p, k)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert F._exp is not None and F._mul_table is None
+        assert kept < budget and peak < 2 * budget
+    assert (1021 ** 2 <= _LOG_TABLE_LIMIT < 1031 ** 2
+            and 2 ** 20 <= _LOG_TABLE_LIMIT < 3 ** 13)
+    assert make_field(5, 9)._exp is None
 
 
 def test_elem_coeffs_roundtrip():

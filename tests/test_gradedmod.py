@@ -1,4 +1,5 @@
 import heapq
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import tcone.gradedmod as gradedmod
 import tcone.polyring as polyring
 from tcone.bundle import decompose_bundle, forcing_data, syzygy_bundle
 from tcone.closure import _ideal_piece_rows
-from tcone.field import embed, make_field
+from tcone.cli import main
+from tcone.field import Field, embed, make_field
 from tcone.gradedmod import (GradedMap, ModuleHom, PieceFrame,
                              PresentedModule, TwistedFree, buchberger_module,
                              closing_relations, free_module, hom_space,
@@ -677,6 +679,25 @@ def test_piece_dim_counts_match_rref_reference(p, k):
     assert nonzero > 40
 
 
+def test_log_fields_never_map_scalar_ops(monkeypatch, capsys):
+    """Fields of 257 to 2^20 elements run every array op on their exp/log
+    tables: with `Field._map` raising, the F_2401 piece test above and tc
+    check, decompose and info on the F_625 demos (one of which splits over
+    F_(5^8)) still run."""
+    def refuse(self, op, *arrays):
+        raise AssertionError(f"scalar ops mapped over {self}")
+
+    monkeypatch.setattr(Field, "_map", refuse)
+    test_piece_dim_counts_match_rref_reference(7, 4)
+    demo = Path(__file__).resolve().parent.parent / "demos" / "problems"
+    for name in ("ordinary_f625", "f625_splits_over_f5_8"):
+        path = str(demo / f"{name}.tc")
+        for argv in (["check", path], ["decompose", path, "--degree", "0"],
+                     ["decompose", path, "--degree", "3"], ["info", path]):
+            assert main(argv) in (0, 1)
+    assert "summands" in capsys.readouterr().out
+
+
 def test_piece_dim_counts_on_acceptance_5_modules(fermat5):
     """Every bundle, summand and enlarged syzygy module of the first 20
     ideals of acceptance 5 counts the same Hilbert values as row reduction."""
@@ -1052,11 +1073,10 @@ def test_express_round_trips_and_refuses_non_members():
 def test_vec_nf_list_tables_only_on_table_fields():
     """`vec_nf`'s tail update, `_addmul`, is a + f * c on every field; it
     reads list tables only on table fields of at most `_LIST_TABLE_LIMIT`
-    elements.  F_625 keeps its tables as arrays only, F_(7^4), beyond
-    `_TABLE_LIMIT`, has no tables; both use the `Field` scalar ops, and an
-    ideal's augmented basis over F_(7^4) matches the every-pair
-    reference."""
-    from tcone.field import _LIST_TABLE_LIMIT, _TABLE_LIMIT
+    elements.  F_625 and F_(7^4) have exp/log tables and no q x q tables;
+    both use the `Field` scalar ops, and an ideal's augmented basis over
+    F_(7^4) matches the every-pair reference."""
+    from tcone.field import _LIST_TABLE_LIMIT
     rng = seeded(77)
     for p, k in ((5, 1), (2, 2), (5, 2), (5, 4), (7, 4)):
         field = make_field(p, k)
@@ -1068,7 +1088,7 @@ def test_vec_nf_list_tables_only_on_table_fields():
             a, f, c = (rng.randrange(field.q) for _ in range(3))
             assert addmul(a, f, c) == field.add(a, field.mul(f, c))
     field = make_field(7, 4)
-    assert field.q > _TABLE_LIMIT and field._mul_table is None
+    assert field._mul_table is None and field._exp is not None
     curve = CubicCurve(pp("x^3 + y^3 + z^3", field), field)
     for gens in (["x^2", "y^2", "z^2"], ["t*x^2 + y*z", "y^2", "x*y", "z^3"]):
         for vecs in _lift_inputs(curve, gens, 3):

@@ -1,7 +1,7 @@
 """The array ops of Field and the elimination built on them, against a
 plain scalar Gauss-Jordan on Python lists, over a prime field, two
-extension fields with list tables, one with array tables only and one
-past the table limit."""
+extension fields with q x q list tables, two with exp/log tables and one
+past the log-table limit, whose array ops map the scalar ops."""
 
 import random
 import tracemalloc
@@ -10,14 +10,17 @@ import numpy as np
 import pytest
 
 from tcone.algebra import FiniteAlgebra, _is_commutative
-from tcone.field import _LIST_TABLE_LIMIT, _TABLE_LIMIT, make_field
+from tcone.field import _LIST_TABLE_LIMIT, _LOG_TABLE_LIMIT, make_field
 import tcone.linalg as linalg
 from tcone.linalg import (_DENSE_CELLS, SpanBasis, _eliminate, nullspace,
                           row_space_contains, rref, solve,
                           sparse_row_space_contains)
 from tcone.polyring import vec_nf, vec_reducer
 
-FIELDS = [(5, 1), (2, 2), (5, 2), (5, 4), (7, 4)]
+FIELDS = [(5, 1), (2, 2), (5, 2), (5, 4), (7, 4), (5, 9)]
+# more exp/log-table fields, for the representation and rules-agree tests:
+# odd and even characteristic, k = 2 to 8, up to 390,625 elements
+LOG_FIELDS = [(3, 6), (31, 2), (2, 10), (5, 8)]
 SHAPES = [(0, 3), (3, 0), (1, 1), (4, 4), (3, 6), (6, 3), (5, 5)]
 
 
@@ -26,21 +29,35 @@ def field(request):
     return make_field(*request.param)
 
 
+@pytest.fixture(params=FIELDS + LOG_FIELDS, ids=lambda pk: f"F{pk[0]}^{pk[1]}")
+def rules_field(request):
+    return make_field(*request.param)
+
+
+def array_arithmetic(F):
+    """Whether F's array ops are numpy arithmetic, not mapped scalar ops."""
+    return F.k == 1 or F.q <= _LOG_TABLE_LIMIT
+
+
 def test_fields_cover_every_representation():
     reps = [("prime" if F.k == 1 else
              "list tables" if F.q <= _LIST_TABLE_LIMIT else
-             "array tables" if F.q <= _TABLE_LIMIT else "scalar")
-            for F in (make_field(*pk) for pk in FIELDS)]
-    assert reps == ["prime", "list tables", "list tables", "array tables",
-                    "scalar"]
-    # only small table fields lend their tables out as lists
-    assert [make_field(*pk).list_tables is not None for pk in FIELDS] == \
-        [False, True, True, False, False]
+             "log tables" if F.q <= _LOG_TABLE_LIMIT else "scalar")
+            for F in (make_field(*pk) for pk in FIELDS + LOG_FIELDS)]
+    assert reps == ["prime", "list tables", "list tables", "log tables",
+                    "log tables", "scalar"] + ["log tables"] * len(LOG_FIELDS)
+    # only small table fields have q x q tables, and lend them out as lists;
+    # the others past the log-table limit have no tables at all
+    for pk, rep in zip(FIELDS + LOG_FIELDS, reps):
+        F = make_field(*pk)
+        assert (F.list_tables is not None) == (F._mul_table is not None) \
+            == (rep == "list tables")
+        assert (F._exp is not None) == (rep in ("list tables", "log tables"))
 
 
 def test_large_table_fields_allocate_no_list_tables():
-    """An rref and a vec_nf over F_1024 allocate less than 2 MB, not the
-    64 MB that its mul and add tables take as Python lists."""
+    """An rref and a vec_nf over F_1024 allocate less than 2 MB: no copy
+    of the field's tables, no q x q table (64 MB as Python lists)."""
     F = make_field(2, 10)
     rng = random.Random("F1024")
     mat = random_matrix(rng, (6, 8), F)
@@ -127,15 +144,15 @@ def matrices(F, seed, large=True):
         sparse[[[rng.random() < 0.8 for _ in range(shape[1])]
                 for _ in range(shape[0])]] = 0
         out.append(sparse)
-    if large and F.q <= _TABLE_LIMIT:
+    if large and array_arithmetic(F):
         out += large_matrices(rng, F)
     return out
 
 
 def large_matrices(rng, F):
     """Shapes on both sides of linalg._DENSE_CELLS, so that each update
-    rule meets each test, on the fields with array arithmetic (the others
-    are too slow at this size): matrices of low rank, and banded
+    rule meets each test, on the fields with array arithmetic (the
+    scalar-mapped ones are too slow at this size): matrices of low rank, and banded
     ones shaped like the Frobenius oracle's systems (twice as many columns
     as rows, each row a short band shifted two columns down the row
     above, so each pivot column has few nonzeros)."""
@@ -210,7 +227,7 @@ def test_forward_elimination_matches_reference(field):
         assert rref(m[:len(pivots)], field)[0].tolist() == ref
 
 
-def test_dense_and_sparse_rules_agree(field, monkeypatch):
+def test_dense_and_sparse_rules_agree(rules_field, monkeypatch):
     """With the cutoff at -1 every matrix, even an empty one, takes the
     numpy sparse rule; with a huge one every matrix over a prime field or a
     field with list tables takes the list rule, and the others still the
@@ -218,9 +235,10 @@ def test_dense_and_sparse_rules_agree(field, monkeypatch):
     row-space answers.  Tall and wide shapes past the default cutoff are
     added here only, since the rules are compared with each other and not
     with the scalar reference."""
+    field = rules_field
     rng = random.Random(f"rules:{field.q}")
     mats = matrices(field, 5)
-    if field.q <= _TABLE_LIMIT:
+    if array_arithmetic(field):
         mats += [random_matrix(rng, (700, 6), field),
                  random_matrix(rng, (120, 40), field, rank=30)]
     vecs = [np.array([rng.randrange(field.q) for _ in range(mat.shape[1])],
