@@ -171,11 +171,6 @@ class EndAlgebra:
     def dim(self):
         return len(self.homs)
 
-    def is_local(self):
-        """Local means no nontrivial idempotents: quotient by radical is 1-dim
-        over a division ring; cheap sufficient check used in reporting."""
-        return self.dim - self.radical_rows.shape[0] == 1
-
     def __repr__(self):
         return f"EndAlgebra(dim={self.dim}, rad_dim={self.radical_rows.shape[0]})"
 

@@ -13,15 +13,21 @@ root" choices elsewhere in the library refer to it.
 Arithmetic on codes takes one of four routes, chosen by the order q:
 
 * prime fields: integers mod p;
-* extension fields of at most `_LIST_TABLE_LIMIT` = 256 elements: full
-  q x q add and mul tables, as numpy arrays and as nested Python lists;
+* extension fields of at most `_LIST_TABLE_LIMIT` = 256 elements: a full
+  q x q mul table, and in odd characteristic an add table, as numpy arrays
+  and as nested Python lists;
 * extension fields of at most `_LOG_TABLE_LIMIT` = 2^20 elements: tables
   of O(q) entries on a primitive element g, exp (the codes of g^i) and log,
-  where a product is exp[log a + log b]; a sum is an XOR of codes in
-  characteristic 2, and else goes through Zech's logarithm log(1 + g^n);
-  at most 16 bytes per element, so 16 MiB for the largest such field;
+  where a product is exp[log a + log b]; in odd characteristic a sum goes
+  through Zech's logarithm log(1 + g^n); at most 16 bytes per element, so
+  16 MiB for the largest such field;
 * larger extension fields: digit-list products reduced by the modulus,
   mapped over arrays by np.vectorize.
+
+On every extension field of characteristic 2 the digits of a code are its
+bits, so a sum or difference is the XOR of codes and -a is a, whatever the
+route: no add or neg table is built there, and a matrix product sums its
+terms with one XOR reduction.
 
 All routes give the same codes, so the route never shows in a result.
 """
@@ -40,11 +46,12 @@ class FieldError(ValueError):
     """Invalid field construction or incompatible field operation."""
 
 
-# extension fields with at most this many elements get full q x q add and
-# mul tables, as arrays for the array ops and as nested Python lists
-# (`Field.list_tables`) for loops over single elements, where indexing a
-# list is cheaper than numpy lookups; as lists the two tables of F_625
-# would take 20 MB and those of F_1024 64 MB
+# extension fields with at most this many elements get a full q x q mul
+# table, and in odd characteristic an add table, as arrays for the array
+# ops and as nested Python lists (`Field.list_tables`) for the scalar ops
+# and loops over single elements, where indexing a list is cheaper than
+# numpy lookups; as lists the two tables of F_625 would take 20 MB and the
+# mul table of F_1024 32 MB
 _LIST_TABLE_LIMIT = 256
 
 # extension fields with at most this many elements get exp/log tables:
@@ -220,7 +227,7 @@ class Field:
     parameters share one object (embeddings are memoised per field pair).
     `list_tables` is the pair (mul, add) of lookup tables as nested Python
     lists on extension fields of at most `_LIST_TABLE_LIMIT` elements, else
-    None.
+    None; add is None in characteristic 2, where a sum is an XOR.
     """
 
     __slots__ = ("p", "k", "q", "modulus", "_exp", "_log", "_zech",
@@ -273,11 +280,11 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        if self._add_table is not None:
-            return int(self._add_table[a, b])
+        if self.p == 2:
+            return a ^ b
+        if self.list_tables is not None:
+            return self.list_tables[1][a][b]
         if self._exp is not None:
-            if self.p == 2:
-                return int(a ^ b)
             if not a or not b:
                 return int(a or b)
             n = self.q - 1
@@ -292,8 +299,10 @@ class Field:
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        if self._neg_table is not None:
-            return int(self._neg_table[a])
+        if self.p == 2:
+            return a
+        if self.list_tables is not None:
+            return self.list_tables[0][self.p - 1][a]
         if self._exp is not None:
             return self.mul(a, self.p - 1)
         return self._encode([(-x) % self.p for x in self._decode(a)])
@@ -304,8 +313,8 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        if self._mul_table is not None:
-            return int(self._mul_table[a, b])
+        if self.list_tables is not None:
+            return self.list_tables[0][a][b]
         if self._exp is not None:
             if not a or not b:
                 return 0
@@ -321,7 +330,7 @@ class Field:
         if self.k == 1:
             return pow(a, -1, self.p)
         if self._inv_table is not None:
-            return int(self._inv_table[a])
+            return self._inv_table[a]
         if self._exp is not None:
             return int(self._exp[-int(self._log[a]) % (self.q - 1)])
         # extended Euclid on the digit polynomials: s * a = r mod modulus,
@@ -393,30 +402,36 @@ class Field:
         self._exp, self._log = exp, log
 
     def _build_tables(self):
-        """The q x q add and mul tables and the neg and inv tables, from
-        the digits and the exp/log tables, and their list copies."""
+        """The q x q mul table and the inv table, from the exp/log tables,
+        and in odd characteristic the q x q add table and the neg table,
+        from the digits; the q x q tables also as lists, and inv as a list
+        only, since only the scalar `inv` reads it."""
         p, q = self.p, self.q
-        place = p ** np.arange(self.k, dtype=np.int64)
-        digits = np.arange(q, dtype=np.int64)[:, None] // place % p
-        add = np.empty((q, q), dtype=np.int64)
-        for a in range(q):
-            add[a] = (digits[a] + digits) % p @ place
         exp, log = self._exp, self._log
         mul = np.zeros((q, q), dtype=np.int64)
         for a in range(1, q):
             mul[a, 1:] = exp[(log[a] + log[1:]) % (q - 1)]
-        inv = np.zeros(q, dtype=np.int64)
-        inv[1:] = exp[-log[1:] % (q - 1)]
-        self._neg_table = -digits % p @ place
-        self._add_table, self._mul_table, self._inv_table = add, mul, inv
-        self.list_tables = (mul.tolist(), add.tolist())
+        self._mul_table = mul
+        self._inv_table = [0] + exp[-log[1:] % (q - 1)].tolist()
+        add_list = None
+        if p > 2:
+            place = p ** np.arange(self.k, dtype=np.int64)
+            digits = np.arange(q, dtype=np.int64)[:, None] // place % p
+            add = np.empty((q, q), dtype=np.int64)
+            for a in range(q):
+                add[a] = (digits[a] + digits) % p @ place
+            self._add_table, self._neg_table = add, -digits % p @ place
+            add_list = add.tolist()
+        self.list_tables = (mul.tolist(), add_list)
 
     # -- array arithmetic -------------------------------------------------------
     # Elementwise (numpy-broadcasting) ops on int64 arrays of codes, the one
     # place that knows how elements are stored: mod-p numpy for prime fields,
     # q x q tables up to _LIST_TABLE_LIMIT elements, exp/log tables up to
     # _LOG_TABLE_LIMIT, and the scalar ops above mapped over the entries
-    # beyond that.
+    # beyond that; on every extension field of characteristic 2 a sum or
+    # difference is an XOR of codes and negation a copy, and `matmul` sums
+    # its terms with one XOR reduction.
 
     def _map(self, op, *arrays):
         return np.vectorize(op, otypes=[np.int64])(*arrays)
@@ -440,28 +455,34 @@ class Field:
     def vadd(self, a, b):
         if self.k == 1:
             return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
         if self._add_table is not None:
             return self._add_table[a, b]
         if self._exp is not None:
-            return a ^ b if self.p == 2 else self._zech_add(a, b, False)
+            return self._zech_add(a, b, False)
         return self._map(self.add, a, b)
 
     def vneg(self, a):
         if self.k == 1:
             return -a % self.p
+        if self.p == 2:
+            return np.copy(a)
         if self._neg_table is not None:
             return self._neg_table[a]
         if self._exp is not None:
-            return np.copy(a) if self.p == 2 else self._log_mul(a, self.p - 1)
+            return self._log_mul(a, self.p - 1)
         return self._map(self.neg, a)
 
     def vsub(self, a, b):
         if self.k == 1:
             return (a - b) % self.p
+        if self.p == 2:
+            return a ^ b
         if self._add_table is not None:
             return self._add_table[a, self._neg_table[b]]
         if self._exp is not None:
-            return a ^ b if self.p == 2 else self._zech_add(a, b, True)
+            return self._zech_add(a, b, True)
         return self._map(self.sub, a, b)
 
     def vmul(self, a, b):
@@ -492,6 +513,8 @@ class Field:
         if self.k == 1:
             return A @ B % self.p
         terms = self.vmul(A[..., :, :, None], B[..., None, :, :])
+        if self.p == 2:
+            return np.bitwise_xor.reduce(terms, axis=-2)
         if terms.shape[-2] == 0:
             return np.zeros(terms.shape[:-2] + terms.shape[-1:],
                             dtype=np.int64)

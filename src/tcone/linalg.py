@@ -21,12 +21,6 @@ if TYPE_CHECKING:
     from .field import Field
 
 
-def as_matrix(rows, ncols: int) -> np.ndarray:
-    if len(rows) == 0:
-        return np.zeros((0, ncols), dtype=np.int64)
-    return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
-
-
 # Matrices with at most this many cells, over prime fields and table
 # fields with list tables (`Field.list_tables`), are eliminated on Python
 # lists; larger ones, and the other fields, with numpy on the rows and
@@ -90,7 +84,8 @@ def _eliminate(m: np.ndarray, field: Field, reduced: bool):
 def _eliminate_lists(m: np.ndarray, field: Field, reduced: bool):
     """`_eliminate` on m.tolist(), written back once: mod-p integer
     arithmetic on a prime field, else lookups in the field's (mul, add)
-    list tables, where -f is mul[-1][f]."""
+    list tables, where -f is mul[-1][f]; in characteristic 2, where -f is
+    f, a sum is an XOR of codes and there is no add table."""
     a = m.tolist()
     rows, cols = m.shape
     p = field.p
@@ -129,6 +124,10 @@ def _eliminate_lists(m: np.ndarray, field: Field, reduced: bool):
             if tables is None:
                 for j, v in terms:
                     other[j] = (other[j] - f * v) % p
+            elif p == 2:
+                times = mul[f]
+                for j, v in terms:
+                    other[j] ^= times[v]
             else:
                 times = mul[minus[f]]
                 for j, v in terms:

@@ -488,11 +488,13 @@ def vec_reducer(g, field):
 @cache
 def _addmul(field: Field):
     """(a, f, c) -> a + f * c in field, for `vec_nf`'s inner loop: on the
-    list tables of small table fields (`Field.list_tables`), else on the
-    `Field` scalar ops."""
+    list tables of small table fields (`Field.list_tables`), with the sum
+    an XOR in characteristic 2, else on the `Field` scalar ops."""
     tables = field.list_tables
     if tables is not None:
         mul, add = tables
+        if field.p == 2:
+            return lambda a, f, c: a ^ mul[f][c]
         return lambda a, f, c: add[a][mul[f][c]]
     fadd, fmul = field.add, field.mul
     return lambda a, f, c: fadd(a, fmul(f, c))

@@ -31,15 +31,19 @@ Kept out of `tcone` because the pipeline never calls them:
 * `berlekamp_split_scan` splits off the factors of a squarefree
   polynomial by gcds with b - c over every scalar c of F_q, where
   `algebra._berlekamp_split` takes k * p gcds with traces.
+* `as_matrix` stacks rows into a code matrix, also when there are none,
+  and `is_local` tells a local End algebra by the dimension of its
+  radical; the library needs neither.
 
 `block1_gb`, `groebner_basis`, `relations`, `express`, `contains`,
-`apply_map`, `apply_hom`, `compose` and `piece_basis` read as methods of
-`LiftBasis`, `GradedMap`, `ModuleHom` and `PresentedModule`: they take
-that object as `self`.
+`apply_map`, `apply_hom`, `compose`, `piece_basis` and `is_local` read as
+methods of `LiftBasis`, `GradedMap`, `ModuleHom`, `PresentedModule` and
+`EndAlgebra`: they take that object as `self`.
 """
 
 import numpy as np
 
+from tcone.bundle import EndAlgebra
 from tcone.field import udivmod, ugcd, umonic, umul, upowmod, usub, ustrip
 from tcone.gradedmod import (GradedMap, LiftBasis, ModuleHom, PieceFrame,
                              PresentedModule, TwistedFree, closing_relations,
@@ -47,6 +51,18 @@ from tcone.gradedmod import (GradedMap, LiftBasis, ModuleHom, PieceFrame,
                              vector_degree)
 from tcone.linalg import nullspace
 from tcone.polyring import CubicCurve, Polynomial, mono_mul, vec_lt
+
+
+def as_matrix(rows, ncols: int) -> np.ndarray:
+    if len(rows) == 0:
+        return np.zeros((0, ncols), dtype=np.int64)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+
+
+def is_local(self: EndAlgebra) -> bool:
+    """Local means no nontrivial idempotents: the quotient by the radical
+    is 1-dimensional, a sufficient check."""
+    return self.dim - self.radical_rows.shape[0] == 1
 
 
 def vec_to_polys(vec, npos, field):

@@ -193,9 +193,11 @@ def test_decompose_degree_flag_overrides():
 
 # `tc decompose --json` on every demo problem at twists 0 and 3: twist,
 # bundle (rank, degree), splitting extension degree and each summand's
-# (rank, degree, h0, h1); at twist 0 six of the problems split, over
-# F_5, F_101, F_25, F_625 and F_(5^8)
+# (rank, degree, h0, h1); at twist 0 seven of the problems split, over
+# F_4, F_5, F_101, F_25, F_625 and F_(5^8)
 DECOMPOSE_PINS = {
+    ("closure_f4", 0): ((2, -21), 1, [(1, -9, 0, 9), (1, -12, 0, 12)]),
+    ("closure_f4", 3): ((2, -3), 1, [(1, 0, 1, 1), (1, -3, 0, 3)]),
     ("duplicate_generator", 0): ((2, -18), 1,
                                  [(1, -6, 0, 6), (1, -12, 0, 12)]),
     ("duplicate_generator", 3): ((2, 0), 1, [(1, 3, 3, 0), (1, -3, 0, 3)]),
@@ -300,6 +302,26 @@ summands:
   1     0       yes
   1     0       yes
 tight closure = plus closure (positive characteristic)"""
+
+
+def test_closure_on_the_f4_demo():
+    """The one demo over an extension field of characteristic 2, where
+    every sum of element codes is an XOR: its window at degree 3 runs the
+    criterion, and the closure gains y^2*z^2 in degree 4."""
+    demo = Path(__file__).resolve().parent.parent / "demos" / "problems"
+    out, code = run_closure(parse_problem((demo / "closure_f4.tc").read_text()))
+    assert code == 0
+    assert out == """\
+tight closure generators: x, y^3, y^2*z^2
+threshold k: 7/2
+mu_min: 9  mu_max: 12  semistable: no
+every element of degree >= 4 is in the closure
+degrees:
+  m  regime     dim_ideal  dim_closure
+  1  ideal      1          1
+  2  ideal      3          3
+  3  criterion  7          7
+  4  all        11         12"""
 
 
 def test_cold_check_does_not_import_numpy_ma():

@@ -164,15 +164,22 @@ def _naive_rem(f, m, p):
                                  (7, 2), (3, 4), (5, 3)])
 def test_tables_match_scalar_reference(p, k):
     """Every entry of the add, neg, mul and inv tables, against digit
-    arithmetic and polynomial products reduced by the modulus."""
+    arithmetic and polynomial products reduced by the modulus; in
+    characteristic 2, which has no add or neg table, the XOR of codes and
+    the code itself against digit-wise addition and negation."""
     F = make_field(p, k)
     q = F.q
     digits = [[(a // p ** i) % p for i in range(k)] for a in range(q)]
     code = lambda ds: sum(d * p ** i for i, d in enumerate(ds))
+    if p == 2:
+        assert F._add_table is F._neg_table is F.list_tables[1] is None
+        add, neg = (lambda a, b: a ^ b), (lambda a: a)
+    else:
+        add, neg = (lambda a, b: F._add_table[a, b]), F._neg_table.__getitem__
     for a in range(q):
-        assert F._neg_table[a] == code([-d % p for d in digits[a]])
+        assert neg(a) == code([-d % p for d in digits[a]])
         for b in range(q):
-            assert F._add_table[a, b] == code(
+            assert add(a, b) == code(
                 [(x + y) % p for x, y in zip(digits[a], digits[b])])
             prod = _naive_mul(digits[a], digits[b], p)
             assert F._mul_table[a, b] == code(_naive_rem(prod, F.modulus, p))
@@ -344,7 +351,7 @@ def test_tables_match_reference_multiply(p, k):
         assert one_plus.index(0) == half
         assert [F._exp[z] for n, z in enumerate(F._zech) if n != half] == \
             [x for x in one_plus if x]
-    assert (F._add_table is None) == (q > 256)
+    assert (F._add_table is None) == (q > 256 or p == 2)
     A, B = np.arange(q)[:, None], np.arange(q)[None, :]
     add = (digits[:, None, :] + digits[None, :, :]) % p @ place
     neg = -digits % p @ place
@@ -413,6 +420,89 @@ def test_log_table_fields_match_reference_arithmetic(p, k):
     for n in [0, F.q - 3] + [rng.randrange(F.q - 2) for _ in range(50)]:
         assert F._exp[n + 1] == _ref_mul(F, int(F._exp[n]), g)
         assert F._log[F._exp[n]] == n
+
+
+def _ref_add(F, a, b):
+    """a + b in F by digit-wise addition mod p, on codes."""
+    return F._encode([x + y for x, y in zip(F._decode(a), F._decode(b))])
+
+
+def _ref_matmul(F, A, B):
+    """numpy's matmul broadcasting over the stacks, with every entry a sum
+    of reference products by reference additions."""
+    batch = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    A = np.broadcast_to(A, batch + A.shape[-2:])
+    B = np.broadcast_to(B, batch + B.shape[-2:])
+    out = np.zeros(batch + (A.shape[-2], B.shape[-1]), dtype=np.int64)
+    for *at, i, j in np.ndindex(*out.shape):
+        acc = 0
+        for t in range(A.shape[-1]):
+            acc = _ref_add(F, acc, _ref_mul(F, int(A[(*at, i, t)]),
+                                            int(B[(*at, t, j)])))
+        out[(*at, i, j)] = acc
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 8), (2, 9), (2, 10),
+                                 (2, 21)])
+def test_characteristic_2_sums_are_xor_on_every_route(p, k):
+    """On q x q tables (F_4, F_8, F_256), exp/log tables (F_512, F_1024)
+    and scalar-mapped digit lists (F_(2^21)) alike: the scalar and array
+    add, sub and neg against digit-wise addition, axpy against it and the
+    reference multiply, and matmul against sums of reference products, on
+    broadcast stacks and with odd, unit and zero inner dimensions."""
+    F = make_field(p, k)
+    assert F._add_table is F._neg_table is None
+    rng = random.Random(f"xor:{k}")
+    xs = [rng.randrange(F.q) for _ in range(60)] + [0, 1, F.q - 1, 0]
+    ys = [rng.randrange(F.q) for _ in range(60)] + [5 % F.q, 0, F.q - 1, 0]
+    want = [_ref_add(F, x, y) for x, y in zip(xs, ys)]
+    assert want == [x ^ y for x, y in zip(xs, ys)]
+    a, b = np.array(xs), np.array(ys)
+    for op, vop in ((F.add, F.vadd), (F.sub, F.vsub)):
+        assert [op(x, y) for x, y in zip(xs, ys)] == want
+        assert vop(a, b).tolist() == want
+    assert [F.neg(x) for x in xs] == xs and F.vneg(a).tolist() == xs
+    neg = F.vneg(a)
+    neg[0] ^= 1
+    assert a[0] != neg[0]  # vneg returns a copy
+    c = rng.randrange(1, F.q)
+    assert F.axpy(a, c, b).tolist() == [_ref_add(F, x, _ref_mul(F, c, y))
+                                        for x, y in zip(xs, ys)]
+    cs = np.array(ys[:5])[:, None]
+    rows = np.array(xs[:15]).reshape(5, 3)
+    assert F.axpy(rows, cs, np.array(xs[20:23])).tolist() == [
+        [_ref_add(F, x, _ref_mul(F, int(cs[i, 0]), y))
+         for x, y in zip(rows[i].tolist(), xs[20:23])] for i in range(5)]
+    for shape_a, shape_b in [((2, 3, 5), (5, 4)), ((3, 1, 2, 3), (2, 3, 2)),
+                             ((4, 7), (7, 1)), ((1, 1), (1, 1)),
+                             ((2, 0), (0, 3)), ((2, 2, 0), (0, 4))]:
+        A = np.array([rng.randrange(F.q) for _ in range(np.prod(shape_a))],
+                     dtype=np.int64).reshape(shape_a)
+        B = np.array([rng.randrange(F.q) for _ in range(np.prod(shape_b))],
+                     dtype=np.int64).reshape(shape_b)
+        got = F.matmul(A, B)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _ref_matmul(F, A, B))
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 5), (5, 2),
+                                 (7, 2), (3, 4), (2, 8)])
+def test_list_table_scalar_ops_match_array_ops(p, k):
+    """On the fields with list tables, the scalar ops read the lists and
+    the array ops the arrays (or XOR in characteristic 2): the two agree
+    on all q x q pairs, and each scalar result is a Python int."""
+    F = make_field(p, k)
+    assert F.list_tables is not None
+    q = F.q
+    A, B = np.arange(q)[:, None], np.arange(q)[None, :]
+    for op, vop in ((F.add, F.vadd), (F.sub, F.vsub), (F.mul, F.vmul)):
+        got = [[op(a, b) for b in range(q)] for a in range(q)]
+        assert got == vop(A, B).tolist()
+        assert {type(x) for row in got for x in row} == {int}
+    assert [F.neg(a) for a in range(q)] == F.vneg(np.arange(q)).tolist()
+    invs = [F.inv(a) for a in range(1, q)]
+    assert F.vmul(np.arange(1, q), np.array(invs)).tolist() == [1] * (q - 1)
 
 
 def test_log_tables_stay_within_their_budget():

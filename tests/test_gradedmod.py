@@ -15,7 +15,7 @@ from tcone.gradedmod import (GradedMap, ModuleHom, PieceFrame,
                              closing_relations, free_module, hom_space,
                              image_presentation, syzygy_of_map, vec_from_polys,
                              vec_lt, vec_nf, vec_reducer, vkey)
-from tcone.linalg import SpanBasis, as_matrix
+from tcone.linalg import SpanBasis
 from tcone.polyring import (CubicCurve, IdealData, Polynomial,
                             format_polynomial, mono_deg, mono_div,
                             mono_divides, mono_lcm, mono_mul,
@@ -24,8 +24,8 @@ from tcone.polyring import (CubicCurve, IdealData, Polynomial,
 
 from .conftest import (ideal_of, pp, random_homogeneous, random_primary_ideal,
                        seeded)
-from .reference import (HomModule, apply_hom, apply_map, contains,
-                        groebner_basis, piece_basis,
+from .reference import (HomModule, apply_hom, apply_map, as_matrix,
+                        contains, groebner_basis, piece_basis,
                         reference_image_conditions, reference_mult,
                         reference_multiples, reference_times)
 
@@ -696,6 +696,34 @@ def test_log_fields_never_map_scalar_ops(monkeypatch, capsys):
                      ["decompose", path, "--degree", "3"], ["info", path]):
             assert main(argv) in (0, 1)
     assert "summands" in capsys.readouterr().out
+
+
+def test_characteristic_2_fields_never_read_add_tables(monkeypatch, capsys):
+    """Extension fields of characteristic 2 add by XOR on every route:
+    with add, neg and add-list tables that raise when read installed on
+    F_4 to F_256, the F_4 piece test above and tc closure, decompose and
+    info on the F_4 demo still run."""
+    class Refuse:
+        def __getitem__(self, key):
+            raise AssertionError("an add or neg table was read")
+
+    for k in range(2, 9):
+        field = make_field(2, k)
+        monkeypatch.setattr(field, "_add_table", Refuse())
+        monkeypatch.setattr(field, "_neg_table", Refuse())
+        monkeypatch.setattr(field, "list_tables",
+                            (field.list_tables[0], Refuse()))
+    polyring._addmul.cache_clear()
+    try:
+        test_piece_dim_counts_match_rref_reference(2, 2)
+        path = str(Path(__file__).resolve().parent.parent / "demos"
+                   / "problems" / "closure_f4.tc")
+        for argv in (["closure", path], ["decompose", path, "--degree", "0"],
+                     ["decompose", path, "--degree", "3"], ["info", path]):
+            assert main(argv) == 0
+    finally:
+        polyring._addmul.cache_clear()
+    assert "y^2*z^2" in capsys.readouterr().out
 
 
 def test_piece_dim_counts_on_acceptance_5_modules(fermat5):

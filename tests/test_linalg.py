@@ -21,6 +21,9 @@ FIELDS = [(5, 1), (2, 2), (5, 2), (5, 4), (7, 4), (5, 9)]
 # more exp/log-table fields, for the representation and rules-agree tests:
 # odd and even characteristic, k = 2 to 8, up to 390,625 elements
 LOG_FIELDS = [(3, 6), (31, 2), (2, 10), (5, 8)]
+# more list-table fields of characteristic 2, whose sums are XORs, for the
+# rules-agree test: the smallest past F_4 and the largest with list tables
+XOR_FIELDS = [(2, 3), (2, 8)]
 SHAPES = [(0, 3), (3, 0), (1, 1), (4, 4), (3, 6), (6, 3), (5, 5)]
 
 
@@ -29,7 +32,8 @@ def field(request):
     return make_field(*request.param)
 
 
-@pytest.fixture(params=FIELDS + LOG_FIELDS, ids=lambda pk: f"F{pk[0]}^{pk[1]}")
+@pytest.fixture(params=FIELDS + LOG_FIELDS + XOR_FIELDS,
+                ids=lambda pk: f"F{pk[0]}^{pk[1]}")
 def rules_field(request):
     return make_field(*request.param)
 
