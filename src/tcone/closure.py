@@ -181,6 +181,8 @@ def tight_closure_member(ideal: IdealData, f0: Polynomial) -> ClosureCertificate
 # matrix, with its largest normal-form table, would; each size is
 # predicted before allocation.
 _MATRIX_BYTES = 512 << 20
+# entries the oracle's builder sorts into place at a time
+_GATHER_ENTRIES = 1 << 13
 
 
 def _ideal_piece_rows(curve: CubicCurve, gens, D: int) -> np.ndarray:
@@ -225,61 +227,100 @@ def _frobenius_system(curve: CubicCurve, powered, target: Polynomial,
     dropped from the other rows and from the target, which changes no
     answer and no rank beyond the count of the dropped columns.
 
-    The entries of the remaining rows are gathered as (row, column,
-    value) triplets, and no dense array is built.  Rows are numbered power
-    by power, then by a, then by c.  The columns keep `piece_monomials`
-    order, or are reversed (in vec too) when more rows then have distinct
-    leads, that is, distinct first columns; the more rows with a new lead,
-    the fewer the elimination reduces.  The rows are then sorted by lead,
-    rows with equal leads in their numbered order, and rows left empty by
-    the dropped columns come last.
+    Rows are numbered power by power, then by a, then by c.  The columns
+    keep `piece_monomials` order, or are reversed (in vec too) when more
+    rows then have distinct leads, that is, distinct first columns; the
+    more rows with a new lead, the fewer the elimination reduces.  The
+    rows are then sorted by lead, rows with equal leads in their numbered
+    order, and rows left empty by the dropped columns come last.
+
+    indptr and cols are int32 (the oracle's 512 MiB cap keeps both below
+    2^26), vals and vec int64 codes.  The system is built in about the
+    memory of its own rows.  One int32 array holds the columns of every
+    shifted base term, row by row and in column order, with -1 where a
+    column is dropped; the rows are gathered from it and from the bases'
+    coefficients in lead order, at most `_GATHER_ENTRIES` of its entries
+    at a time, so no index array is as long as the system.  A system of at
+    most that many entries takes one pass.  The target's coordinates come
+    from `_column_table` too, so no degree-D monomial list or index
+    (`piece_monomials`, `piece_index`) is left on the curve.
     """
     col = _column_table(D)
     fixed = np.zeros(curve.piece_dim(D), dtype=bool)
-    parts = []                    # (at, coeffs) of each base of 2+ terms
+    parts = []                    # (rows, terms, coeffs) of 2+ terms
     for h in powered:
         K = D - h.degree()
         for a in range(min(K, 2) + 1):    # none when K < 0
             base = curve.nf(h.term_mul((a, 0, 0), 1))
-            terms = np.array(list(base.terms), dtype=np.int64)
-            # at[c, k]: column of term k of base, shifted by z^c
-            at = col[terms[:, 0], terms[:, 2] + np.arange(K - a + 1)[:, None]]
-            if len(terms) == 1:
-                fixed[at[:, 0]] = True
-            else:
-                parts.append(
-                    (at, np.array(list(base.terms.values()), dtype=np.int64)))
-    kept = ~fixed
-    n_rows = sum(len(at) for at, _ in parts)
-    n_cols = int(kept.sum())
-    vec = PieceFrame(curve, (0,), D).coords((target,))[kept]
-    r = c = v = np.zeros(0, dtype=np.int64)
-    if parts:
-        r = np.repeat(np.arange(n_rows),
-                      np.repeat([at.shape[1] for at, _ in parts],
-                                [len(at) for at, _ in parts]))
-        c = np.concatenate([at.ravel() for at, _ in parts])
-        v = np.concatenate([np.repeat(coeffs[None], len(at), axis=0).ravel()
-                            for at, coeffs in parts])
-        live = kept[c]
-        r, c, v = r[live], (np.cumsum(kept) - 1)[c[live]], v[live]
-    # each row's first and last column, its lead in either order
-    first = np.full(n_rows, n_cols)
-    np.minimum.at(first, r, c)
-    last = np.full(n_rows, -1)
-    np.maximum.at(last, r, c)
+            if len(base.terms) == 1:
+                (x, _, z), = base.terms
+                fixed[col[x, z:z + K - a + 1]] = True
+                continue
+            # z ascending, then x descending: column order, which every
+            # shift by z^c keeps
+            items = sorted(base.terms.items(),
+                           key=lambda t: (t[0][2], -t[0][0]))
+            parts.append((K - a + 1, np.array([m for m, _ in items]),
+                          [c for _, c in items]))
+    n_cols = len(fixed) - int(np.count_nonzero(fixed))
+    # each column's number among the kept ones; -1 for a fixed column and,
+    # through the extra last entry, for the holes (-1) of the table
+    renumber = np.full(len(fixed) + 1, -1, dtype=np.int32)
+    renumber[:-1][~fixed] = np.arange(n_cols, dtype=np.int32)
+    table = renumber[col]
+    # the target's codes, those on fixed columns into an extra last slot
+    mons = np.array(list(target.terms), dtype=np.int64).reshape(-1, 3)
+    vec = np.zeros(n_cols + 1, dtype=np.int64)
+    vec[table[mons[:, 0], mons[:, 2]]] = list(target.terms.values())
+    vec = vec[:-1]
+    # at: row by row, the columns of the shifted terms of every base
+    at = np.concatenate([np.zeros(0, dtype=np.int32)] + [
+        table[terms[:, 0], terms[:, 2] + np.arange(n)[:, None]].ravel()
+        for n, terms, _ in parts])
+    coeffs = np.array([c for *_, cs in parts for c in cs], dtype=np.int64)
+    counts = [n for n, *_ in parts]
+    widths = np.array([len(cs) for *_, cs in parts], dtype=np.int64)
+    width = np.repeat(widths, counts)
+    start = np.cumsum(width) - width
+    # row r's coefficient of its k-th term is coeffs[start[r] + k + shift[r]]
+    shift = np.repeat(np.cumsum(widths) - widths, counts) - start
+    live = at >= 0
+    # each row's entry count, and its first and last column, its lead in
+    # either order; n_cols and -1 for a row left empty
+    lens = np.add.reduceat(live, start, dtype=np.int64)
+    first = np.minimum.reduceat(np.where(live, at, n_cols), start)
+    last = np.maximum.reduceat(at, start)
+    del live
     filled = last >= 0
-    if len(set(last[filled].tolist())) > len(set(first[filled].tolist())):
-        c = n_cols - 1 - c
+    reverse = (len(set(last[filled].tolist()))
+               > len(set(first[filled].tolist())))
+    if reverse:                   # each row read from its end
         vec = vec[::-1].copy()
         first[filled] = n_cols - 1 - last[filled]
+        at, coeffs = at[::-1], coeffs[::-1]
+        start = len(at) - start - width
+        shift = len(coeffs) - len(at) - shift
     # rows by lead, stably, with empty rows (lead n_cols) last
-    place = np.empty(n_rows, dtype=np.int64)
-    place[np.argsort(first, kind="stable")] = np.arange(n_rows)
-    r = place[r]
-    order = np.argsort(r * n_cols + c)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=n_rows))))
-    return (indptr, c[order], v[order]), vec
+    order = np.argsort(first, kind="stable")
+    indptr = np.zeros(len(order) + 1, dtype=np.int32)
+    np.cumsum(lens[order], out=indptr[1:])
+    cols = np.empty(indptr[-1], dtype=np.int32)
+    vals = np.empty(indptr[-1], dtype=np.int64)
+    step = max(1, _GATHER_ENTRIES // int(widths.max(initial=1)))
+    for i in range(0, len(order), step):
+        rows = order[i:i + step]
+        w = width[rows]
+        ends = np.cumsum(w)
+        # where the chunk's entries sit in at, row after row
+        pos = np.arange(ends[-1]) + np.repeat(start[rows] + w - ends, w)
+        seg = at[pos]
+        keep = seg >= 0
+        s, e = indptr[i], indptr[i + len(rows)]
+        cols[s:e] = seg[keep]
+        vals[s:e] = coeffs[(pos + np.repeat(shift[rows], w))[keep]]
+    if reverse:
+        np.subtract(n_cols - 1, cols, out=cols)
+    return (indptr, cols, vals), vec
 
 
 def frobenius_member(ideal: IdealData, f0: Polynomial,
@@ -300,6 +341,10 @@ def frobenius_member(ideal: IdealData, f0: Polynomial,
     predicted; the sparse rows hold at most as many entries as it has
     cells.  Past 512 MiB the search stops, inconclusive, and the result
     names that e and D ("inconclusive: stopped at e = ..., D = ...").
+    The rows take 12 bytes per entry (an int32 column and an int64 code),
+    and a degree's step peaks at about 24 bytes per entry with the
+    builder's temporaries: 2.5 MiB (tracemalloc) for the 111,970 entries
+    at D = 1875 of `demos/problems/duplicate_generator.tc`.
     """
     if e_max < 0:
         raise ValueError("e_max must be nonnegative")

@@ -206,7 +206,8 @@ def row_space_contains(rows: np.ndarray, vec: np.ndarray, field: Field) -> bool:
 def _reduce_lead(w: np.ndarray, pivots: dict, field: Field):
     """Reduce the dense vector w in place until its lead (first nonzero
     column) is no pivot's; return that lead, or None once w vanishes.
-    pivots maps a lead column to (cols, vals) of a row with lead 1 there.
+    pivots maps a lead column to (cols, vals, inv): a row's nonzero
+    columns and values, and the inverse of its value at the lead.
     """
     pos = 0
     while True:
@@ -216,62 +217,57 @@ def _reduce_lead(w: np.ndarray, pivots: dict, field: Field):
         lead = pos + int(nz[0])
         if lead not in pivots:
             return lead
-        cols, vals = pivots[lead]
-        w[cols] = field.axpy(w[cols], int(w[lead]), vals)
+        cols, vals, inv = pivots[lead]
+        w[cols] = field.axpy(w[cols], field.mul(int(w[lead]), inv), vals)
         pos = lead + 1
 
 
 def sparse_row_space_contains(rows, vec: np.ndarray, field: Field) -> bool:
     """Membership of the dense vec in the row space of sparse rows.
 
-    rows is (indptr, cols, vals), int64 arrays in compressed-row form: row
-    i has the nonzero entries vals[indptr[i]:indptr[i + 1]] in the strictly
-    ascending columns cols[indptr[i]:indptr[i + 1]], and its first column
-    is its lead; a row may have no entries.  Pivots are keyed by lead.  The
-    first row of each lead becomes a pivot, scaled to lead 1, all in one
-    vectorised step; every other row is reduced until its lead is new,
-    when it becomes a pivot too, or until it vanishes.  The pivots are
-    then an echelon basis of the row space, so vec, reduced the same way,
-    vanishes exactly when it lies in it.  Nothing of size rows x columns is
-    allocated, unless that is at most `_DENSE_CELLS` cells: such systems
-    are filled in and go to `row_space_contains`, which is faster there.
+    rows is (indptr, cols, vals) in compressed-row form, with int32 or
+    int64 indices: row i has the nonzero entries
+    vals[indptr[i]:indptr[i + 1]] in the strictly ascending columns
+    cols[indptr[i]:indptr[i + 1]], and its first column is its lead; a row
+    may have no entries.  The three arrays are only read.  Pivots are
+    keyed by lead.  The first row of each lead becomes a pivot as it is:
+    views of its own columns and values, and the inverse of its lead
+    value, by which each reduction scales its factor.  Every other row is
+    reduced until its lead is new, when it becomes a pivot too (its
+    nonzero columns and values, and the inverse), or until it vanishes.
+    The pivots are then an echelon basis of the row space, so vec,
+    reduced the same way, vanishes exactly when it lies in it.  Nothing of
+    size rows x columns is allocated, and no copy of the rows, unless the
+    system has at most `_DENSE_CELLS` cells: such systems are filled in
+    and go to `row_space_contains`, which is faster there.
     """
     indptr, cols, vals = rows
     n, ncols = len(indptr) - 1, vec.shape[0]
-    starts, lens = indptr[:-1], np.diff(indptr)
+    lens = np.diff(indptr)
     if n * ncols <= _DENSE_CELLS:
         dense = np.zeros((n, ncols), dtype=np.int64)
         dense[np.repeat(np.arange(n), lens), cols] = vals
         return row_space_contains(dense, vec, field)
     filled = np.flatnonzero(lens)
-    _, first = np.unique(cols[starts[filled]], return_index=True)
+    leads, first = np.unique(cols[indptr[filled]], return_index=True)
     heads = filled[first]
     # the other filled rows, in order, by a mask: np.setdiff1d would
     # import numpy.ma on its first call in a process
     others = np.ones(len(filled), dtype=bool)
     others[first] = False
-    # the heads' entries, gathered into one array, each row scaled by the
-    # inverse of its lead
-    head_lens = lens[heads]
-    bounds = np.concatenate(([0], np.cumsum(head_lens)))
-    at = (np.arange(bounds[-1])
-          + np.repeat(starts[heads] - bounds[:-1], head_lens))
-    lead_vals = vals[starts[heads]].tolist()
+    starts = indptr[heads]
+    lead_vals = vals[starts].tolist()
     inverse = {v: field.inv(v) for v in set(lead_vals)}
-    scale = np.array([inverse[v] for v in lead_vals], dtype=np.int64)
-    head_cols = cols[at]
-    head_vals = field.vmul(vals[at], np.repeat(scale, head_lens))
-    bounds = bounds.tolist()
-    pivots = {lead: (head_cols[s:e], head_vals[s:e])
-              for lead, s, e in zip(cols[starts[heads]].tolist(),
-                                    bounds[:-1], bounds[1:])}
+    pivots = {lead: (cols[s:e], vals[s:e], inverse[v])
+              for lead, s, e, v in zip(leads.tolist(), starts.tolist(),
+                                       indptr[heads + 1].tolist(), lead_vals)}
     for i in filled[others].tolist():
         w = np.zeros(ncols, dtype=np.int64)
         w[cols[indptr[i]:indptr[i + 1]]] = vals[indptr[i]:indptr[i + 1]]
         lead = _reduce_lead(w, pivots, field)
         if lead is not None:
             nz = np.flatnonzero(w)
-            pivots[lead] = (nz, field.vmul(w[nz], field.inv(int(w[lead]))))
+            pivots[lead] = (nz, w[nz], field.inv(int(w[lead])))
     return _reduce_lead(vec.copy(), pivots, field) is None
 
 

@@ -28,6 +28,11 @@ Kept out of `tcone` because the pipeline never calls them:
   contracts the reduced form's coordinates with `CubicCurve.products`.
 * `reference_products` is `CubicCurve.products` without its cached row
   indices: the monomials of both pieces are listed again on every call.
+* `frobenius_system_reference` is `closure._frobenius_system` with
+  full-length int64 index arrays: all (row, column, value) triplets are
+  built, the fixed columns filtered out of them, and the rows sorted by
+  one int64 key per entry; the target's coordinates come from a
+  degree-D `PieceFrame`.
 * `berlekamp_split_scan` splits off the factors of a squarefree
   polynomial by gcds with b - c over every scalar c of F_q, where
   `algebra._berlekamp_split` takes k * p gcds with traces.
@@ -44,6 +49,7 @@ methods of `LiftBasis`, `GradedMap`, `ModuleHom`, `PresentedModule` and
 import numpy as np
 
 from tcone.bundle import EndAlgebra
+from tcone.closure import _column_table
 from tcone.field import udivmod, ugcd, umonic, umul, upowmod, usub, ustrip
 from tcone.gradedmod import (GradedMap, LiftBasis, ModuleHom, PieceFrame,
                              PresentedModule, TwistedFree, closing_relations,
@@ -387,3 +393,55 @@ def berlekamp_split_scan(g, f):
         if len(factors) == r:
             break
     return factors
+
+
+def frobenius_system_reference(curve: CubicCurve, powered, target: Polynomial,
+                               D: int):
+    """`closure._frobenius_system` by full-length triplets: the same rows
+    (indptr, cols, vals), as int64 arrays, and the same vec."""
+    col = _column_table(D)
+    fixed = np.zeros(curve.piece_dim(D), dtype=bool)
+    parts = []                    # (at, coeffs) of each base of 2+ terms
+    for h in powered:
+        K = D - h.degree()
+        for a in range(min(K, 2) + 1):    # none when K < 0
+            base = curve.nf(h.term_mul((a, 0, 0), 1))
+            terms = np.array(list(base.terms), dtype=np.int64)
+            # at[c, k]: column of term k of base, shifted by z^c
+            at = col[terms[:, 0], terms[:, 2] + np.arange(K - a + 1)[:, None]]
+            if len(terms) == 1:
+                fixed[at[:, 0]] = True
+            else:
+                parts.append(
+                    (at, np.array(list(base.terms.values()), dtype=np.int64)))
+    kept = ~fixed
+    n_rows = sum(len(at) for at, _ in parts)
+    n_cols = int(kept.sum())
+    vec = PieceFrame(curve, (0,), D).coords((target,))[kept]
+    r = c = v = np.zeros(0, dtype=np.int64)
+    if parts:
+        r = np.repeat(np.arange(n_rows),
+                      np.repeat([at.shape[1] for at, _ in parts],
+                                [len(at) for at, _ in parts]))
+        c = np.concatenate([at.ravel() for at, _ in parts])
+        v = np.concatenate([np.repeat(coeffs[None], len(at), axis=0).ravel()
+                            for at, coeffs in parts])
+        live = kept[c]
+        r, c, v = r[live], (np.cumsum(kept) - 1)[c[live]], v[live]
+    # each row's first and last column, its lead in either order
+    first = np.full(n_rows, n_cols)
+    np.minimum.at(first, r, c)
+    last = np.full(n_rows, -1)
+    np.maximum.at(last, r, c)
+    filled = last >= 0
+    if len(set(last[filled].tolist())) > len(set(first[filled].tolist())):
+        c = n_cols - 1 - c
+        vec = vec[::-1].copy()
+        first[filled] = n_cols - 1 - last[filled]
+    # rows by lead, stably, with empty rows (lead n_cols) last
+    place = np.empty(n_rows, dtype=np.int64)
+    place[np.argsort(first, kind="stable")] = np.arange(n_rows)
+    r = place[r]
+    order = np.argsort(r * n_cols + c)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=n_rows))))
+    return (indptr, c[order], v[order]), vec

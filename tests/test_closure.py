@@ -20,7 +20,7 @@ from tcone.polyring import (CubicCurve, IdealData, Polynomial,
                             parse_polynomial)
 
 from .conftest import ideal_of, pp, random_homogeneous, random_primary_ideal, seeded
-from .reference import reference_multiples
+from .reference import frobenius_system_reference, reference_multiples
 
 
 def test_membership_verdicts_worked_examples(fermat5, F5):
@@ -139,13 +139,23 @@ def _leads(mat):
     return np.hstack([mat != 0, stop]).argmax(axis=1)
 
 
-def _check_system(curve, powered, target, D):
-    """_frobenius_system against the reference route, the full system of
-    every monomial multiple, one normal form per row (no normal-form
-    table, which at D = 98 would take 12 MB and seconds); returns the
-    answer and the number of fixed columns."""
-    field = curve.field
+def _same_system(curve, powered, target, D):
+    """_frobenius_system, with the arrays of the reference builder: equal
+    indptr, cols, vals and vec, in values and order (dtypes aside)."""
     sparse, vec = _frobenius_system(curve, powered, target, D)
+    ref, ref_vec = frobenius_system_reference(curve, powered, target, D)
+    for got, want in zip(sparse + (vec,), ref + (ref_vec,)):
+        assert np.array_equal(got, want)
+    return sparse, vec
+
+
+def _check_system(curve, powered, target, D):
+    """_frobenius_system against the reference builder and the reference
+    route, the full system of every monomial multiple, one normal form per
+    row (no normal-form table, which at D = 98 would take 12 MB and
+    seconds); returns the answer and the number of fixed columns."""
+    field = curve.field
+    sparse, vec = _same_system(curve, powered, target, D)
     frame = PieceFrame(curve, (0,), D)
     full = reference_multiples(frame, [(h,) for h in powered])
     full_vec = frame.coords((target,))
@@ -348,11 +358,39 @@ def test_oracle_builds_no_normal_form_table(monkeypatch):
         .leading_monomial() == (2, 1, 0)
 
 
+def test_frobenius_system_matches_the_reference_builder_on_the_demos(
+        monkeypatch):
+    # every system the oracle builds on three demos, up to D = 1875, equals
+    # the reference builder's; sheared_duplicate_generator.tc's are built
+    # after the change of coordinates to lt(F) = x^3
+    from tcone.cli import parse_problem
+    demo = Path(__file__).resolve().parent.parent / "demos" / "problems"
+    built = []
+
+    def checked(curve, powered, target, D):
+        built.append(D)
+        return _same_system(curve, powered, target, D)
+
+    monkeypatch.setattr(closure, "_frobenius_system", checked)
+    results = {}
+    for name in ("duplicate_generator", "sheared_duplicate_generator",
+                 "fermat5_check"):
+        prob = parse_problem((demo / f"{name}.tc").read_text())
+        results[name] = frobenius_member(prob.ideal, prob.candidate)
+    assert results == {
+        "duplicate_generator": FrobeniusResult(False, None, 4),
+        "sheared_duplicate_generator": FrobeniusResult(False, None, 4),
+        "fermat5_check": FrobeniusResult(True, 1, 4)}
+    assert built == [3, 15, 75, 375, 1875] * 2 + [3, 15]
+
+
 def test_oracle_memory_stays_below_the_dense_system():
     # at D = 1875 the dense system of duplicate_generator.tc was
-    # 1875 x 3750 int64 codes, 56 MB; its sparse rows hold about 60
-    # entries each.  The warm-up call fills the per-degree caches (the
-    # piece index, the curve's memoised data), which later calls reuse.
+    # 1875 x 3750 int64 codes, 56 MB; its 111,970 sparse entries take
+    # 12 bytes each (int32 column, int64 code), 1.3 MB, and the oracle's
+    # peak stays within about 25 bytes per entry (it was 7.9 MiB, about
+    # 74 bytes per entry, with full-length int64 index arrays).  The
+    # warm-up call fills the caches that later calls reuse.
     import tracemalloc
     from tcone.cli import parse_problem
     demo = Path(__file__).resolve().parent.parent / "demos" / "problems"
@@ -365,7 +403,14 @@ def test_oracle_memory_stays_below_the_dense_system():
     finally:
         tracemalloc.stop()
     assert result == FrobeniusResult(False, None, 4)
-    assert peak < 28 << 20
+    assert peak < 5 << 20
+    # the target's coordinates come from the column table, so a cold call
+    # on a new curve leaves no degree-1875 monomial list or index on it
+    curve = CubicCurve(prob.curve.F, prob.curve.field)
+    ideal = IdealData(curve, list(prob.ideal.gens))
+    assert frobenius_member(ideal, prob.candidate) == result
+    assert 1875 not in curve._piece_cache
+    assert 1875 not in curve._index_cache
 
 
 # (field, cubic with lt(F) != x^3, the first point off it): points of the

@@ -301,18 +301,32 @@ def sparse_form(mat):
     return np.concatenate(([0], np.cumsum(counts))), c, mat[r, c]
 
 
-@pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (5, 1), (7, 1), (5, 2)])
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (5, 1), (7, 1), (5, 2),
+                                  (5, 4)])
 def test_sparse_row_space_contains_matches_dense(p, k, monkeypatch):
     """Against `row_space_contains`, in both column orders, with a zero
     target, a combination of the rows, a random sparse vector and a
     combination plus a unit vector; with the cutoff at 0 even the small
-    systems and those with no rows take the sparse route."""
+    systems and those with no rows take the sparse route.  The rows go in
+    with int64 and with int32 indices, and the call leaves them and vec
+    as they were on either route.  Past F_2 some leads are not 1, and some
+    system has more independent rows than distinct leads, so rows that
+    share a lead are reduced into pivots of their own."""
     F = make_field(p, k)
     rng = random.Random(f"sparse:{p}^{k}")
     answers = set()
+    other_leads = reduced_pivots = False
     for mat in sparse_systems(rng, F):
         for m in (mat, np.ascontiguousarray(mat[:, ::-1])):
             rows, cols = m.shape
+            filled = m[m.any(axis=1)]
+            leads = (filled != 0).argmax(axis=1)
+            other_leads |= bool((filled[np.arange(len(leads)), leads] != 1)
+                                .any())
+            reduced_pivots |= len(rref(m, F)[1]) > len(set(leads.tolist()))
+            indptr, at, vals = sparse_form(m)
+            forms = [(indptr, at, vals),
+                     (indptr.astype(np.int32), at.astype(np.int32), vals)]
             comb = np.zeros(cols, dtype=np.int64)
             for row in m:
                 comb = F.vadd(comb, F.vmul(rng.randrange(F.q), row))
@@ -325,12 +339,21 @@ def test_sparse_row_space_contains_matches_dense(p, k, monkeypatch):
                         F.vadd(comb, unit)):
                 expect = row_space_contains(m.copy(), vec, F)
                 answers.add(expect)
+                kept = vec.copy()
                 for cutoff in (_DENSE_CELLS, 0):
                     monkeypatch.setattr(linalg, "_DENSE_CELLS", cutoff)
-                    assert sparse_row_space_contains(sparse_form(m), vec,
-                                                     F) == expect
+                    for form in forms:
+                        before = [a.copy() for a in form]
+                        assert sparse_row_space_contains(form, vec,
+                                                         F) == expect
+                        for a, b in zip(form, before):
+                            assert a.dtype == b.dtype
+                            assert np.array_equal(a, b)
+                        assert np.array_equal(vec, kept)
                 monkeypatch.setattr(linalg, "_DENSE_CELLS", _DENSE_CELLS)
     assert answers == {True, False}
+    assert other_leads == (F.q > 2)
+    assert reduced_pivots
 
 
 def test_nullspace_matches_reference(field):
